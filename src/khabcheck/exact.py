@@ -16,9 +16,10 @@ compare equal structurally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 # The exact scalar type used across the package.  Arbitrary precision,
 # always in lowest terms with positive denominator -- the stdlib guarantees
@@ -64,6 +65,20 @@ def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
         return Fraction(floor_lo + 1)
     frac = simplest_between(1 / (hi - floor_lo), 1 / (lo - floor_lo))
     return floor_lo + 1 / frac
+
+
+def scaled_value(c: Sequence[int], z: Fraction) -> int:
+    """q^d * c(p/q) for integer coefficients ``c`` (ascending), z = p/q, d = len(c) - 1.
+
+    Homogeneous Horner evaluation: the result is an integer with the sign
+    of c(z), computed without forming a single Fraction.
+    """
+    p, q = z.numerator, z.denominator
+    acc, q_power = 0, 1
+    for x in reversed(c):
+        acc = acc * p + x * q_power
+        q_power *= q
+    return acc
 
 
 def _as_fraction_tuple(coeffs: Iterable[RationalLike]) -> tuple[Fraction, ...]:
@@ -285,10 +300,16 @@ class ZPolynomial:
         Trailing zeros are stripped, so the result is again canonical.
         """
         a = Fraction(alpha)
-        out = tuple(c(a) for c in self.coeffs)
+        out = []
+        for c in self.coeffs:
+            # one common denominator per coefficient, then integer Horner
+            den = math.lcm(*(x.denominator for x in c.coeffs))
+            ints = [x.numerator * (den // x.denominator) for x in c.coeffs]
+            out.append(Fraction(scaled_value(ints, a),
+                                den * a.denominator ** max(c.degree, 0)))
         while out and out[-1] == 0:
-            out = out[:-1]
-        return out
+            out.pop()
+        return tuple(out)
 
     def evaluate(self, alpha: RationalLike, z: RationalLike) -> Fraction:
         """Exact evaluation: Horner in z on top of Horner in alpha."""

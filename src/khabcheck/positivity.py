@@ -6,36 +6,46 @@ either by a certificate (a reason the polynomial cannot go negative) or by
 a rational witness point where it provably does.
 
 Decision ladder for a specialized polynomial p(z) with rational
-coefficients:
+coefficients, after scaling it by a positive constant to a primitive
+integer polynomial (which changes no sign):
 
 1. zero polynomial, or all coefficients >= 0  ->  Nonnegative;
 2. lowest-order nonzero coefficient < 0       ->  Negative (p < 0 near 0+,
    halve z until an exact evaluation is negative);
-3. leading coefficient < 0                    ->  Negative (p < 0 near oo,
-   double z until negative);
-4. otherwise: isolate every positive real root with a Sturm chain of the
-   squarefree part, refine each isolating interval below 2^-40, and read
-   the sign of p at the interval endpoints and between intervals.  No
-   negative sample means every positive root has even multiplicity and p
-   stays nonnegative; a negative sample is returned as the witness.
+3. leading coefficient < 0                    ->  Negative (p < 0 beyond
+   the Cauchy root bound, rounded up to an integer);
+4. float witness: the positive real parts of the float roots of p and p'
+   propose points; the simplest rational near each one becomes a witness
+   only if exact integer evaluation shows p < 0 there  ->  Negative;
+5. otherwise: isolate every positive real root with a Sturm chain of
+   primitive integer polynomials, and evaluate p at one point in each gap
+   between consecutive isolating intervals (its sign is constant there).
+   No negative sample means every positive root has even multiplicity and
+   p stays nonnegative; a negative sample is returned as the witness.
 
-All arithmetic is over Fraction; no floats participate in any verdict.
+Floats only propose witnesses in rung 4; every verdict rests on exact
+integer (or Fraction) arithmetic.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .exact import RationalLike, ZPolynomial, simplest_between
+import numpy as np
+
+from .exact import RationalLike, ZPolynomial, scaled_value, simplest_between
 from .transition import transition_poly
 
-Coeffs = tuple[Fraction, ...]
+#: an integer polynomial as coefficients in ascending powers of z
+IntPoly = list[int]
 
-#: isolating intervals are refined below this width before sampling signs
-_REFINE_WIDTH = Fraction(1, 2 ** 40)
+#: relative half-widths of the windows around a float point in which the
+#: simplest rational is tried as a witness, coarsest (smallest height) first
+_WITNESS_WINDOWS = (Fraction(1, 2 ** 8), Fraction(1, 2 ** 24), Fraction(1, 2 ** 50))
 
 
 class Status(enum.Enum):
@@ -87,132 +97,125 @@ class PositivityVerdict:
 
 
 # ---------------------------------------------------------------------------
-# exact univariate helpers (coefficient tuples, ascending powers of z)
+# exact integer polynomial helpers
 # ---------------------------------------------------------------------------
 
 
-def _strip(c: Sequence[Fraction]) -> Coeffs:
-    out = tuple(Fraction(x) for x in c)
-    while out and out[-1] == 0:
-        out = out[:-1]
-    return out
+def _primitive(c: Sequence[int]) -> IntPoly:
+    """c divided by the (positive) gcd of its coefficients."""
+    g = math.gcd(*c)
+    return [x // g for x in c]
 
 
-def _eval(c: Coeffs, z: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for coeff in reversed(c):
-        acc = acc * z + coeff
-    return acc
+def _root_bound(c: Sequence[int]) -> int:
+    """An integer above the modulus of every complex root of c (Cauchy)."""
+    return 2 + max(abs(x) for x in c[:-1]) // abs(c[-1])
 
 
-def _deriv(c: Coeffs) -> Coeffs:
-    return _strip(tuple(i * c[i] for i in range(1, len(c))))
+def _negated_remainder(a: IntPoly, b: IntPoly) -> IntPoly:
+    """A positive multiple of -(a mod b), made primitive; [] if b divides a.
+
+    Pseudo-division that multiplies by |lead(b)| only, so every sign is
+    that of the true remainder.
+    """
+    scale = abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
+    r = list(a)
+    while len(r) >= len(b):
+        shift = len(r) - len(b)
+        top = sign * r[-1]
+        r = [scale * x for x in r]
+        for j, y in enumerate(b):
+            r[shift + j] -= top * y
+        while r and r[-1] == 0:
+            r.pop()
+    return _primitive([-x for x in r]) if r else []
 
 
-def _divmod_poly(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quot = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    db = len(b) - 1
-    lead = b[-1]
-    for i in range(len(a) - 1, db - 1, -1):
-        if rem[i] == 0:
-            continue
-        factor = rem[i] / lead
-        quot[i - db] = factor
-        for j in range(db + 1):
-            rem[i - db + j] -= factor * b[j]
-    return _strip(tuple(quot)), _strip(tuple(rem))
+def _sturm_chain(c: IntPoly) -> list[IntPoly]:
+    """The Sturm sequence of c, every element a primitive integer polynomial.
 
-
-def _gcd_poly(a: Coeffs, b: Coeffs) -> Coeffs:
-    while b:
-        _, r = _divmod_poly(a, b)
-        a, b = b, r
-    if a:
-        a = tuple(x / a[-1] for x in a)  # monic for stability of sizes
-    return a
-
-
-def _squarefree(c: Coeffs) -> Coeffs:
-    g = _gcd_poly(c, _deriv(c))
-    if len(g) <= 1:
-        return c
-    q, r = _divmod_poly(c, g)
-    assert not r, "gcd must divide the polynomial exactly"
-    return q
-
-
-def _sturm_chain(c: Coeffs) -> list[Coeffs]:
-    chain = [c, _deriv(c)]
-    while chain[-1]:
-        _, r = _divmod_poly(chain[-2], chain[-1])
+    c need not be squarefree: the chain then ends at a multiple of
+    gcd(c, c'), and the sign variations between two points where c does
+    not vanish still count the distinct roots in between.
+    """
+    chain = [c, _primitive([i * x for i, x in enumerate(c)][1:])]
+    while len(chain[-1]) > 1:
+        r = _negated_remainder(chain[-2], chain[-1])
         if not r:
             break
-        chain.append(tuple(-x for x in r))
-    return [p for p in chain if p]
+        chain.append(r)
+    return chain
 
 
-def _sign_variations(chain: list[Coeffs], z: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _eval(p, z)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+def _sign_variations(chain: list[IntPoly], z: Fraction) -> int:
+    signs = [v > 0 for v in (scaled_value(p, z) for p in chain) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _cauchy_bound(c: Coeffs) -> Fraction:
-    lead = abs(c[-1])
-    return 1 + max(abs(x) for x in c[:-1]) / lead if len(c) > 1 else Fraction(1)
-
-
-def _split_point(h: Coeffs, lo: Fraction, hi: Fraction) -> Fraction:
-    """A point strictly inside (lo, hi) where h does not vanish."""
+def _split_point(c: IntPoly, lo: Fraction, hi: Fraction) -> Fraction:
+    """A point strictly inside (lo, hi) where c does not vanish."""
     for num, den in ((1, 2), (1, 3), (2, 3), (2, 5), (3, 5), (1, 7), (3, 7),
                      (5, 7), (1, 11), (5, 11), (7, 11), (9, 11), (1, 13),
                      (5, 13), (11, 13), (1, 17)):
         mid = lo + (hi - lo) * Fraction(num, den)
-        if _eval(h, mid) != 0:
+        if scaled_value(c, mid):
             return mid
     raise RuntimeError("could not find a non-root split point")  # pragma: no cover
 
 
-def _isolate_roots(h: Coeffs, chain: list[Coeffs],
-                   lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint intervals (a, b], each holding exactly one root of h in (lo, hi]."""
-    count = _sign_variations(chain, lo) - _sign_variations(chain, hi)
+def _isolate_roots(c: IntPoly, chain: list[IntPoly], lo: Fraction, hi: Fraction,
+                   v_lo: int, v_hi: int) -> list[tuple[Fraction, Fraction]]:
+    """Intervals (a, b], in increasing order, each holding one root of c in (lo, hi].
+
+    ``v_lo`` and ``v_hi`` are the chain's sign variations at lo and hi;
+    lo, hi and every split point are non-roots of c.
+    """
+    count = v_lo - v_hi
     if count == 0:
         return []
     if count == 1:
         return [(lo, hi)]
-    mid = _split_point(h, lo, hi)
-    return _isolate_roots(h, chain, lo, mid) + _isolate_roots(h, chain, mid, hi)
+    mid = _split_point(c, lo, hi)
+    v_mid = _sign_variations(chain, mid)
+    return (_isolate_roots(c, chain, lo, mid, v_lo, v_mid)
+            + _isolate_roots(c, chain, mid, hi, v_mid, v_hi))
 
 
-def _refine(h: Coeffs, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink a one-root interval below _REFINE_WIDTH by exact sign bisection.
+def _float_witness(c: IntPoly) -> Optional[Fraction]:
+    """A positive rational where c < 0, proposed by floats and confirmed exactly.
 
-    Returns a degenerate (r, r) interval when the root itself is hit exactly.
+    The candidates are the positive float roots of c' (the local extrema of
+    c) and the midpoints between consecutive positive float roots of c,
+    tried in increasing order of c's float value there, skipping those
+    where floats say c > 0.  Near each one the simplest rational of a
+    shrinking window is tried; only an exact negative value makes it a
+    witness.  None means no witness was found, not that c is nonnegative.
     """
-    if _eval(h, hi) == 0:
-        return hi, hi
-    s_lo = _eval(h, lo)
-    if s_lo == 0:
-        # the root sits at the open end; cannot happen for our callers (lo is
-        # either 0 with nonzero constant term or a checked split point)
-        return lo, lo  # pragma: no cover
-    while hi - lo > _REFINE_WIDTH:
-        mid = (lo + hi) / 2
-        v = _eval(h, mid)
-        if v == 0:
-            return mid, mid
-        if (v > 0) == (s_lo > 0):
-            lo, s_lo = mid, v
-        else:
-            hi = mid
-    return lo, hi
+    # drop low bits so that every coefficient converts to a finite float
+    shift = max(0, max(abs(x) for x in c).bit_length() - 1000)
+    f = np.array([float(x >> shift) for x in reversed(c)])
+    try:
+        roots, extrema = np.roots(f), np.roots(np.polyder(f))
+    except np.linalg.LinAlgError:  # pragma: no cover - eigenvalue failure
+        return None
+
+    def positive_real(values: np.ndarray) -> list[float]:
+        return sorted(float(r.real) for r in values
+                      if 0 < r.real < math.inf and abs(r.imag) <= 1e-3 * r.real)
+
+    crossings = positive_real(roots)
+    candidates = positive_real(extrema) + [
+        (x + y) / 2 for x, y in zip(crossings, crossings[1:])]
+    with np.errstate(all="ignore"):
+        values = np.polyval(f, candidates) if candidates else []
+    for _, x in sorted((v, x) for v, x in zip(values, candidates) if v < 0):
+        point = Fraction(x)
+        for width in _WITNESS_WINDOWS:
+            z = simplest_between(point * (1 - width), point * (1 + width))
+            if scaled_value(c, z) < 0:
+                return z
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -220,25 +223,15 @@ def _refine(h: Coeffs, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _halving_witness(value_at: Callable[[Fraction], Fraction]) -> tuple[Fraction, Fraction]:
-    z = Fraction(1)
-    for _ in range(100_000):
-        v = value_at(z)
-        if v < 0:
-            return z, v
-        z /= 2
-    raise RuntimeError("halving search failed to certify negativity")  # pragma: no cover
-
-
-def _doubling_witness(value_at: Callable[[Fraction], Fraction],
-                      start: Fraction = Fraction(1)) -> tuple[Fraction, Fraction]:
+def _geometric_witness(is_negative: Callable[[Fraction], bool],
+                       start: Fraction, ratio: Fraction) -> Fraction:
+    """The first z = start * ratio^k, k = 0, 1, ..., with ``is_negative(z)``."""
     z = start
     for _ in range(100_000):
-        v = value_at(z)
-        if v < 0:
-            return z, v
-        z *= 2
-    raise RuntimeError("doubling search failed to certify negativity")  # pragma: no cover
+        if is_negative(z):
+            return z
+        z *= ratio
+    raise RuntimeError("geometric search failed to certify negativity")  # pragma: no cover
 
 
 def quad_nonneg(c: QuadraticCoeffs) -> PositivityVerdict:
@@ -250,6 +243,11 @@ def quad_nonneg(c: QuadraticCoeffs) -> PositivityVerdict:
     reduces to sign conditions on the remaining coefficients.
     """
     A, B, C = c.A, c.B, c.C
+
+    def negative_from(start: Fraction, ratio: Fraction) -> PositivityVerdict:
+        z = _geometric_witness(lambda z: c.eval(z) < 0, start, ratio)
+        return PositivityVerdict(Status.NEGATIVE, witness=z, witness_value=c.eval(z))
+
     if A > 0:
         if B < 0:
             disc = B * B - 4 * A * C
@@ -260,74 +258,70 @@ def quad_nonneg(c: QuadraticCoeffs) -> PositivityVerdict:
                                      witness_value=c.eval(vertex))
         if C >= 0:
             return PositivityVerdict(Status.NONNEGATIVE, "criterion-case-2")
-        z, v = _halving_witness(c.eval)
-        return PositivityVerdict(Status.NEGATIVE, witness=z, witness_value=v)
+        return negative_from(Fraction(1), Fraction(1, 2))
     if A == 0:
         if B >= 0 and C >= 0:
             return PositivityVerdict(Status.NONNEGATIVE, "criterion-case-3")
         if C < 0:
-            z, v = _halving_witness(c.eval)
-        else:
-            z, v = _doubling_witness(c.eval)
-        return PositivityVerdict(Status.NEGATIVE, witness=z, witness_value=v)
+            return negative_from(Fraction(1), Fraction(1, 2))
+        return negative_from(Fraction(1), Fraction(2))
     # A < 0: dominated by the negative leading term for large z
-    z, v = _doubling_witness(c.eval, start=max(Fraction(1), -B / A))
-    return PositivityVerdict(Status.NEGATIVE, witness=z, witness_value=v)
+    return negative_from(max(Fraction(1), -B / A), Fraction(2))
 
 
 def coeffs_nonneg_on_pos(coeffs: Sequence[RationalLike]) -> PositivityVerdict:
     """Exact sign decision on (0, oo) for an explicit coefficient list."""
-    c = _strip([Fraction(x) for x in coeffs])
+    c = [Fraction(x) for x in coeffs]
+    while c and c[-1] == 0:
+        c.pop()
     if not c:
         return PositivityVerdict(Status.NONNEGATIVE, "all-coefficients-nonnegative")
     # powers of z are positive on (0, oo): dropping a common z^m factor
     # changes no sign and makes the constant term nonzero
     first_nonzero = next(i for i, x in enumerate(c) if x != 0)
     c = c[first_nonzero:]
-
-    def negative_at(z: Fraction, v: Fraction) -> PositivityVerdict:
-        # report the value of the *original* polynomial, z^m factor restored
-        return PositivityVerdict(Status.NEGATIVE, witness=z,
-                                 witness_value=v * z ** first_nonzero)
-
     if all(x >= 0 for x in c):
         return PositivityVerdict(Status.NONNEGATIVE, "all-coefficients-nonnegative")
-    if c[0] < 0:
-        z, v = _halving_witness(lambda z: _eval(c, z))
-        return negative_at(z, v)
-    if c[-1] < 0:
-        z, v = _doubling_witness(lambda z: _eval(c, z), start=_cauchy_bound(c))
-        return negative_at(z, v)
+
+    # c = scale * p with p a primitive integer polynomial and scale > 0,
+    # so p has the sign of c everywhere
+    den = math.lcm(*(x.denominator for x in c))
+    p = [x.numerator * (den // x.denominator) for x in c]
+    content = math.gcd(*p)
+    p = [x // content for x in p]
+    scale = Fraction(content, den)
+
+    def negative_at(z: Fraction) -> PositivityVerdict:
+        # report the value of the *original* polynomial, z^m factor restored
+        value = scale * Fraction(scaled_value(p, z), z.denominator ** (len(p) - 1))
+        return PositivityVerdict(Status.NEGATIVE, witness=z,
+                                 witness_value=value * z ** first_nonzero)
+
+    if p[0] < 0:
+        return negative_at(_geometric_witness(
+            lambda z: scaled_value(p, z) < 0, Fraction(1), Fraction(1, 2)))
+    if p[-1] < 0:
+        # beyond every root p keeps the sign of its leading coefficient
+        return negative_at(Fraction(_root_bound(p)))
+    witness = _float_witness(p)
+    if witness is not None:
+        return negative_at(witness)
 
     # mixed signs with positive ends: every sign change would have to happen
     # at a positive real root, so isolate them all
-    h = _squarefree(c)
-    chain = _sturm_chain(h)
-    bound = _cauchy_bound(c)
-    intervals = _isolate_roots(h, chain, Fraction(0), bound)
+    chain = _sturm_chain(p)
+    bound = Fraction(_root_bound(p))
+    intervals = _isolate_roots(p, chain, Fraction(0), bound,
+                               _sign_variations(chain, Fraction(0)),
+                               _sign_variations(chain, bound))
     if not intervals:
         return PositivityVerdict(Status.NONNEGATIVE, "sturm-no-positive-root")
-
-    refined = [_refine(h, a, b) for a, b in intervals]
-    # sample the *original* polynomial: at each interval's ends, and inside
-    # every gap between consecutive intervals (signs are constant there)
-    samples: list[Fraction] = []
-    prev_hi = Fraction(0)
-    for a, b in refined:
-        if a == b:  # exact rational root: flank it on both sides
-            samples.append((prev_hi + a) / 2)
-            samples.append(a)  # evaluates to 0, harmless
-        else:
-            samples.append(a if a > 0 else (prev_hi + b) / 2)
-            samples.append(b)
-        prev_hi = max(b, prev_hi)
-    samples.append(prev_hi + 1)
-    for z in samples:
-        if z <= 0:
-            continue
-        v = _eval(c, z)
-        if v < 0:
-            return negative_at(z, v)
+    # p > 0 before the first root and after the last; between two roots its
+    # sign is constant, so one point of each gap between intervals decides
+    for (_, gap_lo), (gap_hi, _) in zip(intervals, intervals[1:]):
+        z = simplest_between(gap_lo, gap_hi)
+        if scaled_value(p, z) < 0:
+            return negative_at(z)
     return PositivityVerdict(Status.NONNEGATIVE, "sturm-even-multiplicity")
 
 

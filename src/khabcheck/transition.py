@@ -8,7 +8,8 @@ Two fully independent constructions are maintained side by side:
         P_n = ((2a+1) z + (1 - 2a/n)) P_{n-1}  -  (2a z (z+1) / n) P_{n-1}',
 
     from which  Phi_n(a, t) = 4 a^2 t^(2a-1) P_n(a, z) / (1+z)^(n+2)  with
-    z = t^(2a).
+    z = t^(2a).  The recurrence itself runs over the integers, on
+    Q_n = n! P_n.
 
 2.  **Derivative oracle** (slow, independent): Phi_n is, by its defining
     formula, a derivative of the weighted n+1-st derivative of the log
@@ -33,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .exact import ALPHA, RationalLike, Z, ZPolynomial
+from .exact import ALPHA, AlphaPolynomial, RationalLike, ZPolynomial
 from .termalgebra import MixedSum, mixed_diff, mixed_eval
 
 # ---------------------------------------------------------------------------
@@ -41,18 +42,47 @@ from .termalgebra import MixedSum, mixed_diff, mixed_eval
 # ---------------------------------------------------------------------------
 
 
+def _scaled_recurrence(n: int) -> list[list[int]]:
+    """Integer coefficients of Q_n = n! P_n, as rows over z of columns over alpha.
+
+    Multiplying the recurrence by n! clears every denominator:
+
+        Q_n = (n (2a+1) z + n - 2a) Q_{n-1}  -  2a z (z+1) Q_{n-1}',
+
+    so the z^j row of Q_n is  n (Q[j-1] + Q[j]) + 2a ((n-j+1) Q[j-1] - (j+1) Q[j]).
+    """
+    q = [[1]]
+    for m in range(1, n + 1):
+        rows = []
+        for j in range(m + 1):
+            row = [0] * (m + 1)
+            if j:
+                for i, x in enumerate(q[j - 1]):
+                    row[i] += m * x
+                    row[i + 1] += 2 * (m - j + 1) * x
+            if j < m:
+                for i, x in enumerate(q[j]):
+                    row[i] += m * x
+                    row[i + 1] -= 2 * (j + 1) * x
+            rows.append(row)
+        q = rows
+    return q
+
+
 @lru_cache(maxsize=None)
 def transition_poly(n: int) -> ZPolynomial:
-    """Exact P_n in Q[alpha][z] via the first-order recurrence (cached)."""
+    """Exact P_n in Q[alpha][z] via the first-order recurrence (cached).
+
+    The recurrence runs over the integers (see ``_scaled_recurrence``); the
+    result is divided by n! once.
+    """
     if n < 0:
         raise ValueError("polynomial index must be >= 0")
-    if n == 0:
-        return ZPolynomial.constant(1)
-    prev = transition_poly(n - 1)
-    two_alpha = 2 * ALPHA
-    linear = (two_alpha + 1) * Z + (1 - Fraction(2, n) * ALPHA)
-    damping = Fraction(1, n) * two_alpha * (Z * Z + Z)
-    return linear * prev - damping * prev.diff_z()
+    fact = math.factorial(n)
+    return ZPolynomial(tuple(
+        AlphaPolynomial(tuple(Fraction(x, fact) for x in row))
+        for row in _scaled_recurrence(n)
+    ))
 
 
 def transition_eval(n: int, alpha: RationalLike, t: float) -> float:
@@ -81,9 +111,12 @@ def transition_evaluator(n: int, alpha: RationalLike) -> Callable[[float], float
     lead = coeffs[-1]
 
     def phi(t: float) -> float:
-        if t <= 0.0:
-            raise ValueError("t must be positive")
-        z = t ** two_a
+        if not 0.0 < t < math.inf:
+            raise ValueError("t must be positive and finite")
+        try:
+            z = t ** two_a
+        except OverflowError:
+            z = math.inf
         if math.isinf(z):
             # deep asymptotic regime: Phi ~ 4 a^2 lead(a) * t^(-1-2a)
             return scale * lead * math.exp((-1.0 - two_a) * math.log(t))

@@ -1,9 +1,13 @@
 """Positivity verdicts on (0, infinity): exact certificates and witnesses."""
 
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from khabcheck.positivity import (
     QuadraticCoeffs,
@@ -147,6 +151,78 @@ def test_negative_leading_coefficient_witness():
     assert c0 + c3 * v.witness ** 3 < 0
 
 
+# -- polynomials whose sign is known by construction ------------------------------
+
+def _times(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _value(coeffs, z):
+    return sum(c * z ** i for i, c in enumerate(coeffs))
+
+
+def _build(factor, double_roots=(), simple_roots=()):
+    coeffs = list(factor)
+    for r in double_roots:
+        coeffs = _times(coeffs, [r * r, -2 * r, F(1)])
+    for r in simple_roots:
+        coeffs = _times(coeffs, [-r, F(1)])
+    return coeffs
+
+
+# nonnegative coefficients, not all zero: positive on (0, oo)
+positive_factors = st.lists(
+    st.fractions(min_value=0, max_value=20, max_denominator=50),
+    min_size=1, max_size=4).filter(any)
+small_roots = st.fractions(min_value=F(1, 100), max_value=100, max_denominator=100)
+tall_roots = st.builds(F, st.integers(1, 2 ** 80), st.integers(1, 2 ** 80))
+roots = st.one_of(small_roots, tall_roots)
+TALL = F(2 ** 80 - 1, 2 ** 79 + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(positive_factors, st.lists(roots, max_size=3))
+@example([F(1), F(0), F(1)], [TALL])
+@example([F(3)], [F(7, 3), F(7, 3)])
+def test_squared_factors_keep_the_polynomial_nonnegative(factor, double_roots):
+    v = coeffs_nonneg_on_pos(_build(factor, double_roots))
+    assert v.status is Status.NONNEGATIVE
+    # a positive root rules out all-nonnegative coefficients, and it is
+    # found by isolation, so the certificate is determined
+    expected = ("sturm-even-multiplicity" if double_roots
+                else "all-coefficients-nonnegative")
+    assert v.certificate == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(positive_factors, st.lists(roots, max_size=2),
+       st.lists(roots, min_size=1, max_size=2, unique=True))
+@example([F(1)], [], [TALL, TALL + F(1, 2 ** 90)])
+@example([F(1), F(0), F(1)], [F(5, 4)], [F(1), F(3, 2)])
+def test_simple_positive_roots_make_the_polynomial_negative(factor, double_roots,
+                                                            simple_roots):
+    coeffs = _build(factor, double_roots, simple_roots)
+    v = coeffs_nonneg_on_pos(coeffs)
+    assert v.status is Status.NEGATIVE
+    assert v.witness > 0
+    assert _value(coeffs, v.witness) == v.witness_value < 0
+
+
+def test_negative_dip_too_narrow_for_floats_is_found_exactly():
+    # (z^2 + 1)(z - 1)(z - 1 - 2^-70): negative only on (1, 1 + 2^-70), far
+    # below float resolution, so the exact isolation rung must find it
+    r1, r2 = F(1), 1 + F(1, 2 ** 70)
+    coeffs = _times(_times([F(1), F(0), F(1)], [-r1, F(1)]), [-r2, F(1)])
+    v = coeffs_nonneg_on_pos(coeffs)
+    assert v.status is Status.NEGATIVE
+    assert r1 < v.witness < r2
+    assert _value(coeffs, v.witness) == v.witness_value < 0
+
+
 # -- transition polynomials across the critical parameter -----------------------
 
 @pytest.mark.parametrize("alpha", [F(1, 10), F(1, 4), F(2, 5), F(1, 2)])
@@ -219,3 +295,21 @@ def test_region_scan_is_deterministic():
     b = region_scan((0, 1, 2), (F(1, 4), F(1, 2)))
     assert [(c.poly_index, c.alpha) for c in a.cells] == (
         [(c.poly_index, c.alpha) for c in b.cells])
+
+
+def test_region_scan_matches_pinned_verdicts():
+    # status and certificate of every cell, recorded from the Fraction-based
+    # decision procedure this integer engine replaced
+    pinned = json.loads(
+        (Path(__file__).parent / "data" / "region_scan_21x40.json").read_text())
+    alphas = [F(a) for a in pinned["alphas"]]
+    assert alphas == [F(k, 20) for k in range(1, 41)]
+    report = region_scan(range(21), alphas)
+    assert len(report.cells) == 21 * 40
+    for cell in report.cells:
+        v = cell.verdict
+        expected = pinned["cells"][str(cell.poly_index)][alphas.index(cell.alpha)]
+        assert [v.status.value, v.certificate] == expected, (cell.poly_index, cell.alpha)
+        if v.status is Status.NEGATIVE:
+            value = transition_poly(cell.poly_index).evaluate(cell.alpha, v.witness)
+            assert value == v.witness_value < 0

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from khabcheck.exact import ALPHA, Z, ZPolynomial
 from khabcheck.termalgebra import mixed_eval
@@ -59,6 +61,22 @@ def test_leading_and_constant_coefficients_closed_form():
         assert const == const_expected
 
 
+def _rational_recurrence(n_max):
+    """P_0..P_n_max by the recurrence over Q[alpha][z], as a reference."""
+    polys = [ZPolynomial.constant(1)]
+    for n in range(1, n_max + 1):
+        prev = polys[-1]
+        linear = (2 * ALPHA + 1) * Z + (1 - F(2, n) * ALPHA)
+        damping = F(1, n) * 2 * ALPHA * (Z * Z + Z)
+        polys.append(linear * prev - damping * prev.diff_z())
+    return polys
+
+
+def test_integer_recurrence_matches_rational_recurrence():
+    for n, expected in enumerate(_rational_recurrence(30)):
+        assert transition_poly(n) == expected, n
+
+
 def test_polynomial_cache_returns_identical_objects():
     assert transition_poly(5) is transition_poly(5)
 
@@ -100,6 +118,29 @@ def test_extreme_arguments_stay_finite_and_positive():
             v = transition_eval(n, F(1, 4), t)
             assert math.isfinite(v)
             assert v >= 0.0
+
+
+def test_overflowing_power_takes_the_asymptotic_branch():
+    # t^(2a) overflows a float here; Phi ~ 4 a^2 lead(P_n)(a) t^(-1-2a)
+    assert transition_eval(2, F(3), 1e120) == 0.0
+    t = 10.0 ** 3.1
+    lead = float(transition_poly(1).leading_coeff(F(50)))
+    expected = math.exp(math.log(4 * 50.0 ** 2 * lead) - 101.0 * math.log(t))
+    assert transition_eval(1, F(50), t) == pytest.approx(expected, rel=1e-6)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_non_positive_or_non_finite_t_is_rejected(t):
+    with pytest.raises(ValueError):
+        transition_eval(3, F(1, 4), t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 20),
+       alpha=st.fractions(min_value=F(1, 256), max_value=8, max_denominator=4099),
+       t=st.floats(min_value=1e-300, max_value=1e300))
+def test_evaluation_is_finite_over_the_supported_range(n, alpha, t):
+    assert math.isfinite(transition_eval(n, alpha, t))
 
 
 # -- log-weight and the derivative oracle ------------------------------------
