@@ -25,7 +25,10 @@ alpha values are exact rationals ("1/2", "7/3"); floats are rejected so
 that every certificate-bearing computation stays exact.  Reports are
 deterministic: identical invocations with --no-timestamp produce
 byte-identical output.  Exit codes: 0 all checks passed, 1 a mathematical
-check failed or an integral did not converge, 2 usage error.
+check failed or an integral did not converge, 2 usage error.  A numeric
+failure at one point of an integrals suite (overflow, division by zero, a
+domain error) is that point's `fail` record, with the exception in
+params.error, so the report completes and exits 1.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import argparse
 import datetime as _dt
 import io
+import itertools
 import json
 import math
 import re
@@ -46,6 +50,8 @@ from .kernel import kernel_eval
 from .positivity import Status, alpha_threshold, region_scan
 from .quadrature import (
     QuadConfig,
+    QuadResult,
+    ResidualCheck,
     extremal_density_fn,
     integrate_log_moment,
     integrate_weight_prime_moment,
@@ -85,22 +91,29 @@ def _parse_real_list(text: str) -> list[float]:
         if not part:
             continue
         value = float(Fraction(part)) if _RATIONAL_RE.match(part) else float(part)
-        if not value > 0:
-            raise ValueError(f"must be positive: {part!r}")
+        if not 0 < value < math.inf:
+            raise ValueError(f"must be positive and finite: {part!r}")
         out.append(value)
     return out
 
 
+def _parse_index(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"must be >= 0: {text!r}")
+    return value
+
+
 def _parse_int_set(text: str) -> list[int]:
-    """Integer lists: "0..3" (inclusive range), "1,2,5", or "4"."""
+    """Index lists: "0..3" (inclusive range), "1,2,5", or "4"; no negatives."""
     text = text.strip()
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
+        lo, hi = _parse_index(lo_text), _parse_index(hi_text)
         if hi < lo:
             raise ValueError(f"empty range: {text!r}")
         return list(range(lo, hi + 1))
-    return sorted({int(part) for part in text.split(",") if part.strip()})
+    return sorted({_parse_index(part) for part in text.split(",") if part.strip()})
 
 
 def _parse_alpha_grid(text: str) -> list[Fraction]:
@@ -141,11 +154,8 @@ def _render_params(params: dict) -> str:
 
 def _render_report(records: list[dict], config: dict, fmt: str,
                    timestamp: bool) -> str:
-    summary = {
-        PASS: sum(1 for r in records if r["status"] == PASS),
-        FAIL: sum(1 for r in records if r["status"] == FAIL),
-        INCONCLUSIVE: sum(1 for r in records if r["status"] == INCONCLUSIVE),
-    }
+    summary = {status: sum(1 for r in records if r["status"] == status)
+               for status in (PASS, FAIL, INCONCLUSIVE)}
     if fmt == "json":
         doc = {
             "schemaVersion": 1,
@@ -181,16 +191,12 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _exit_code(records: list[dict]) -> int:
-    return 1 if any(r["status"] == FAIL for r in records) else 0
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: report commands return (records, config); main renders them
 # ---------------------------------------------------------------------------
 
 
-def _cmd_identities(args: argparse.Namespace) -> int:
+def _cmd_identities(args: argparse.Namespace) -> tuple[list[dict], dict]:
     records = []
     for alpha in sorted(args.alpha):
         for n in range(0, args.n_max + 1):
@@ -213,118 +219,96 @@ def _cmd_identities(args: argparse.Namespace) -> int:
             ))
     config = {"command": "identities", "alpha": [str(a) for a in args.alpha],
               "nMax": args.n_max}
-    _emit(_render_report(records, config, args.format, not args.no_timestamp), args.out)
-    return _exit_code(records)
+    return records, config
 
 
-def _chain_density(kind: str, alpha: Fraction, n: int) -> DensityFunction:
-    if kind == "extremal":
-        return extremal_density_fn(alpha, n)
-    return DensityFunction(lambda t: 0.0, "zero density",
-                           power_at_zero=0.0, power_at_infinity=-10.0)
+def _scored(measure):
+    """Suite driver for one integral scored against its target.
+
+    ``measure(cfg, **point)`` returns a ``ResidualCheck``.
+    """
+    def records(check, params, tol, cfg, q, **point):
+        c = measure(cfg, **point)
+        return [_record(check, params,
+                        PASS if c.quad.converged and abs(c.residual) <= tol else FAIL,
+                        target=c.target, value=c.value, residual=c.residual)]
+    return records
 
 
-def _cmd_integrals(args: argparse.Namespace) -> int:
+def _against(result: QuadResult, target: float) -> ResidualCheck:
+    return ResidualCheck(value=result.value, target=target, quad=result)
+
+
+def _chain_records(check, params, tol, cfg, q, n, alpha):
+    """Premise and conclusion records, or one inconclusive record when the
+    positivity gate of the reduction does not hold."""
+    if n < 1:
+        return []  # the combined run owns index 0 elsewhere
+    density = (extremal_density_fn(alpha, n) if q == "extremal" else
+               DensityFunction(lambda t: 0.0, "zero density",
+                               power_at_zero=0.0, power_at_infinity=-10.0))
+    report = verify_conjecture_chain(n, alpha, density, cfg=cfg, premise_tol=tol)
+    params = {**params, "q": q, "polyIndex": report.poly_index}
+    if not report.applicable:
+        return [_record(check, {**params, "positivity": report.positivity.status.value},
+                        INCONCLUSIVE)]
+    concl_ok = report.equality_within_tol if q == "extremal" else report.conclusion_satisfied
+    return [
+        _record("chain-premise", params, PASS if report.premise_satisfied else FAIL,
+                target=0.0, value=report.premise_max_violation,
+                residual=report.premise_max_deviation),
+        _record("chain-conclusion", params,
+                PASS if concl_ok and report.conclusion.converged else FAIL,
+                target=report.rhs_value, value=report.conclusion.value,
+                residual=report.conclusion.value - report.rhs_value),
+    ]
+
+
+# suite: (check name, default pass tolerance, grid axes in loop order, driver).
+# Drivers name the numeric layers as module globals, looked up per call, so
+# that wrappers swapped into this module at run time see every call.
+_SUITES = {
+    "logmoment": ("log-weight-moment", 1e-8, ("alpha",), _scored(
+        lambda cfg, alpha: _against(integrate_log_moment(alpha, cfg), math.pi / float(alpha)))),
+    "weight-prime": ("weight-derivative-moment", 1e-8, ("alpha",), _scored(
+        lambda cfg, alpha: _against(integrate_weight_prime_moment(alpha, cfg), -math.pi))),
+    "reconstruction": ("reconstruction", 1e-6, ("n", "alpha", "y"), _scored(
+        lambda cfg, n, alpha, y: verify_reconstruction(n, alpha, y, cfg))),
+    "weighted-moment": ("weighted-transition-moment", 1e-6, ("n", "alpha"), _scored(
+        lambda cfg, n, alpha: verify_weighted_moment(n, alpha, cfg))),
+    "chain": ("conjecture-chain", 1e-6, ("n", "alpha"), _chain_records),
+}
+
+
+def _cmd_integrals(args: argparse.Namespace) -> tuple[list[dict], dict]:
     cfg = QuadConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
-    suites = ["logmoment", "weight-prime", "reconstruction", "weighted-moment",
-              "chain"] if args.suite == "all" else [args.suite]
+    if args.n is None:
+        args.n = list(range(1, 4)) if args.suite == "chain" else list(range(0, 5))
+    if args.suite == "chain" and any(n < 1 for n in args.n):
+        raise ValueError("chain suite needs conjecture index n >= 1")
+    grid = {"n": args.n, "alpha": sorted(args.alpha), "y": args.y}
     records = []
-    for suite in suites:
-        if suite == "logmoment":
-            tol = args.check_tol if args.check_tol is not None else 1e-8
-            for alpha in sorted(args.alpha):
-                result = integrate_log_moment(alpha, cfg)
-                target = math.pi / float(alpha)
-                ok = result.converged and abs(result.value - target) <= tol
+    for suite in _SUITES if args.suite == "all" else [args.suite]:
+        check, tol, axes, driver = _SUITES[suite]
+        tol = tol if args.check_tol is None else args.check_tol
+        for values in itertools.product(*(grid[axis] for axis in axes)):
+            point = dict(zip(axes, values))
+            params = {**point, "alpha": str(point["alpha"])}
+            try:
+                records += driver(check, params, tol, cfg, args.q, **point)
+            except (ArithmeticError, ValueError) as exc:
+                # a numeric failure at one grid point fails that point only
                 records.append(_record(
-                    "log-weight-moment", {"alpha": str(alpha)},
-                    PASS if ok else FAIL,
-                    target=target, value=result.value,
-                    residual=result.value - target,
-                ))
-        elif suite == "weight-prime":
-            tol = args.check_tol if args.check_tol is not None else 1e-8
-            for alpha in sorted(args.alpha):
-                result = integrate_weight_prime_moment(alpha, cfg)
-                ok = result.converged and abs(result.value + math.pi) <= tol
-                records.append(_record(
-                    "weight-derivative-moment", {"alpha": str(alpha)},
-                    PASS if ok else FAIL,
-                    target=-math.pi, value=result.value,
-                    residual=result.value + math.pi,
-                ))
-        elif suite == "reconstruction":
-            tol = args.check_tol if args.check_tol is not None else 1e-6
-            for n in args.n:
-                for alpha in sorted(args.alpha):
-                    for y in args.y:
-                        check = verify_reconstruction(n, alpha, y, cfg)
-                        ok = check.quad.converged and abs(check.residual) <= tol
-                        records.append(_record(
-                            "reconstruction",
-                            {"alpha": str(alpha), "n": n, "y": y},
-                            PASS if ok else FAIL,
-                            target=check.target, value=check.value,
-                            residual=check.residual,
-                        ))
-        elif suite == "weighted-moment":
-            tol = args.check_tol if args.check_tol is not None else 1e-6
-            for n in args.n:
-                for alpha in sorted(args.alpha):
-                    check = verify_weighted_moment(n, alpha, cfg)
-                    ok = check.quad.converged and abs(check.residual) <= tol
-                    records.append(_record(
-                        "weighted-transition-moment",
-                        {"alpha": str(alpha), "n": n},
-                        PASS if ok else FAIL,
-                        target=check.target, value=check.value,
-                        residual=check.residual,
-                    ))
-        elif suite == "chain":
-            premise_tol = args.check_tol if args.check_tol is not None else 1e-6
-            for n in args.n:
-                if n < 1:
-                    if args.suite == "all":
-                        continue  # the combined run owns index 0 elsewhere
-                    raise ValueError("chain suite needs conjecture index n >= 1")
-                for alpha in sorted(args.alpha):
-                    report = verify_conjecture_chain(
-                        n, alpha, _chain_density(args.q, alpha, n),
-                        cfg=cfg, premise_tol=premise_tol)
-                    params = {"alpha": str(alpha), "n": n, "q": args.q,
-                              "polyIndex": report.poly_index}
-                    if not report.applicable:
-                        records.append(_record(
-                            "conjecture-chain",
-                            {**params, "positivity": report.positivity.status.value},
-                            INCONCLUSIVE,
-                        ))
-                        continue
-                    records.append(_record(
-                        "chain-premise", params,
-                        PASS if report.premise_satisfied else FAIL,
-                        target=0.0, value=report.premise_max_violation,
-                        residual=report.premise_max_deviation,
-                    ))
-                    expect_equality = args.q == "extremal"
-                    concl_ok = (report.equality_within_tol if expect_equality
-                                else report.conclusion_satisfied)
-                    records.append(_record(
-                        "chain-conclusion", params,
-                        PASS if concl_ok and report.conclusion.converged else FAIL,
-                        target=report.rhs_value, value=report.conclusion.value,
-                        residual=report.conclusion.value - report.rhs_value,
-                    ))
+                    check, {**params, "error": f"{type(exc).__name__}: {exc}"}, FAIL))
     config = {"command": "integrals", "suite": args.suite,
               "alpha": [str(a) for a in sorted(args.alpha)],
               "n": args.n, "y": args.y, "q": args.q,
               "absTol": args.abs_tol, "relTol": args.rel_tol,
               "checkTol": args.check_tol}
-    _emit(_render_report(records, config, args.format, not args.no_timestamp), args.out)
-    return _exit_code(records)
+    return records, config
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
+def _cmd_scan(args: argparse.Namespace) -> tuple[list[dict], dict]:
     records = []
     if args.threshold:
         for n in args.n:
@@ -359,11 +343,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             ))
         config = {"command": "scan", "mode": "region", "n": args.n,
                   "alphaGrid": [str(a) for a in args.alpha_grid]}
-    _emit(_render_report(records, config, args.format, not args.no_timestamp), args.out)
-    return _exit_code(records)
+    return records, config
 
 
-def _cmd_plotdata(args: argparse.Namespace) -> int:
+def _cmd_plotdata(args: argparse.Namespace) -> str:
+    """CSV curve samples: a bare table, not a report."""
     if args.points < 2:
         raise ValueError("--points must be at least 2")
     buf = io.StringIO()
@@ -385,8 +369,7 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
             t = 10.0 ** (lo + i * (hi - lo) / (args.points - 1))
             row = [repr(t)] + [repr(phi(t)) for _, phi in evaluators]
             buf.write(",".join(row) + "\n")
-    _emit(buf.getvalue(), args.out)
-    return 0
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -412,19 +395,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_id = sub.add_parser("identities", help="exact rational identity suite")
     p_id.add_argument("--alpha", type=_parse_rational_list, required=True,
                       metavar="P/Q[,P/Q...]")
-    p_id.add_argument("--n-max", type=int, default=10)
+    p_id.add_argument("--n-max", type=_parse_index, default=10)
     _add_common(p_id)
     p_id.set_defaults(func=_cmd_identities)
 
     p_int = sub.add_parser("integrals", help="quadrature verification suites")
-    p_int.add_argument("--suite", required=True,
-                       choices=("logmoment", "weight-prime", "reconstruction",
-                                "weighted-moment", "chain", "all"))
+    p_int.add_argument("--suite", required=True, choices=(*_SUITES, "all"))
     p_int.add_argument("--alpha", type=_parse_rational_list, required=True,
                        metavar="P/Q[,P/Q...]")
     p_int.add_argument("--n", type=_parse_int_set, default=None,
                        metavar="LO..HI|N[,N...]")
-    p_int.add_argument("--y", type=_parse_real_list, default=None,
+    p_int.add_argument("--y", type=_parse_real_list, default=[0.5, 1.0, 2.0],
                        metavar="Y[,Y...]")
     p_int.add_argument("--q", choices=("extremal", "zero"), default="extremal",
                        help="density driven through the chain suite")
@@ -456,31 +437,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--alpha", type=_parse_rational_list, default=None,
                         metavar="P/Q")
     p_plot.add_argument("--points", type=int, default=200)
-    p_plot.set_defaults(format="csv", no_timestamp=True)
     p_plot.add_argument("--out")
     p_plot.set_defaults(func=_cmd_plotdata)
 
     return parser
 
 
-def _suite_defaults(args: argparse.Namespace) -> None:
-    if args.command != "integrals":
-        return
-    if args.n is None:
-        args.n = list(range(1, 4)) if args.suite == "chain" else list(range(0, 5))
-    if args.y is None:
-        args.y = [0.5, 1.0, 2.0]
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _suite_defaults(args)
-        return args.func(args)
+        result = args.func(args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"khabcheck: error: {exc}", file=sys.stderr)
         return 2
+    if isinstance(result, str):  # plot-data
+        _emit(result, args.out)
+        return 0
+    records, config = result
+    _emit(_render_report(records, config, args.format, not args.no_timestamp), args.out)
+    return 1 if any(r["status"] == FAIL for r in records) else 0
 
 
 if __name__ == "__main__":

@@ -1,0 +1,109 @@
+"""CLI reports end to end: golden bytes, numeric failures as records,
+parse-time validation, and the documented example invocations."""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from khabcheck import cli
+from khabcheck.cli import main
+
+DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parents[1]
+
+SUITE_CHECKS = {"log-weight-moment", "weight-derivative-moment", "reconstruction",
+                "weighted-transition-moment", "conjecture-chain"}
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# -- golden reports: --no-timestamp output must not change by a byte ------------
+
+@pytest.mark.parametrize("golden, argv", [
+    ("report_integrals_all.json", "integrals --suite all --alpha 1/4,3"),
+    ("report_integrals_all.csv", "integrals --suite all --alpha 1/4,3 --format csv"),
+    ("report_identities.json", "identities --alpha 1/2,2/3 --n-max 6"),
+    ("report_scan_region.json", "scan --n 0..4 --alpha-grid 1/4:2:1/4"),
+    ("report_scan_threshold.json", "scan --n 1..6 --threshold"),
+])
+def test_report_matches_golden_bytes(capsys, golden, argv):
+    code, out, _ = run(capsys, *argv.split(), "--no-timestamp")
+    assert code == 0
+    assert out == (DATA / golden).read_bytes().decode("utf-8")
+
+
+# -- numeric failures -----------------------------------------------------------
+
+@pytest.mark.parametrize("alpha", ["1/64", "3/232"])
+def test_numeric_failures_become_fail_records(capsys, alpha):
+    code, out, err = run(capsys, "integrals", "--suite", "all", "--alpha", alpha,
+                         "--no-timestamp")
+    assert code == 1
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["schemaVersion"] == 1
+    records = doc["records"]
+    assert len(records) == 26  # 1 + 1 + 5 indices x 3 y + 5 indices + 4 chain indices
+    assert {r["check"] for r in records} >= SUITE_CHECKS
+    failed = [r for r in records if r["status"] == "fail"]
+    assert failed and doc["summary"]["fail"] == len(failed)
+    for r in failed:
+        assert re.match(r"^[A-Za-z]+Error: ", r["params"]["error"])
+        assert r["target"] is None and r["value"] is None and r["residual"] is None
+        assert set(r) == {"check", "params", "target", "value", "residual", "status"}
+    assert all(r["status"] != "inconclusive" for r in records)
+
+
+def test_failures_keep_the_passing_records(capsys):
+    code, out, _ = run(capsys, "integrals", "--suite", "all", "--alpha", "1/64",
+                       "--no-timestamp")
+    assert code == 1
+    records = json.loads(out)["records"]
+    passed = [r for r in records if r["status"] == "pass"]
+    assert len(passed) == 15
+    assert {r["check"] for r in passed} == {"reconstruction"}
+    assert all("error" not in r["params"] for r in passed)
+
+
+# -- parse-time validation --------------------------------------------------------
+
+@pytest.mark.parametrize("argv, flag", [
+    ("integrals --suite reconstruction --alpha 1/2 --y inf", "--y"),
+    ("integrals --suite reconstruction --alpha 1/2 --n -1", "--n"),
+    ("integrals --suite weighted-moment --alpha 1/2 --n 1,-1", "--n"),
+    ("scan --n -1 --alpha-grid 1/2", "--n"),
+    ("identities --alpha 1/2 --n-max -1", "--n-max"),
+])
+def test_bad_inputs_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+# -- the documented examples run ---------------------------------------------------
+
+def _examples() -> list[str]:
+    lines = (ROOT / "README.md").read_text().splitlines() + cli.__doc__.splitlines()
+    found = [line.strip() for line in lines if line.strip().startswith("khabcheck ")]
+    return sorted(set(found))
+
+
+def test_examples_are_found():
+    assert len(_examples()) >= 10
+
+
+@pytest.mark.parametrize("example", _examples())
+def test_documented_example_runs(capsys, example):
+    argv = example.split()[1:]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out
+    if argv[0] != "plot-data" and "csv" not in argv:
+        json.loads(out)
