@@ -1,8 +1,8 @@
 """Exact rational arithmetic and the two polynomial rings used everywhere else.
 
-Everything in this module is exact: coefficients are `fractions.Fraction`
-throughout, and no float ever sneaks in until a caller explicitly evaluates.
-Two rings are provided:
+Everything in this module is exact: coefficients are integers over one
+denominator, with `fractions.Fraction` at the API boundary, and no float
+ever sneaks in until a caller explicitly evaluates.  Two rings are provided:
 
 * ``AlphaPolynomial`` -- univariate polynomials in the shape parameter
   ``alpha`` over the rationals.
@@ -17,8 +17,10 @@ compare equal structurally.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence, Union
 
 # The exact scalar type used across the package.  Arbitrary precision,
@@ -81,31 +83,36 @@ def scaled_value(c: Sequence[int], z: Fraction) -> int:
     return acc
 
 
-def _as_fraction_tuple(coeffs: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    out = tuple(Fraction(c) for c in coeffs)
-    while out and out[-1] == 0:
-        out = out[:-1]
-    return out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AlphaPolynomial:
-    """A polynomial in ``alpha`` with rational coefficients.
+    """A polynomial in ``alpha``: ``num[i] / den`` multiplies ``alpha**i``.
 
-    ``coeffs[i]`` multiplies ``alpha**i``; the tuple never ends in a zero,
-    so the zero polynomial is the empty tuple and ``degree`` is -1 for it.
+    Ints over one positive ``den`` in lowest terms, never ending in a zero (the
+    zero polynomial is ``()`` over 1, degree -1); floats are rejected.
     """
 
-    coeffs: tuple[Fraction, ...] = ()
+    num: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _as_fraction_tuple(self.coeffs))
+    def __init__(self, coeffs: Iterable[RationalLike] = (), den: int | None = None) -> None:
+        if den is None:
+            fracs = [rational(c) for c in coeffs]
+            den = math.lcm(*(c.denominator for c in fracs))
+            coeffs = [c.numerator * (den // c.denominator) for c in fracs]
+        num, den = [operator.index(x) for x in coeffs], operator.index(den)
+        if den <= 0:
+            raise ValueError("den must be a positive integer")
+        while num and not num[-1]:
+            num.pop()
+        g = math.gcd(den, *num)
+        object.__setattr__(self, "num", tuple(x // g for x in num))
+        object.__setattr__(self, "den", den // g)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def constant(c: RationalLike) -> AlphaPolynomial:
-        return AlphaPolynomial((Fraction(c),))
+        return AlphaPolynomial((c,))
 
     @staticmethod
     def zero() -> AlphaPolynomial:
@@ -114,12 +121,17 @@ class AlphaPolynomial:
     # -- structure ----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Read-only view: ``coeffs[i]`` multiplies ``alpha**i``."""
+        return tuple(Fraction(x, self.den) for x in self.num)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     # -- ring operations ----------------------------------------------
     # Operators return NotImplemented for foreign types (e.g. ZPolynomial)
@@ -129,15 +141,15 @@ class AlphaPolynomial:
         if not isinstance(other, (AlphaPolynomial, int, Fraction)):
             return NotImplemented
         other = _coerce_alpha(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (Fraction(0),) * (n - len(self.coeffs))
-        b = other.coeffs + (Fraction(0),) * (n - len(other.coeffs))
-        return AlphaPolynomial(tuple(x + y for x, y in zip(a, b)))
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        num = [x * sa + y * sb for x, y in zip_longest(self.num, other.num, fillvalue=0)]
+        return AlphaPolynomial(num, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> AlphaPolynomial:
-        return AlphaPolynomial(tuple(-c for c in self.coeffs))
+        return AlphaPolynomial([-x for x in self.num], self.den)
 
     def __sub__(self, other: AlphaPolyLike) -> AlphaPolynomial:
         if not isinstance(other, (AlphaPolynomial, int, Fraction)):
@@ -155,20 +167,18 @@ class AlphaPolynomial:
         other = _coerce_alpha(other)
         if self.is_zero or other.is_zero:
             return AlphaPolynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
+        out = [0] * (len(self.num) + len(other.num) - 1)
+        for i, a in enumerate(self.num):
+            for j, b in enumerate(other.num):
                 out[i + j] += a * b
-        return AlphaPolynomial(tuple(out))
+        return AlphaPolynomial(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __call__(self, alpha: RationalLike) -> Fraction:
-        """Evaluate exactly at a rational alpha (Horner)."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * Fraction(alpha) + c
-        return acc
+        """Evaluate exactly at a rational alpha (integer Horner)."""
+        a = Fraction(alpha)
+        return Fraction(scaled_value(self.num, a), self.den * a.denominator ** max(self.degree, 0))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -198,7 +208,7 @@ def _coerce_alpha(value: AlphaPolyLike) -> AlphaPolynomial:
 
 
 #: the monomial ``alpha`` itself, handy for building expressions
-ALPHA = AlphaPolynomial((Fraction(0), Fraction(1)))
+ALPHA = AlphaPolynomial((0, 1))
 
 
 def _as_alpha_tuple(coeffs: Iterable[AlphaPolyLike]) -> tuple[AlphaPolynomial, ...]:
@@ -282,12 +292,6 @@ class ZPolynomial:
 
     __rmul__ = __mul__
 
-    def scale_z(self) -> ZPolynomial:
-        """Multiply by the variable z (degree shift by one)."""
-        if self.is_zero:
-            return self
-        return ZPolynomial((AlphaPolynomial.zero(),) + self.coeffs)
-
     def diff_z(self) -> ZPolynomial:
         """Formal derivative with respect to z (alpha is a constant here)."""
         if self.degree < 1:
@@ -299,14 +303,7 @@ class ZPolynomial:
 
         Trailing zeros are stripped, so the result is again canonical.
         """
-        a = Fraction(alpha)
-        out = []
-        for c in self.coeffs:
-            # one common denominator per coefficient, then integer Horner
-            den = math.lcm(*(x.denominator for x in c.coeffs))
-            ints = [x.numerator * (den // x.denominator) for x in c.coeffs]
-            out.append(Fraction(scaled_value(ints, a),
-                                den * a.denominator ** max(c.degree, 0)))
+        out = [c(alpha) for c in self.coeffs]
         while out and out[-1] == 0:
             out.pop()
         return tuple(out)

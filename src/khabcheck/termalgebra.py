@@ -56,11 +56,11 @@ class MixedTerm:
         """
         if t <= 0.0:
             raise ValueError("t must be positive")
-        # Coefficient at float alpha via Horner (floats are fine here; the
-        # exactness story is about the symbolic construction, not this eval).
+        # Coefficient at float alpha via Horner (floats are fine here); int / int
+        # is correctly rounded, so x / den is the float of each exact coefficient.
         cf = 0.0
-        for co in reversed(self.coeff.coeffs):
-            cf = cf * alpha + float(co)
+        for x in reversed(self.coeff.num):
+            cf = cf * alpha + x / self.coeff.den
         if cf == 0.0:
             return 0.0
         beta = 2.0 * alpha

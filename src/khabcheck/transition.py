@@ -79,10 +79,7 @@ def transition_poly(n: int) -> ZPolynomial:
     if n < 0:
         raise ValueError("polynomial index must be >= 0")
     fact = math.factorial(n)
-    return ZPolynomial(tuple(
-        AlphaPolynomial(tuple(Fraction(x, fact) for x in row))
-        for row in _scaled_recurrence(n)
-    ))
+    return ZPolynomial(tuple(AlphaPolynomial(row, fact) for row in _scaled_recurrence(n)))
 
 
 def transition_eval(n: int, alpha: RationalLike, t: float) -> float:
@@ -163,13 +160,18 @@ def log_weight_prime_seed() -> MixedSum:
 
 @lru_cache(maxsize=None)
 def log_weight_derivatives(count: int) -> tuple[MixedSum, ...]:
-    """Exact mixed sums for the first ``count`` t-derivatives of the log weight."""
+    """Exact mixed sums for the first ``count`` t-derivatives of the log weight.
+
+    Integers over one denominator, ``Fraction`` at the API boundary.  Each
+    count extends the cached one below it, so no call recurses deeply.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
-    out = [log_weight_prime_seed()]
-    while len(out) < count:
-        out.append(out[-1].derivative())
-    return tuple(out)
+    if count == 1:
+        return (log_weight_prime_seed(),)
+    for k in range(1, count):  # fill the cache upward
+        prev = log_weight_derivatives(k)
+    return prev + (prev[-1].derivative(),)
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 """Exact polynomial ring tests: canonical forms, ring laws, evaluation."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -57,6 +58,70 @@ def test_zero_polynomial_degree_is_minus_one():
 @given(alpha_polys())
 def test_alpha_poly_normalization_is_idempotent(p):
     assert AlphaPolynomial(p.coeffs) == p
+
+
+# -- integers over one denominator ------------------------------------------
+
+@given(alpha_polys())
+def test_alpha_poly_round_trips_through_num_and_den(p):
+    q = AlphaPolynomial(p.num, p.den)
+    assert q == p
+    assert hash(q) == hash(p)
+    assert p.den > 0
+    assert math.gcd(p.den, *p.num) == 1
+    assert p.coeffs == tuple(F(x, p.den) for x in p.num)
+
+
+@given(alpha_polys())
+def test_zero_difference_has_unit_denominator(p):
+    assert (p - p).num == ()
+    assert (p - p).den == 1
+
+
+def test_integer_input_is_reduced_to_lowest_terms():
+    p = AlphaPolynomial([2, 4], 6)
+    assert p == AlphaPolynomial((F(1, 3), F(2, 3)))
+    assert (p.num, p.den) == ((1, 2), 3)
+    assert AlphaPolynomial([-2, 4], 6) == AlphaPolynomial((F(-1, 3), F(2, 3)))
+    assert AlphaPolynomial([3, 0, 0], 9) == AlphaPolynomial.constant(F(1, 3))
+    for zero in (AlphaPolynomial.zero(), AlphaPolynomial([0, 0], 7), ALPHA - ALPHA):
+        assert (zero.num, zero.den) == ((), 1)
+    for den in (0, -6):
+        with pytest.raises(ValueError):
+            AlphaPolynomial([2, 4], den)
+
+
+def test_floats_are_rejected():
+    with pytest.raises(TypeError):
+        AlphaPolynomial((0.5,))
+    with pytest.raises(TypeError):
+        AlphaPolynomial((1, 0.5))
+    with pytest.raises(TypeError):
+        AlphaPolynomial.constant(0.25)
+    with pytest.raises(TypeError):
+        AlphaPolynomial((1, 2), 0.5)
+    with pytest.raises(TypeError):
+        AlphaPolynomial((0.5,), 2)
+    with pytest.raises(TypeError):
+        ZPolynomial((0.5,))
+    with pytest.raises(TypeError):
+        ZPolynomial((ALPHA, AlphaPolynomial((0.5,))))
+    with pytest.raises(TypeError):
+        ALPHA * 0.5
+
+
+@given(z_polys(), small_fractions)
+@settings(max_examples=60)
+def test_specialize_matches_fraction_horner(P, a):
+    expected = []
+    for c in P.coeffs:
+        acc = F(0)
+        for x in reversed(c.coeffs):
+            acc = acc * a + x
+        expected.append(acc)
+    while expected and expected[-1] == 0:
+        expected.pop()
+    assert P.specialize(a) == tuple(expected)
 
 
 # -- ring laws -------------------------------------------------------------

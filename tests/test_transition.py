@@ -1,7 +1,10 @@
 """Transition family: polynomial recurrence, stable evaluation, derivative oracle."""
 
+import json
 import math
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +173,30 @@ def test_log_weight_derivative_seed():
     assert mixed_eval(derivs[0], 0.5, 1.0) == pytest.approx(-0.5, abs=1e-15)
 
 
+def test_log_weight_derivatives_fill_the_cache_upward():
+    log_weight_derivatives.cache_clear()
+    derivs = log_weight_derivatives(25)
+    assert log_weight_derivatives.cache_info().currsize == 25
+    for count in range(1, 25):
+        assert log_weight_derivatives(count) == derivs[:count]
+    assert derivs[24] == derivs[23].derivative()
+
+
+def test_cold_log_weight_derivatives_do_not_recurse_deeply():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    log_weight_derivatives.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        derivs = log_weight_derivatives(80)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(derivs) == 80
+
+
 def test_oracle_base_case_structure():
     (term,) = transition_oracle(0).terms
     assert term.coeff == 4 * ALPHA * ALPHA
@@ -246,3 +273,19 @@ def test_family_builder_and_validation():
     assert phi2(1.0) == pytest.approx(transition_eval(2, F(1, 2), 1.0))
     with pytest.raises(ValueError):
         fam.evaluator(5)
+
+
+def test_float_values_match_golden_reprs():
+    # repr of both float routes over n <= 12, five alphas and five t values,
+    # recorded when AlphaPolynomial still stored Fractions: the integer
+    # representation must reproduce every value bit for bit
+    rows = json.loads((Path(__file__).parent / "data" / "transition_floats.json").read_text())
+    assert len(rows) == 13 * 5 * 5
+    mismatches = []
+    for row in rows:
+        n, a, t = row["n"], F(row["alpha"]), float(row["t"])
+        got = (repr(mixed_eval(transition_oracle(n), float(a), t)),
+               repr(transition_eval(n, a, t)))
+        if got != (row["oracle"], row["recurrence"]):
+            mismatches.append((row, got))
+    assert mismatches == []
