@@ -412,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--abs-tol", type=float, default=1e-10)
     p_int.add_argument("--rel-tol", type=float, default=1e-9)
     p_int.add_argument("--check-tol", type=float, default=None,
-                       help="override the per-suite pass tolerance")
+                       help="override the per-suite pass tolerance (the chain "
+                            "premise's is relative to t^alpha where that exceeds 1)")
     _add_common(p_int)
     p_int.set_defaults(func=_cmd_integrals)
 

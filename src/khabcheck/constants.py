@@ -15,8 +15,10 @@ inequality, and the power moment of the n-th kernel,
     integral_0^1 K_n(x) * x**(alpha-1) dx,
 
 equals B(alpha, n+1) / alpha.  Everything here is exact Fraction
-arithmetic; the only float that appears is in ``extremal_density`` which is
-meant for numeric integrands.
+arithmetic; the one float helper, ``extremal_density``, is a one-shot
+evaluation that redoes the exact product on every call.  Integrands use
+``quadrature.extremal_density_fn``, which reduces the exact scale to a
+float once per density.
 """
 
 from __future__ import annotations

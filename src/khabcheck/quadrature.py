@@ -12,7 +12,9 @@ endpoint behavior.  The strategy, in order of preference:
   (1, oo) onto (0, 1); algebraic decay t^(-1-d) becomes an s^(d-1)
   endpoint power, flattened the same way when d is known.
 * **Graded fallback.**  With no endpoint hint, a single adaptive pass with
-  a forced split point near 0 isolates the singular end.
+  a forced split point near 0 isolates the singular end.  The same pass
+  replaces a flattened one that did not converge on a positive endpoint
+  power, where f vanishes at 0 anyway.
 
 The underlying panel integrator is QUADPACK's adaptive Gauss-Kronrod
 scheme (scipy.integrate.quad); this module owns the substitutions, the
@@ -28,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 from scipy.integrate import quad as _scipy_quad
 
-from .constants import extremal_density, rhs_constant
+from .constants import beta_int, rhs_constant
 from .exact import RationalLike
 from .kernel import kernel_eval
 from .positivity import PositivityVerdict, Status, poly_nonneg_on_pos
@@ -92,11 +94,24 @@ class DensityFunction:
 
 
 def extremal_density_fn(alpha: RationalLike, n: int) -> DensityFunction:
-    """The equality-attaining density as a DensityFunction with exponent hints."""
+    """The equality-attaining density as a DensityFunction with exponent hints.
+
+    The exact constant 1/B(alpha, n) is reduced to a float once, here, so an
+    evaluation is one float power and one product.  Scale and exponent are
+    the floats ``constants.extremal_density`` forms on each call, so both
+    routes return the same value bit for bit.
+    """
     a = Fraction(alpha)
+    scale = float(a / beta_int(a, n))
     power = float(a) - 1.0
+
+    def evaluator(t: float) -> float:
+        if t <= 0.0:
+            raise ValueError("t must be positive")
+        return scale * t ** power
+
     return DensityFunction(
-        evaluator=lambda t: extremal_density(a, n, t),
+        evaluator=evaluator,
         description=f"extremal density, alpha={a}, n={n}",
         power_at_zero=power,
         power_at_infinity=power,
@@ -152,9 +167,17 @@ def _flattened(f: Callable[[float], float], power_at_zero: float) -> Callable[[f
 
 def integrate_unit_interval(f: Callable[[float], float], cfg: QuadConfig = DEFAULT_CONFIG,
                             power_at_zero: Optional[float] = None) -> QuadResult:
-    """Integrate f over (0, 1) with an optional endpoint-power hint at 0."""
+    """Integrate f over (0, 1) with an optional endpoint-power hint at 0.
+
+    A flattened panel that does not converge is retried as the graded pass
+    when the hinted power is positive: there f vanishes at 0 and needs no
+    substitution, while m = 1/(power+1) < 1 packs the whole integrand into
+    a sliver near v = 0 that can stall QUADPACK's extrapolation.
+    """
     if power_at_zero is not None and power_at_zero != 0.0:
-        return _panel(_flattened(f, power_at_zero), cfg)
+        flat = _panel(_flattened(f, power_at_zero), cfg)
+        if flat.converged or power_at_zero < 0.0:
+            return flat
     return _panel(f, cfg, points=[cfg.singularity_split])
 
 
@@ -368,7 +391,12 @@ class PremiseEntry:
 
 @dataclass(frozen=True)
 class ChainReport:
-    """Everything the reduction chain produced for one (n, alpha, q)."""
+    """Everything the reduction chain produced for one (n, alpha, q).
+
+    The premise holds when every entry's violation is at most
+    ``premise_tol * max(1, target)``: absolute for targets t^alpha <= 1,
+    relative above, since targets reach ~1e24 where an ulp exceeds 1e-6.
+    """
 
     conjecture_n: int
     poly_index: int
@@ -392,7 +420,8 @@ class ChainReport:
 
     @property
     def premise_satisfied(self) -> bool:
-        return self.applicable and self.premise_max_violation <= self.premise_tol
+        return self.applicable and all(
+            e.violation <= self.premise_tol * max(1.0, e.target) for e in self.premise)
 
     @property
     def conclusion_satisfied(self) -> bool:
@@ -429,6 +458,8 @@ def verify_conjecture_chain(n: int, alpha: RationalLike, q: DensityFunction,
     (a) the premise integral against t^alpha on the sampled grid -- "for
     all t" is not decidable numerically, so the grid is explicit data --
     and (b) the conclusion integral against its exact pi-multiple target.
+    ``premise_tol`` bounds each premise violation absolutely for targets up
+    to 1 and relative to the target t^alpha above 1.
     """
     a = Fraction(alpha)
     if a <= 0:

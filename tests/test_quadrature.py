@@ -4,10 +4,14 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from khabcheck import constants, quadrature
 from khabcheck.constants import rhs_constant
 from khabcheck.quadrature import (
     DEFAULT_CONFIG,
+    ChainReport,
     DensityFunction,
     PremiseEntry,
     QuadConfig,
@@ -25,7 +29,7 @@ from khabcheck.quadrature import (
     verify_reconstruction,
     verify_weighted_moment,
 )
-from khabcheck.positivity import Status
+from khabcheck.positivity import PositivityVerdict, Status
 
 
 # -- configuration and result plumbing ----------------------------------------
@@ -313,3 +317,98 @@ def test_premise_entry_semantics():
     bad = PremiseEntry(t=1.0, lhs=1.3, target=1.0,
                        quad=QuadResult(1.3, 1e-14, True, 21))
     assert bad.violation == pytest.approx(0.3)
+
+
+def _report_over(entries):
+    return ChainReport(conjecture_n=1, poly_index=0, alpha=F(1, 2),
+                       positivity=PositivityVerdict(Status.NONNEGATIVE, "test"),
+                       applicable=True, premise=tuple(entries), premise_tol=1e-6)
+
+
+@pytest.mark.parametrize("target", [1e-3, 1.0, 1e12])
+def test_premise_tolerance_scales_with_targets_above_one(target):
+    allowed = 1e-6 * max(1.0, target)
+
+    def entry(violation):
+        return PremiseEntry(t=1.0, lhs=target + violation, target=target,
+                            quad=QuadResult(target + violation, 1e-14, True, 21))
+
+    assert _report_over([entry(0.5 * allowed)]).premise_satisfied
+    over = _report_over([entry(2.0 * allowed), entry(0.0)])
+    assert not over.premise_satisfied
+    # the record fields stay absolute
+    assert over.premise_max_violation == pytest.approx(2.0 * allowed, rel=1e-3)
+
+
+@pytest.mark.parametrize("alpha", [F(14922, 4099), F(31482, 4099)])
+def test_chain_premise_holds_at_large_targets(alpha):
+    # targets t^alpha reach 1e10..1e23 on the default grid, where the
+    # premise's rounding error is a few ulps and far above 1e-6 absolute
+    report = verify_conjecture_chain(1, alpha, extremal_density_fn(alpha, 1))
+    assert report.applicable
+    assert report.premise_max_violation > 1e-6
+    assert report.premise_satisfied
+
+
+@pytest.mark.parametrize("n, alpha", [(4, F(11163, 4099)), (3, F(12073, 4099))])
+def test_reconstruction_falls_back_to_graded_pass(n, alpha):
+    # flattening u^(2a-1) with m = 1/(2a) ~ 0.18 stalls QUADPACK's
+    # extrapolation; the graded pass of the same integrand converges
+    check = verify_reconstruction(n, alpha, 0.5)
+    assert check.quad.converged
+    assert abs(check.residual) <= 1e-6
+
+
+def test_nonconverged_flattened_panel_is_retried_only_for_positive_powers():
+    flat_budget = QuadConfig(max_subdivisions=1)
+    # positive power: the graded pass replaces the failed flattened one
+    positive = integrate_unit_interval(lambda x: x ** 3 * math.sin(40 * x),
+                                       flat_budget, power_at_zero=3.0)
+    assert positive.subdivisions_used == 2  # the graded pass, split at 1e-3
+    # negative power: the flattened result stands, converged or not
+    negative = integrate_unit_interval(lambda x: x ** -0.5 * math.sin(40 * x),
+                                       flat_budget, power_at_zero=-0.5)
+    assert negative.subdivisions_used == 1
+    assert not negative.converged
+
+
+# -- the extremal density's float route ------------------------------------------
+
+def test_extremal_density_exact_constant_is_computed_once(monkeypatch):
+    calls = []
+    beta_int = constants.beta_int
+
+    def counting_beta_int(alpha, n):
+        calls.append((alpha, n))
+        return beta_int(alpha, n)
+
+    monkeypatch.setattr(quadrature, "beta_int", counting_beta_int, raising=False)
+    monkeypatch.setattr(constants, "beta_int", counting_beta_int)
+    alpha = F(1, 4)
+    report = verify_conjecture_chain(3, alpha, extremal_density_fn(alpha, 3))
+    assert report.applicable and len(report.premise) == 25
+    assert len(calls) <= 1
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).hex()
+    except (ArithmeticError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.fractions(min_value=F(1, 256), max_value=8, max_denominator=4099),
+       n=st.integers(1, 6),
+       t=st.floats(min_value=1e-300, max_value=1e300))
+def test_density_fn_equals_one_shot_density_bit_for_bit(alpha, n, t):
+    assert _outcome(extremal_density_fn(alpha, n), t) == \
+        _outcome(constants.extremal_density, alpha, n, t)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0])
+def test_density_rejects_nonpositive_t_on_both_routes(t):
+    with pytest.raises(ValueError, match="^t must be positive$"):
+        extremal_density_fn(F(1, 2), 2)(t)
+    with pytest.raises(ValueError, match="^t must be positive$"):
+        constants.extremal_density(F(1, 2), 2, t)
