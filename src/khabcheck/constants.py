@@ -15,8 +15,10 @@ inequality, and the power moment of the n-th kernel,
     integral_0^1 K_n(x) * x**(alpha-1) dx,
 
 equals B(alpha, n+1) / alpha.  Everything here is exact Fraction
-arithmetic; the one float helper, ``extremal_density``, is a one-shot
-evaluation that redoes the exact product on every call.  Integrands use
+arithmetic on an alpha admitted by ``exact.positive_rational``, so a float
+alpha is refused rather than turned into a binary fraction; the one float
+helper, ``extremal_density``, is a one-shot evaluation that redoes the
+exact product on every call.  Integrands use
 ``quadrature.extremal_density_fn``, which reduces the exact scale to a
 float once per density.
 """
@@ -27,19 +29,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import RationalLike
-
-
-def _check_alpha(alpha: RationalLike) -> Fraction:
-    a = Fraction(alpha)
-    if a <= 0:
-        raise ValueError("alpha must be a positive rational")
-    return a
+from .exact import RationalLike, positive_rational
 
 
 def beta_int(alpha: RationalLike, n: int) -> Fraction:
     """Exact B(alpha, n) = (1/alpha) * prod_{k=1..n-1} k/(k+alpha), n >= 1."""
-    a = _check_alpha(alpha)
+    a = positive_rational(alpha)
     if n < 1:
         raise ValueError("n must be >= 1")
     value = 1 / a
@@ -68,7 +63,7 @@ def rhs_constant(alpha: RationalLike, n: int) -> RhsConstant:
     form is computed independently so the reciprocity law is a real check,
     not a tautology.
     """
-    a = _check_alpha(alpha)
+    a = positive_rational(alpha)
     if n < 1:
         raise ValueError("n must be >= 1")
     coeff = a
@@ -89,7 +84,7 @@ def kernel_power_moment(alpha: RationalLike, n: int, mode: str = "product") -> F
 
     Agreement of the two modes is one of the identity checks.
     """
-    a = _check_alpha(alpha)
+    a = positive_rational(alpha)
     if n < 0:
         raise ValueError("n must be >= 0")
     if mode == "product":
@@ -104,7 +99,7 @@ def kernel_power_moment(alpha: RationalLike, n: int, mode: str = "product") -> F
 
 def verify_moment_identity(alpha: RationalLike, n_max: int) -> list[bool]:
     """Check product-mode == sum-mode exactly for every n in 0..n_max."""
-    a = _check_alpha(alpha)
+    a = positive_rational(alpha)
     return [
         kernel_power_moment(a, n, "product") == kernel_power_moment(a, n, "sum")
         for n in range(n_max + 1)
@@ -113,7 +108,7 @@ def verify_moment_identity(alpha: RationalLike, n_max: int) -> list[bool]:
 
 def verify_reciprocity(alpha: RationalLike, n_max: int) -> list[bool]:
     """Check beta_int * rhs_constant.pi_coefficient == 1 exactly, n = 1..n_max."""
-    a = _check_alpha(alpha)
+    a = positive_rational(alpha)
     return [
         beta_int(a, n) * rhs_constant(a, n).pi_coefficient == 1
         for n in range(1, n_max + 1)
@@ -127,7 +122,7 @@ def extremal_density(alpha: RationalLike, n: int, t: float) -> float:
     with equality; feeding it through the full chain must reproduce the
     pi-multiple right-hand side exactly (up to quadrature error).
     """
-    a = _check_alpha(alpha)
+    a = positive_rational(alpha)
     if t <= 0.0:
         raise ValueError("t must be positive")
     scale = float(a / beta_int(a, n))

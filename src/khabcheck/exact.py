@@ -2,7 +2,12 @@
 
 Everything in this module is exact: coefficients are integers over one
 denominator, with `fractions.Fraction` at the API boundary, and no float
-ever sneaks in until a caller explicitly evaluates.  Two rings are provided:
+ever sneaks in until a caller explicitly evaluates.  This module is also
+the package's one admission rule for exact inputs: ``rational`` turns a
+string, int or Fraction into a Fraction and refuses every float (a
+``numpy.float64`` included), and ``positive_rational`` adds the check that
+the shape parameter alpha is > 0.  Every exact entry point of the package
+admits alpha through ``positive_rational``.  Two rings are provided:
 
 * ``AlphaPolynomial`` -- univariate polynomials in the shape parameter
   ``alpha`` over the rationals.
@@ -23,11 +28,6 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Sequence, Union
 
-# The exact scalar type used across the package.  Arbitrary precision,
-# always in lowest terms with positive denominator -- the stdlib guarantees
-# the canonical-form invariants we need.
-Rational = Fraction
-
 RationalLike = Union[Fraction, int]
 
 
@@ -37,10 +37,20 @@ def rational(value: Union[str, int, Fraction]) -> Fraction:
     Floats are deliberately rejected: silently converting a binary float
     would defeat the point of an exact pipeline.
     """
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError("refusing to coerce a float to an exact rational; "
                         "pass a string like '3/4' instead")
     return Fraction(value)
+
+
+def positive_rational(value: Union[str, int, Fraction], name: str = "alpha") -> Fraction:
+    """``rational(value)``, refused with a ValueError unless it is > 0."""
+    a = rational(value)
+    if a <= 0:
+        raise ValueError(f"{name} must be positive")
+    return a
 
 
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
@@ -177,7 +187,7 @@ class AlphaPolynomial:
 
     def __call__(self, alpha: RationalLike) -> Fraction:
         """Evaluate exactly at a rational alpha (integer Horner)."""
-        a = Fraction(alpha)
+        a = rational(alpha)
         return Fraction(scaled_value(self.num, a), self.den * a.denominator ** max(self.degree, 0))
 
     def __str__(self) -> str:
@@ -310,8 +320,8 @@ class ZPolynomial:
 
     def evaluate(self, alpha: RationalLike, z: RationalLike) -> Fraction:
         """Exact evaluation: Horner in z on top of Horner in alpha."""
-        a = Fraction(alpha)
-        zz = Fraction(z)
+        a = rational(alpha)
+        zz = rational(z)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * zz + c(a)

@@ -37,7 +37,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .exact import RationalLike, ZPolynomial, scaled_value, simplest_between
+from .exact import (RationalLike, ZPolynomial, positive_rational, rational, scaled_value,
+                    simplest_between)
 from .transition import transition_poly
 
 #: an integer polynomial as coefficients in ascending powers of z
@@ -63,12 +64,12 @@ class QuadraticCoeffs:
     C: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "A", Fraction(self.A))
-        object.__setattr__(self, "B", Fraction(self.B))
-        object.__setattr__(self, "C", Fraction(self.C))
+        object.__setattr__(self, "A", rational(self.A))
+        object.__setattr__(self, "B", rational(self.B))
+        object.__setattr__(self, "C", rational(self.C))
 
     def eval(self, z: RationalLike) -> Fraction:
-        zz = Fraction(z)
+        zz = rational(z)
         return (self.A * zz + self.B) * zz + self.C
 
 
@@ -271,7 +272,7 @@ def quad_nonneg(c: QuadraticCoeffs) -> PositivityVerdict:
 
 def coeffs_nonneg_on_pos(coeffs: Sequence[RationalLike]) -> PositivityVerdict:
     """Exact sign decision on (0, oo) for an explicit coefficient list."""
-    c = [Fraction(x) for x in coeffs]
+    c = [rational(x) for x in coeffs]
     while c and c[-1] == 0:
         c.pop()
     if not c:
@@ -286,10 +287,8 @@ def coeffs_nonneg_on_pos(coeffs: Sequence[RationalLike]) -> PositivityVerdict:
     # c = scale * p with p a primitive integer polynomial and scale > 0,
     # so p has the sign of c everywhere
     den = math.lcm(*(x.denominator for x in c))
-    p = [x.numerator * (den // x.denominator) for x in c]
-    content = math.gcd(*p)
-    p = [x // content for x in p]
-    scale = Fraction(content, den)
+    p = _primitive([x.numerator * (den // x.denominator) for x in c])
+    scale = c[0] / p[0]
 
     def negative_at(z: Fraction) -> PositivityVerdict:
         # report the value of the *original* polynomial, z^m factor restored
@@ -327,10 +326,7 @@ def coeffs_nonneg_on_pos(coeffs: Sequence[RationalLike]) -> PositivityVerdict:
 
 def poly_nonneg_on_pos(P: ZPolynomial, alpha: RationalLike) -> PositivityVerdict:
     """Decide P(alpha, z) >= 0 for all z > 0, exactly, at a rational alpha."""
-    a = Fraction(alpha)
-    if a <= 0:
-        raise ValueError("alpha must be positive")
-    return coeffs_nonneg_on_pos(P.specialize(a))
+    return coeffs_nonneg_on_pos(P.specialize(positive_rational(alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +354,7 @@ def alpha_threshold(n: int, tol: float = 1e-6,
     def is_nonneg(a: Fraction) -> bool:
         return poly_nonneg_on_pos(poly, a).status is Status.NONNEGATIVE
 
-    hi = Fraction(hi)
+    hi = positive_rational(hi, "hi")
     if is_nonneg(hi):
         raise ValueError(f"nonnegative at alpha={hi}; threshold outside (0, {hi}]")
     lo = Fraction(1, 2)
@@ -405,7 +401,7 @@ class ScanReport:
         return all(c.verdict.status is Status.NONNEGATIVE for c in self.cells)
 
     def cell(self, poly_index: int, alpha: RationalLike) -> ScanCell:
-        a = Fraction(alpha)
+        a = rational(alpha)
         for c in self.cells:
             if c.poly_index == poly_index and c.alpha == a:
                 return c
@@ -419,13 +415,11 @@ def region_scan(n_values: Iterable[int], alpha_grid: Iterable[RationalLike]) -> 
     order, so the report is deterministic regardless of evaluation order.
     """
     ns = sorted(set(int(n) for n in n_values))
-    alphas = sorted(set(Fraction(a) for a in alpha_grid))
+    alphas = sorted(set(positive_rational(a) for a in alpha_grid))
     if not ns or not alphas:
         raise ValueError("scan grids must be non-empty")
     if any(n < 0 for n in ns):
         raise ValueError("polynomial indices must be >= 0")
-    if any(a <= 0 for a in alphas):
-        raise ValueError("alpha grid must be positive")
     cells = []
     for n in ns:
         poly = transition_poly(n)

@@ -24,14 +24,14 @@ convergence bookkeeping, and the identity-specific drivers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from scipy.integrate import quad as _scipy_quad
 
 from .constants import beta_int, rhs_constant
-from .exact import RationalLike
+from .exact import RationalLike, positive_rational
 from .kernel import kernel_eval
 from .positivity import PositivityVerdict, Status, poly_nonneg_on_pos
 from .transition import log_weight, transition_evaluator, transition_poly
@@ -44,18 +44,18 @@ class QuadConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     max_subdivisions: int = 2000
-    singularity_split: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if not 0.0 < self.singularity_split < 1.0:
-            raise ValueError("singularity_split must lie in (0, 1)")
 
 
 DEFAULT_CONFIG = QuadConfig()
+
+#: the graded pass's forced split point, isolating the singular end at 0
+_SINGULARITY_SPLIT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def extremal_density_fn(alpha: RationalLike, n: int) -> DensityFunction:
     the floats ``constants.extremal_density`` forms on each call, so both
     routes return the same value bit for bit.
     """
-    a = Fraction(alpha)
+    a = positive_rational(alpha)
     scale = float(a / beta_int(a, n))
     power = float(a) - 1.0
 
@@ -172,13 +172,18 @@ def integrate_unit_interval(f: Callable[[float], float], cfg: QuadConfig = DEFAU
     A flattened panel that does not converge is retried as the graded pass
     when the hinted power is positive: there f vanishes at 0 and needs no
     substitution, while m = 1/(power+1) < 1 packs the whole integrand into
-    a sliver near v = 0 that can stall QUADPACK's extrapolation.
+    a sliver near v = 0 that can stall QUADPACK's extrapolation.  The retry
+    keeps the graded pass's value, error estimate and convergence, and
+    counts the subdivisions of both passes.
     """
+    spent = 0
     if power_at_zero is not None and power_at_zero != 0.0:
         flat = _panel(_flattened(f, power_at_zero), cfg)
         if flat.converged or power_at_zero < 0.0:
             return flat
-    return _panel(f, cfg, points=[cfg.singularity_split])
+        spent = flat.subdivisions_used
+    graded = _panel(f, cfg, points=[_SINGULARITY_SPLIT])
+    return replace(graded, subdivisions_used=graded.subdivisions_used + spent)
 
 
 def integrate_half_line(f: Callable[[float], float], cfg: QuadConfig = DEFAULT_CONFIG,
@@ -232,8 +237,7 @@ def integrate_01_kernel(n: int, q: DensityFunction, t: float,
         raise ValueError("conjecture index n must be >= 1")
     if t <= 0.0:
         raise ValueError("t must be positive")
-    if Fraction(alpha) <= 0:
-        raise ValueError("alpha must be positive")
+    positive_rational(alpha)
     k_index = n - 1
 
     def integrand(x: float) -> float:
@@ -246,9 +250,7 @@ def integrate_01_kernel(n: int, q: DensityFunction, t: float,
 
 def integrate_log_moment(alpha: RationalLike, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
     """int_0^oo t^(alpha-1) ln(1 + t^(-2 alpha)) dt  (analytic value: pi/alpha)."""
-    a = Fraction(alpha)
-    if a <= 0:
-        raise ValueError("alpha must be positive")
+    a = positive_rational(alpha)
     af = float(a)
 
     def f(t: float) -> float:
@@ -264,9 +266,7 @@ def integrate_weight_prime_moment(alpha: RationalLike,
     The first derivative collapses to -2a * t^(a-1) / (1 + t^(2a)), giving
     an integrand with the same endpoint structure as the log moment.
     """
-    a = Fraction(alpha)
-    if a <= 0:
-        raise ValueError("alpha must be positive")
+    a = positive_rational(alpha)
     af = float(a)
     two_a = 2.0 * af
 
@@ -289,9 +289,7 @@ def verify_reconstruction(n: int, alpha: RationalLike, y: float,
     kernel evaluated at u directly; Phi's decay turns into a u^(2a-1)
     endpoint power (times an integrable log), which is flattened away.
     """
-    a = Fraction(alpha)
-    if a <= 0:
-        raise ValueError("alpha must be positive")
+    a = positive_rational(alpha)
     if y <= 0.0:
         raise ValueError("y must be positive")
     if n < 0:
@@ -314,9 +312,7 @@ def verify_weighted_moment(n: int, alpha: RationalLike,
 
         int_0^oo Phi_n(t) t^alpha dt  =  pi * alpha * prod_{k=1..n}(1 + alpha/k).
     """
-    a = Fraction(alpha)
-    if a <= 0:
-        raise ValueError("alpha must be positive")
+    a = positive_rational(alpha)
     if n < 0:
         raise ValueError("index must be >= 0")
     af = float(a)
@@ -339,9 +335,7 @@ def khabibullin_transform(n: int, alpha: RationalLike, psi: DensityFunction,
     behavior (t^(2a-1) at zero, t^(-1-2a) decay) and refused outright if
     the combination cannot converge.
     """
-    a = Fraction(alpha)
-    if a <= 0:
-        raise ValueError("alpha must be positive")
+    a = positive_rational(alpha)
     if n < 1:
         raise ValueError("conjecture index n must be >= 1")
     af = float(a)
@@ -461,9 +455,7 @@ def verify_conjecture_chain(n: int, alpha: RationalLike, q: DensityFunction,
     ``premise_tol`` bounds each premise violation absolutely for targets up
     to 1 and relative to the target t^alpha above 1.
     """
-    a = Fraction(alpha)
-    if a <= 0:
-        raise ValueError("alpha must be positive")
+    a = positive_rational(alpha)
     if n < 1:
         raise ValueError("conjecture index n must be >= 1")
     poly_index = n - 1

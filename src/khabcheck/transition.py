@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .exact import ALPHA, AlphaPolynomial, RationalLike, ZPolynomial
+from .exact import ALPHA, AlphaPolynomial, RationalLike, ZPolynomial, positive_rational
 from .termalgebra import MixedSum, mixed_diff, mixed_eval
 
 # ---------------------------------------------------------------------------
@@ -95,9 +95,7 @@ def transition_evaluator(n: int, alpha: RationalLike) -> Callable[[float], float
 
         Phi_n = 4 a^2 t^(2a-1) * sum_j c_j p^j w^(n+2-j).
     """
-    a = Fraction(alpha)
-    if a <= 0:
-        raise ValueError("alpha must be positive")
+    a = positive_rational(alpha)
     coeffs = [float(c) for c in transition_poly(n).specialize(a)]
     if not coeffs:  # cannot happen for this family, but keep the zero total
         return lambda t: 0.0
@@ -238,14 +236,13 @@ def oracle_equiv_check(
     """
     if not alpha_samples or not t_samples:
         raise ValueError("sample grids must be non-empty")
+    alphas = sorted(positive_rational(a) for a in alpha_samples)
     worst = 0.0
     failures = []
     checked = 0
     for n in range(n_max + 1):
         oracle = transition_oracle(n)
-        for alpha in sorted(Fraction(a) for a in alpha_samples):
-            if alpha <= 0:
-                raise ValueError("alpha samples must be positive")
+        for alpha in alphas:
             fast = transition_evaluator(n, alpha)
             af = float(alpha)
             for t in sorted(t_samples):
@@ -303,10 +300,8 @@ def asymptotic_check(
     polynomial's constant term is nonzero, and decays even faster when it
     vanishes, so that factor is a sound upper estimate either way.
     """
-    a = Fraction(alpha)
-    w = Fraction(omega)
-    if a <= 0 or w <= 0:
-        raise ValueError("alpha and omega must be positive")
+    a = positive_rational(alpha)
+    w = positive_rational(omega, "omega")
     phi = transition_evaluator(n, a)
     af = float(a)
     wf = float(w)
@@ -351,9 +346,7 @@ class PhiFamily:
 
     @staticmethod
     def build(alpha: RationalLike, max_n: int) -> PhiFamily:
-        a = Fraction(alpha)
-        if a <= 0:
-            raise ValueError("alpha must be positive")
+        a = positive_rational(alpha)
         if max_n < 0:
             raise ValueError("max_n must be >= 0")
         return PhiFamily(

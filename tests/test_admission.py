@@ -1,0 +1,112 @@
+"""Every exact entry point admits alpha the same way: an exact rational > 0.
+
+``exact.positive_rational`` is the one admission rule.  A float alpha is a
+TypeError (it would otherwise become a long binary fraction), a value <= 0
+is a ValueError, and a string such as "1/2" is the same input as F(1, 2).
+"""
+
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+
+from khabcheck.constants import (
+    beta_int,
+    extremal_density,
+    kernel_power_moment,
+    rhs_constant,
+    verify_moment_identity,
+    verify_reciprocity,
+)
+from khabcheck.positivity import (
+    QuadraticCoeffs,
+    alpha_threshold,
+    coeffs_nonneg_on_pos,
+    poly_nonneg_on_pos,
+    region_scan,
+)
+from khabcheck.quadrature import (
+    extremal_density_fn,
+    integrate_01_kernel,
+    integrate_log_moment,
+    integrate_weight_prime_moment,
+    khabibullin_transform,
+    verify_conjecture_chain,
+    verify_reconstruction,
+    verify_weighted_moment,
+)
+from khabcheck.transition import (
+    PhiFamily,
+    asymptotic_check,
+    oracle_equiv_check,
+    transition_evaluator,
+    transition_poly,
+)
+
+DENSITY = extremal_density_fn(F(1, 2), 2)
+
+
+def _density(a):
+    q = extremal_density_fn(a, 2)
+    return q.description, q.power_at_zero, q(0.7)
+
+
+#: each entry called with alpha (or omega) in one position and a comparable result
+ENTRIES = {
+    "beta_int": lambda a: beta_int(a, 3),
+    "rhs_constant": lambda a: rhs_constant(a, 3),
+    "kernel_power_moment": lambda a: kernel_power_moment(a, 2, "sum"),
+    "verify_moment_identity": lambda a: verify_moment_identity(a, 2),
+    "verify_reciprocity": lambda a: verify_reciprocity(a, 2),
+    "extremal_density": lambda a: extremal_density(a, 2, 0.7),
+    "transition_evaluator": lambda a: transition_evaluator(2, a)(0.7),
+    "PhiFamily.build": lambda a: PhiFamily.build(a, 2),
+    "oracle_equiv_check": lambda a: oracle_equiv_check(1, [F(1, 4), a], [0.7]),
+    "asymptotic_check.alpha": lambda a: asymptotic_check(1, a, F(1)),
+    "asymptotic_check.omega": lambda w: asymptotic_check(1, F(1, 4), w),
+    "poly_nonneg_on_pos": lambda a: poly_nonneg_on_pos(transition_poly(2), a),
+    "region_scan": lambda a: region_scan([2], [F(1, 4), a]),
+    "extremal_density_fn": _density,
+    "integrate_01_kernel": lambda a: integrate_01_kernel(2, DENSITY, 0.7, a),
+    "integrate_log_moment": integrate_log_moment,
+    "integrate_weight_prime_moment": integrate_weight_prime_moment,
+    "verify_reconstruction": lambda a: verify_reconstruction(1, a, 0.5),
+    "verify_weighted_moment": lambda a: verify_weighted_moment(1, a),
+    "khabibullin_transform": lambda a: khabibullin_transform(1, a, DENSITY),
+    "verify_conjecture_chain": lambda a: verify_conjecture_chain(1, a, DENSITY, t_grid=[0.7]),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+@pytest.mark.parametrize("bad, error", [
+    (0.5, TypeError),
+    (np.float64(0.5), TypeError),
+    (0, ValueError),
+    (F(-1, 2), ValueError),
+])
+def test_entry_refuses_floats_and_nonpositive_alphas(entry, bad, error):
+    with pytest.raises(error):
+        entry(bad)
+
+
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+def test_entry_reads_a_string_as_the_same_rational(entry):
+    assert entry("1/2") == entry(F(1, 2))
+
+
+def test_threshold_bound_is_admitted_like_alpha():
+    with pytest.raises(TypeError):
+        alpha_threshold(2, hi=4.0)
+    with pytest.raises(ValueError, match="^hi must be positive$"):
+        alpha_threshold(2, hi=0)
+
+
+def test_exact_evaluators_refuse_floats():
+    with pytest.raises(TypeError):
+        coeffs_nonneg_on_pos([0.5, 1])
+    with pytest.raises(TypeError):
+        QuadraticCoeffs(0.5, 1, 1)
+    with pytest.raises(TypeError):
+        QuadraticCoeffs(1, 1, 1).eval(0.5)
+    with pytest.raises(TypeError):
+        region_scan([2], [F(1, 4)]).cell(2, 0.25)

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from khabcheck.exact import (
     AlphaPolynomial,
     Z,
     ZPolynomial,
+    positive_rational,
     rational,
     simplest_between,
 )
@@ -40,6 +42,29 @@ def test_rational_parses_strings_and_ints():
 def test_rational_rejects_floats():
     with pytest.raises(TypeError):
         rational(0.5)
+
+
+def test_positive_rational_admits_only_positive_exact_values():
+    assert positive_rational("1/2") == F(1, 2)
+    assert positive_rational(3) == F(3)
+    with pytest.raises(TypeError):
+        positive_rational(0.5)
+    with pytest.raises(TypeError):
+        positive_rational(np.float64(0.5))
+    with pytest.raises(ValueError, match="^alpha must be positive$"):
+        positive_rational(0)
+    with pytest.raises(ValueError, match="^omega must be positive$"):
+        positive_rational(F(-1, 2), "omega")
+
+
+def test_evaluation_rejects_float_points():
+    with pytest.raises(TypeError):
+        ALPHA(0.5)
+    P = ZPolynomial((ALPHA, AlphaPolynomial.constant(1)))
+    with pytest.raises(TypeError):
+        P.evaluate(0.5, 1)
+    with pytest.raises(TypeError):
+        P.evaluate(F(1, 2), 0.5)
 
 
 # -- canonical form --------------------------------------------------------

@@ -43,8 +43,6 @@ def test_config_defaults_and_validation():
         QuadConfig(rel_tol=-1e-9)
     with pytest.raises(ValueError):
         QuadConfig(max_subdivisions=0)
-    with pytest.raises(ValueError):
-        QuadConfig(singularity_split=1.5)
 
 
 def test_result_addition_accumulates_error_and_convergence():
@@ -359,12 +357,19 @@ def test_reconstruction_falls_back_to_graded_pass(n, alpha):
     assert abs(check.residual) <= 1e-6
 
 
+def test_fallback_counts_the_subdivisions_of_both_passes():
+    # 14 in the flattened pass that stalls, 5 in the graded pass that converges
+    check = verify_reconstruction(4, F(11163, 4099), 0.5)
+    assert check.quad.converged
+    assert check.quad.subdivisions_used == 14 + 5
+
+
 def test_nonconverged_flattened_panel_is_retried_only_for_positive_powers():
     flat_budget = QuadConfig(max_subdivisions=1)
     # positive power: the graded pass replaces the failed flattened one
     positive = integrate_unit_interval(lambda x: x ** 3 * math.sin(40 * x),
                                        flat_budget, power_at_zero=3.0)
-    assert positive.subdivisions_used == 2  # the graded pass, split at 1e-3
+    assert positive.subdivisions_used == 1 + 2  # failed flattened + graded, split at 1e-3
     # negative power: the flattened result stands, converged or not
     negative = integrate_unit_interval(lambda x: x ** -0.5 * math.sin(40 * x),
                                        flat_budget, power_at_zero=-0.5)
