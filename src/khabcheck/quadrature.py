@@ -15,6 +15,13 @@ endpoint behavior.  The strategy, in order of preference:
   a forced split point near 0 isolates the singular end.  The same pass
   replaces a flattened one that did not converge on a positive endpoint
   power, where f vanishes at 0 anyway.
+* **One kernel table per conjecture chain.**  The premise integrals of a
+  chain differ only in t; QUADPACK bisects the same way for every t, so
+  most nodes x recur, and K_{n-1}(x) does not depend on t.
+  ``verify_conjecture_chain`` keeps one table of K_{n-1}(x) by x for the
+  length of the call, so every grid point after the first evaluates only
+  q(t x) at a node it has seen; every value is that of the one-shot
+  ``integrate_01_kernel``.
 
 The underlying panel integrator is QUADPACK's adaptive Gauss-Kronrod
 scheme (scipy.integrate.quad); this module owns the substitutions, the
@@ -120,8 +127,8 @@ def extremal_density_fn(alpha: RationalLike, n: int) -> DensityFunction:
 
 def log_spaced(lo: float, hi: float, count: int) -> tuple[float, ...]:
     """``count`` logarithmically spaced points from lo to hi inclusive."""
-    if lo <= 0 or hi <= lo or count < 2:
-        raise ValueError("need 0 < lo < hi and count >= 2")
+    if not (0 < lo < hi and math.isfinite(hi)) or count < 2:
+        raise ValueError("need finite 0 < lo < hi and count >= 2")
     step = (math.log10(hi) - math.log10(lo)) / (count - 1)
     return tuple(10.0 ** (math.log10(lo) + i * step) for i in range(count))
 
@@ -235,15 +242,28 @@ def integrate_01_kernel(n: int, q: DensityFunction, t: float,
     """
     if n < 1:
         raise ValueError("conjecture index n must be >= 1")
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ValueError("t must be positive and finite")
     positive_rational(alpha)
-    k_index = n - 1
+    return _premise_integral(n - 1, q, t, cfg, {})
+
+
+def _premise_integral(k_index: int, q: DensityFunction, t: float, cfg: QuadConfig,
+                      kernel_values: dict[float, float]) -> QuadResult:
+    """int_0^1 K_k(x) q(t x) dx, reading K_k through the table ``kernel_values``.
+
+    The table depends on k and not on t, so one serves every t of a chain;
+    an entry is the float its recomputation would give.
+    """
+    density = q.evaluator
 
     def integrand(x: float) -> float:
         if x <= 0.0 or x > 1.0:
             return 0.0
-        return kernel_eval(k_index, x) * q(t * x)
+        k = kernel_values.get(x)
+        if k is None:
+            k = kernel_values[x] = kernel_eval(k_index, x)
+        return k * density(t * x)
 
     return integrate_unit_interval(integrand, cfg, q.power_at_zero)
 
@@ -374,7 +394,13 @@ class PremiseEntry:
 
     @property
     def violation(self) -> float:
-        """How far the premise inequality LHS <= t^alpha is overshot (0 if held)."""
+        """How far the premise inequality LHS <= t^alpha is overshot (0 if held).
+
+        An integral that did not converge to a finite value shows nothing
+        about the inequality, so it counts as overshooting without bound.
+        """
+        if not (self.quad.converged and math.isfinite(self.lhs)):
+            return math.inf
         return max(0.0, self.lhs - self.target)
 
     @property
@@ -466,13 +492,14 @@ def verify_conjecture_chain(n: int, alpha: RationalLike, q: DensityFunction,
                            premise_tol=premise_tol, equality_rel_tol=equality_rel_tol)
 
     grid = tuple(t_grid) if t_grid is not None else default_chain_grid()
-    if not grid or any(t <= 0 for t in grid):
-        raise ValueError("t grid must be non-empty and positive")
+    if not grid or not all(t > 0 and math.isfinite(t) for t in grid):
+        raise ValueError("t grid must be non-empty, positive and finite")
     af = float(a)
 
+    kernel_values: dict[float, float] = {}
     entries = []
     for t in sorted(grid):
-        inner = integrate_01_kernel(n, q, t, a, cfg)
+        inner = _premise_integral(poly_index, q, t, cfg, kernel_values)
         entries.append(PremiseEntry(
             t=t, lhs=t * inner.value, target=t ** af,
             quad=inner,

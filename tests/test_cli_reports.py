@@ -28,6 +28,7 @@ def run(capsys, *argv):
 @pytest.mark.parametrize("golden, argv", [
     ("report_integrals_all.json", "integrals --suite all --alpha 1/4,3"),
     ("report_integrals_all.csv", "integrals --suite all --alpha 1/4,3 --format csv"),
+    ("report_integrals_sweep.json", "integrals --suite all --alpha 1/30,5/8,7/4"),
     ("report_identities.json", "identities --alpha 1/2,2/3 --n-max 6"),
     ("report_scan_region.json", "scan --n 0..4 --alpha-grid 1/4:2:1/4"),
     ("report_scan_threshold.json", "scan --n 1..6 --threshold"),

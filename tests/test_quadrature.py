@@ -256,6 +256,36 @@ def test_log_spaced_validation():
         log_spaced(10.0, 1.0, 5)
 
 
+@pytest.mark.parametrize("lo, hi", [(1e-3, math.inf), (math.nan, 1.0), (1e-3, math.nan),
+                                    (math.inf, math.inf)])
+def test_log_spaced_rejects_nonfinite_bounds(lo, hi):
+    with pytest.raises(ValueError):
+        log_spaced(lo, hi, 3)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_chain_rejects_nonfinite_grid_points(t):
+    alpha = F(1, 4)
+    with pytest.raises(ValueError, match="t grid"):
+        verify_conjecture_chain(2, alpha, extremal_density_fn(alpha, 2),
+                                t_grid=[1.0, t])
+    with pytest.raises(ValueError, match="^t must be positive and finite$"):
+        integrate_01_kernel(2, extremal_density_fn(alpha, 2), t, alpha)
+
+
+@pytest.mark.parametrize("lhs, converged", [(0.5, False), (math.nan, True)])
+def test_premise_needs_converged_finite_integrals(lhs, converged):
+    entry = PremiseEntry(t=1.0, lhs=lhs, target=1.0,
+                         quad=QuadResult(lhs, 1e-14, converged, 21))
+    held = PremiseEntry(t=2.0, lhs=0.5, target=2.0,
+                        quad=QuadResult(0.25, 1e-14, True, 21))
+    assert _report_over([held]).premise_satisfied
+    assert entry.violation == math.inf
+    failed = _report_over([held, entry])
+    assert not failed.premise_satisfied
+    assert failed.premise_max_violation == math.inf
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("alpha", [F(1, 4), F(1, 2)])
 def test_chain_holds_for_extremal_density(n, alpha):
@@ -375,6 +405,48 @@ def test_nonconverged_flattened_panel_is_retried_only_for_positive_powers():
                                        flat_budget, power_at_zero=-0.5)
     assert negative.subdivisions_used == 1
     assert not negative.converged
+
+
+# -- the chain's shared kernel table --------------------------------------------
+
+@pytest.mark.parametrize("count", [25, 50])
+@pytest.mark.parametrize("alpha", [F(1, 30), F(1, 4), F(1, 2)])
+@pytest.mark.parametrize("n", [1, 3])
+def test_chain_kernel_work_does_not_scale_with_the_grid(monkeypatch, n, alpha, count):
+    calls = []
+    kernel_eval = quadrature.kernel_eval
+
+    def counting_kernel_eval(k, x):
+        calls.append(x)
+        return kernel_eval(k, x)
+
+    monkeypatch.setattr(quadrature, "kernel_eval", counting_kernel_eval)
+    report = verify_conjecture_chain(n, alpha, extremal_density_fn(alpha, n),
+                                     t_grid=log_spaced(1e-3, 1e3, count))
+    assert report.applicable and len(report.premise) == count
+    # one evaluation per distinct node, shared by every t of the grid
+    assert len(calls) == len(set(calls)) <= 1000
+
+
+def _bits(r: QuadResult) -> tuple:
+    return (r.value.hex(), r.error_estimate.hex(), r.converged,
+            r.subdivisions_used)
+
+
+@pytest.mark.parametrize("n, alpha, hints, cfg", [
+    (2, F(1, 4), True, DEFAULT_CONFIG),                     # endpoint power -3/4
+    (1, F(7, 2), True, DEFAULT_CONFIG),                     # endpoint power 5/2
+    (1, F(7, 2), True, QuadConfig(max_subdivisions=2)),     # graded fallback
+    (3, F(1, 3), False, DEFAULT_CONFIG),                    # graded pass only
+], ids=["negative-power", "positive-power", "fallback", "hintless"])
+def test_chain_premise_equals_one_shot_integrals_bit_for_bit(n, alpha, hints, cfg):
+    q = extremal_density_fn(alpha, n)
+    if not hints:
+        q = DensityFunction(q.evaluator, "extremal, no hints")
+    report = verify_conjecture_chain(n, alpha, q, cfg=cfg)
+    assert report.applicable and len(report.premise) == 25
+    for entry in report.premise:
+        assert _bits(entry.quad) == _bits(integrate_01_kernel(n, q, entry.t, alpha, cfg))
 
 
 # -- the extremal density's float route ------------------------------------------
