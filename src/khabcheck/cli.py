@@ -46,6 +46,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .constants import beta_int, kernel_power_moment, rhs_constant
+from .exact import positive_rational
 from .kernel import kernel_eval
 from .positivity import Status, alpha_threshold, region_scan
 from .quadrature import (
@@ -62,7 +63,7 @@ from .quadrature import (
 )
 from .transition import transition_evaluator
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d*[1-9]\d*)?$")
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -72,29 +73,31 @@ def _parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _parse_positive_rational(text: str) -> Fraction:
-    value = _parse_rational(text)
-    if value <= 0:
-        raise ValueError(f"must be positive: {text!r}")
+def _parse_rational_list(text: str) -> list[Fraction]:
+    return [positive_rational(_parse_rational(part)) for part in text.split(",") if part.strip()]
+
+
+def _parse_real(text: str) -> float:
+    """A positive finite real, written as a rational or a decimal."""
+    try:
+        value = float(Fraction(text))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"not a finite real: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise ValueError(f"must be positive and finite: {text!r}")
     return value
 
 
-def _parse_rational_list(text: str) -> list[Fraction]:
-    return [_parse_positive_rational(part) for part in text.split(",") if part.strip()]
-
-
 def _parse_real_list(text: str) -> list[float]:
-    """Positive reals for non-certificate parameters; rationals or decimals."""
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        value = float(Fraction(part)) if _RATIONAL_RE.match(part) else float(part)
-        if not 0 < value < math.inf:
-            raise ValueError(f"must be positive and finite: {part!r}")
-        out.append(value)
-    return out
+    return [_parse_real(part) for part in text.split(",") if part.strip()]
+
+
+def _parse_check_tol(text: str) -> float:
+    """A pass tolerance: finite and >= 0, where 0 demands exact agreement."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise ValueError(f"must be nonnegative and finite: {text!r}")
+    return value
 
 
 def _parse_index(text: str) -> int:
@@ -409,9 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="Y[,Y...]")
     p_int.add_argument("--q", choices=("extremal", "zero"), default="extremal",
                        help="density driven through the chain suite")
-    p_int.add_argument("--abs-tol", type=float, default=1e-10)
-    p_int.add_argument("--rel-tol", type=float, default=1e-9)
-    p_int.add_argument("--check-tol", type=float, default=None,
+    p_int.add_argument("--abs-tol", type=_parse_real, default=1e-10)
+    p_int.add_argument("--rel-tol", type=_parse_real, default=1e-9)
+    p_int.add_argument("--check-tol", type=_parse_check_tol, default=None,
                        help="override the per-suite pass tolerance (the chain "
                             "premise's is relative to t^alpha where that exceeds 1)")
     _add_common(p_int)
@@ -425,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="START:STOP:STEP|LIST")
     p_scan.add_argument("--threshold", action="store_true",
                         help="bracket the nonnegativity threshold per index")
-    p_scan.add_argument("--tol", type=float, default=1e-6)
+    p_scan.add_argument("--tol", type=_parse_real, default=1e-6)
     _add_common(p_scan)
     p_scan.set_defaults(func=_cmd_scan)
 

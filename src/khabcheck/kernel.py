@@ -38,8 +38,8 @@ def kernel_eval(n: int, x: float, tol: float = DEFAULT_TOL) -> float:
         raise ValueError("kernel index n must be >= 0")
     if not 0.0 < x <= 1.0:
         raise ValueError(f"kernel argument must lie in (0, 1], got {x!r}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if x == 1.0:
         return 0.0
     u = 1.0 - x

@@ -14,7 +14,7 @@ integer polynomial (which changes no sign):
    halve z until an exact evaluation is negative);
 3. leading coefficient < 0                    ->  Negative (p < 0 beyond
    the Cauchy root bound, rounded up to an integer);
-4. float witness: the positive real parts of the float roots of p and p'
+4. float witness: the positive float roots of p' (the local extrema of p)
    propose points; the simplest rational near each one becomes a witness
    only if exact integer evaluation shows p < 0 there  ->  Negative;
 5. otherwise: isolate every positive real root with a Sturm chain of
@@ -47,6 +47,9 @@ IntPoly = list[int]
 #: relative half-widths of the windows around a float point in which the
 #: simplest rational is tried as a witness, coarsest (smallest height) first
 _WITNESS_WINDOWS = (Fraction(1, 2 ** 8), Fraction(1, 2 ** 24), Fraction(1, 2 ** 50))
+
+#: the bracket alpha_threshold bisects; P_n(1/2, z) = (n+1) z^n >= 0 for every n
+_THRESHOLD_BRACKET = (Fraction(1, 2), Fraction(4))
 
 
 class Status(enum.Enum):
@@ -186,9 +189,9 @@ def _isolate_roots(c: IntPoly, chain: list[IntPoly], lo: Fraction, hi: Fraction,
 def _float_witness(c: IntPoly) -> Optional[Fraction]:
     """A positive rational where c < 0, proposed by floats and confirmed exactly.
 
-    The candidates are the positive float roots of c' (the local extrema of
-    c) and the midpoints between consecutive positive float roots of c,
-    tried in increasing order of c's float value there, skipping those
+    The candidates are the positive float roots of c', the local extrema of
+    c (with c(0) > 0 and c(oo) > 0, c < 0 somewhere means c < 0 at a local
+    minimum), tried in increasing order of c's float value, skipping those
     where floats say c > 0.  Near each one the simplest rational of a
     shrinking window is tried; only an exact negative value makes it a
     witness.  None means no witness was found, not that c is nonnegative.
@@ -197,17 +200,11 @@ def _float_witness(c: IntPoly) -> Optional[Fraction]:
     shift = max(0, max(abs(x) for x in c).bit_length() - 1000)
     f = np.array([float(x >> shift) for x in reversed(c)])
     try:
-        roots, extrema = np.roots(f), np.roots(np.polyder(f))
+        extrema = np.roots(np.polyder(f))
     except np.linalg.LinAlgError:  # pragma: no cover - eigenvalue failure
         return None
-
-    def positive_real(values: np.ndarray) -> list[float]:
-        return sorted(float(r.real) for r in values
-                      if 0 < r.real < math.inf and abs(r.imag) <= 1e-3 * r.real)
-
-    crossings = positive_real(roots)
-    candidates = positive_real(extrema) + [
-        (x + y) / 2 for x, y in zip(crossings, crossings[1:])]
+    candidates = [float(r.real) for r in extrema
+                  if 0 < r.real < math.inf and abs(r.imag) <= 1e-3 * r.real]
     with np.errstate(all="ignore"):
         values = np.polyval(f, candidates) if candidates else []
     for _, x in sorted((v, x) for v, x in zip(values, candidates) if v < 0):
@@ -334,36 +331,32 @@ def poly_nonneg_on_pos(P: ZPolynomial, alpha: RationalLike) -> PositivityVerdict
 # ---------------------------------------------------------------------------
 
 
-def alpha_threshold(n: int, tol: float = 1e-6,
-                    hi: RationalLike = Fraction(4)) -> tuple[Fraction, Fraction]:
+def alpha_threshold(n: int, tol: float = 1e-6) -> tuple[Fraction, Fraction]:
     """Bracket sup{alpha > 0 : P_n(alpha, .) is nonnegative on (0, oo)}.
 
-    Bisects with exact verdicts at rational probes until the bracket is
-    narrower than ``tol``, then snaps the verified lower end to the simplest
-    rational in the bracket (so a threshold of exactly 1/2 is reported as
-    1/2 rather than a long dyadic).  The search assumes the threshold lies
-    in (0, hi]; if the polynomial family is still nonnegative at ``hi`` the
-    bracket cannot be established and a ValueError is raised.
+    Bisects (1/2, 4) with exact verdicts at rational probes until the
+    bracket is no wider than ``tol`` (taken exactly, 0 < tol < oo), then
+    snaps the verified lower end to the simplest rational in the bracket (so
+    a threshold of exactly 1/2 is reported as 1/2 rather than a long
+    dyadic).  Both ends are probed first: P_n(1/2, z) = (n+1) z^n must be
+    nonnegative and P_n(4, .) must not be, or a ValueError is raised.
     """
     if n < 1:
         raise ValueError("threshold search needs polynomial index >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     poly = transition_poly(n)
 
     def is_nonneg(a: Fraction) -> bool:
         return poly_nonneg_on_pos(poly, a).status is Status.NONNEGATIVE
 
-    hi = positive_rational(hi, "hi")
+    lo, hi = _THRESHOLD_BRACKET
     if is_nonneg(hi):
         raise ValueError(f"nonnegative at alpha={hi}; threshold outside (0, {hi}]")
-    lo = Fraction(1, 2)
-    while not is_nonneg(lo):
-        lo /= 2
-        if lo < Fraction(1, 2 ** 60):  # pragma: no cover
-            raise ValueError("no nonnegative alpha found above 2^-60")
+    if not is_nonneg(lo):  # pragma: no cover - P_n(1/2, z) = (n+1) z^n
+        raise ValueError(f"negative at alpha={lo}; threshold below {lo}")
 
-    width = Fraction(tol).limit_denominator(10 ** 12)
+    width = Fraction(tol)
     while hi - lo > width:
         mid = (lo + hi) / 2
         if is_nonneg(mid):

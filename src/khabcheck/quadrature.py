@@ -53,8 +53,8 @@ class QuadConfig:
     max_subdivisions: int = 2000
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 
@@ -484,6 +484,8 @@ def verify_conjecture_chain(n: int, alpha: RationalLike, q: DensityFunction,
     a = positive_rational(alpha)
     if n < 1:
         raise ValueError("conjecture index n must be >= 1")
+    if not (0 <= premise_tol < math.inf and 0 <= equality_rel_tol < math.inf):
+        raise ValueError("tolerances must be nonnegative and finite")
     poly_index = n - 1
     verdict = poly_nonneg_on_pos(transition_poly(poly_index), a)
     if verdict.status is not Status.NONNEGATIVE:

@@ -97,8 +97,6 @@ def transition_evaluator(n: int, alpha: RationalLike) -> Callable[[float], float
     """
     a = positive_rational(alpha)
     coeffs = [float(c) for c in transition_poly(n).specialize(a)]
-    if not coeffs:  # cannot happen for this family, but keep the zero total
-        return lambda t: 0.0
     af = float(a)
     two_a = 2.0 * af
     scale = 4.0 * af * af
@@ -236,6 +234,8 @@ def oracle_equiv_check(
     """
     if not alpha_samples or not t_samples:
         raise ValueError("sample grids must be non-empty")
+    if not 0 <= rel_tol < math.inf:
+        raise ValueError("rel_tol must be nonnegative and finite")
     alphas = sorted(positive_rational(a) for a in alpha_samples)
     worst = 0.0
     failures = []

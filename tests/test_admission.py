@@ -20,7 +20,6 @@ from khabcheck.constants import (
 )
 from khabcheck.positivity import (
     QuadraticCoeffs,
-    alpha_threshold,
     coeffs_nonneg_on_pos,
     poly_nonneg_on_pos,
     region_scan,
@@ -92,13 +91,6 @@ def test_entry_refuses_floats_and_nonpositive_alphas(entry, bad, error):
 @pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
 def test_entry_reads_a_string_as_the_same_rational(entry):
     assert entry("1/2") == entry(F(1, 2))
-
-
-def test_threshold_bound_is_admitted_like_alpha():
-    with pytest.raises(TypeError):
-        alpha_threshold(2, hi=4.0)
-    with pytest.raises(ValueError, match="^hi must be positive$"):
-        alpha_threshold(2, hi=0)
 
 
 def test_exact_evaluators_refuse_floats():

@@ -155,6 +155,14 @@ def test_scan_threshold(capsys):
         assert rec["status"] == "pass"
 
 
+def test_scan_threshold_at_a_tiny_tolerance(capsys, deadline):
+    with deadline(10):
+        code, out, _ = run(capsys, "scan", "--threshold", "--n", "3",
+                           "--tol", "1e-13", "--no-timestamp")
+    assert code == 0
+    assert json.loads(out)["records"][0]["status"] == "pass"
+
+
 def test_scan_without_grid_or_threshold_is_usage_error(capsys):
     code, _, err = run(capsys, "scan", "--n", "1")
     assert code == 2

@@ -32,6 +32,7 @@ def run(capsys, *argv):
     ("report_identities.json", "identities --alpha 1/2,2/3 --n-max 6"),
     ("report_scan_region.json", "scan --n 0..4 --alpha-grid 1/4:2:1/4"),
     ("report_scan_threshold.json", "scan --n 1..6 --threshold"),
+    ("report_scan_region_21x40.csv", "scan --n 0..20 --alpha-grid 1/20:2:1/20 --format csv"),
 ])
 def test_report_matches_golden_bytes(capsys, golden, argv):
     code, out, _ = run(capsys, *argv.split(), "--no-timestamp")
@@ -80,6 +81,17 @@ def test_failures_keep_the_passing_records(capsys):
     ("integrals --suite weighted-moment --alpha 1/2 --n 1,-1", "--n"),
     ("scan --n -1 --alpha-grid 1/2", "--n"),
     ("identities --alpha 1/2 --n-max -1", "--n-max"),
+    ("identities --alpha 1/0", "--alpha"),
+    ("integrals --suite reconstruction --alpha 1/2 --y 1/0", "--y"),
+    pytest.param("integrals --suite reconstruction --alpha 1/2 --y " + "9" * 400, "--y",
+                 id="y-beyond-the-float-range"),
+    ("scan --n 1 --alpha-grid 1/2:1:1/0", "--alpha-grid"),
+    ("scan --threshold --n 1 --tol nan", "--tol"),
+    ("scan --threshold --n 1 --tol inf", "--tol"),
+    ("scan --threshold --n 1 --tol 0", "--tol"),
+    ("integrals --suite logmoment --alpha 1 --abs-tol inf", "--abs-tol"),
+    ("integrals --suite logmoment --alpha 1 --rel-tol nan", "--rel-tol"),
+    ("integrals --suite logmoment --alpha 1 --check-tol -1", "--check-tol"),
 ])
 def test_bad_inputs_are_usage_errors(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:

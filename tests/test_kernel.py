@@ -84,5 +84,12 @@ def test_domain_validation():
         kernel_derivative(-2, 0.5)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_tail_series_refuses_a_tolerance_it_cannot_meet(tol, deadline):
+    # NaN never ends the series; inf ends it after one term
+    with deadline(5), pytest.raises(ValueError, match="^tol must be positive and finite$"):
+        kernel_eval(3, 0.95, tol=tol)
+
+
 def test_default_tolerance_is_strict():
     assert DEFAULT_TOL <= 1e-14

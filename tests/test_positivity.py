@@ -1,6 +1,7 @@
 """Positivity verdicts on (0, infinity): exact certificates and witnesses."""
 
 import json
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -275,6 +276,20 @@ def test_alpha_threshold_accepts_float_tolerance():
 def test_alpha_threshold_rejects_always_nonnegative_input():
     with pytest.raises(ValueError):
         alpha_threshold(0)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_alpha_threshold_meets_a_tolerance_of_1e_13(n, deadline):
+    with deadline(10):
+        lo, hi = alpha_threshold(n, 1e-13)
+    assert lo <= F(1, 2) <= hi
+    assert 0 < hi - lo <= F(1e-13)
+
+
+@pytest.mark.parametrize("tol", [0, -1, math.nan, math.inf])
+def test_alpha_threshold_rejects_a_tolerance_outside_zero_to_infinity(tol):
+    with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+        alpha_threshold(1, tol)
 
 
 # -- region scan ------------------------------------------------------------------

@@ -45,6 +45,18 @@ def test_config_defaults_and_validation():
         QuadConfig(max_subdivisions=0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_tolerances_must_be_finite(tol):
+    # with both tolerances inf, a log moment 1.7e-3 off 2 pi would count as converged
+    for field in ("abs_tol", "rel_tol"):
+        with pytest.raises(ValueError, match="^tolerances must be positive and finite$"):
+            QuadConfig(**{field: tol})
+    alpha = F(1, 4)
+    for field in ("premise_tol", "equality_rel_tol"):
+        with pytest.raises(ValueError, match="^tolerances must be nonnegative and finite$"):
+            verify_conjecture_chain(2, alpha, extremal_density_fn(alpha, 2), **{field: tol})
+
+
 def test_result_addition_accumulates_error_and_convergence():
     a = QuadResult(value=1.0, error_estimate=1e-12, converged=True,
                    subdivisions_used=3)

@@ -275,6 +275,16 @@ def test_family_builder_and_validation():
         fam.evaluator(5)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+def test_oracle_comparison_refuses_a_tolerance_outside_zero_to_infinity(tol):
+    # no deviation exceeds a NaN rel_tol, so validate() would pass
+    fam = PhiFamily.build(F(90, 97), max_n=20)
+    with pytest.raises(ValueError, match="^rel_tol must be nonnegative and finite$"):
+        fam.validate(rel_tol=tol)
+    with pytest.raises(ValueError, match="^rel_tol must be nonnegative and finite$"):
+        oracle_equiv_check(2, [F(1, 2)], [1.0], rel_tol=tol)
+
+
 def test_float_values_match_golden_reprs():
     # repr of both float routes over n <= 12, five alphas and five t values,
     # recorded when AlphaPolynomial still stored Fractions: the integer
