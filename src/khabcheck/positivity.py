@@ -186,15 +186,15 @@ def _isolate_roots(c: IntPoly, chain: list[IntPoly], lo: Fraction, hi: Fraction,
             + _isolate_roots(c, chain, mid, hi, v_mid, v_hi))
 
 
-def _float_witness(c: IntPoly) -> Optional[Fraction]:
-    """A positive rational where c < 0, proposed by floats and confirmed exactly.
+def _witness_candidates(c: IntPoly) -> list[float]:
+    """The positive float roots of c' where floats say c < 0, most negative first.
 
-    The candidates are the positive float roots of c', the local extrema of
-    c (with c(0) > 0 and c(oo) > 0, c < 0 somewhere means c < 0 at a local
-    minimum), tried in increasing order of c's float value, skipping those
-    where floats say c > 0.  Near each one the simplest rational of a
-    shrinking window is tried; only an exact negative value makes it a
-    witness.  None means no witness was found, not that c is nonnegative.
+    c < 0 somewhere on (0, oo) with c(0) > 0 and c(oo) > 0 means c < 0 at a
+    local minimum, so these are where a witness is sought.  The order key is
+    c(z) itself, unless Horner's c(z) overflows somewhere (to -inf, a tie, or
+    to NaN, which would drop the candidate).  Then it is -log |c(z)|, read
+    where needed off c(z) = z^deg * rev(c)(1/z), whose Horner sums stay
+    below sum |c|.
     """
     # drop low bits so that every coefficient converts to a finite float
     shift = max(0, max(abs(x) for x in c).bit_length() - 1000)
@@ -202,12 +202,31 @@ def _float_witness(c: IntPoly) -> Optional[Fraction]:
     try:
         extrema = np.roots(np.polyder(f))
     except np.linalg.LinAlgError:  # pragma: no cover - eigenvalue failure
-        return None
-    candidates = [float(r.real) for r in extrema
-                  if 0 < r.real < math.inf and abs(r.imag) <= 1e-3 * r.real]
+        return []
+    real, imag = extrema.real, extrema.imag
+    z = real[(0 < real) & (real < math.inf) & (np.abs(imag) <= 1e-3 * real)]
+    if not z.size:
+        return []
     with np.errstate(all="ignore"):
-        values = np.polyval(f, candidates) if candidates else []
-    for _, x in sorted((v, x) for v, x in zip(values, candidates) if v < 0):
+        value = np.polyval(f, z)
+        far = ~np.isfinite(value)  # only ever at z > 1
+        if far.any():
+            value[far] = np.polyval(f[::-1], 1 / z[far])  # the sign of c(z)
+            key = -np.log(np.abs(value)) - np.where(far, (len(f) - 1) * np.log(z), 0.0)
+        else:
+            key = value
+    negative = value < 0
+    return [x for _, x in sorted(zip(key[negative].tolist(), z[negative].tolist()))]
+
+
+def _float_witness(c: IntPoly) -> Optional[Fraction]:
+    """A positive rational where c < 0, proposed by floats and confirmed exactly.
+
+    Near each of ``_witness_candidates(c)`` in turn the simplest rational of
+    a shrinking window is tried; only an exact negative value makes it a
+    witness.  None means no witness was found, not that c is nonnegative.
+    """
+    for x in _witness_candidates(c):
         point = Fraction(x)
         for width in _WITNESS_WINDOWS:
             z = simplest_between(point * (1 - width), point * (1 + width))

@@ -25,7 +25,9 @@ endpoint behavior.  The strategy, in order of preference:
 
 The underlying panel integrator is QUADPACK's adaptive Gauss-Kronrod
 scheme (scipy.integrate.quad); this module owns the substitutions, the
-convergence bookkeeping, and the identity-specific drivers.
+convergence bookkeeping, and the identity-specific drivers.  SciPy is
+imported on the first adaptive pass, not with this module, so importing
+``khabcheck`` (and every CLI command but ``integrals``) never loads it.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
-
-from scipy.integrate import quad as _scipy_quad
 
 from .constants import beta_int, rhs_constant
 from .exact import RationalLike, positive_rational
@@ -141,6 +141,10 @@ def log_spaced(lo: float, hi: float, count: int) -> tuple[float, ...]:
 def _panel(f: Callable[[float], float], cfg: QuadConfig,
            points: Optional[Sequence[float]] = None) -> QuadResult:
     """One adaptive pass over (0, 1) with per-panel convergence bookkeeping."""
+    # SciPy loads here, on the first pass, so a process that never integrates
+    # never pays for importing it
+    from scipy.integrate import quad as _scipy_quad
+
     pts = list(points) if points else None
     # a forced split needs at least one subinterval per piece; a budget below
     # that is honoured by reporting non-convergence rather than crashing

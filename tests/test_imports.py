@@ -1,0 +1,61 @@
+"""Import boundary: SciPy loads only when a quadrature panel runs.
+
+Each case runs in a fresh ``python -I`` interpreter with ``src`` first on
+``sys.path``, so no module loaded by the test session leaks into it.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parents[1]
+DATA = Path(__file__).parent / "data"
+
+# runs ``statement``, whose report goes to stdout, then prints on the last
+# line of stderr whether SciPy was imported
+PROGRAM = """\
+import sys
+sys.path.insert(0, {src!r})
+code = 0
+{statement}
+print("scipy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_fresh(statement):
+    program = PROGRAM.format(src=str(ROOT / "src"), statement=statement)
+    done = subprocess.run([sys.executable, "-I", "-c", program],
+                          capture_output=True, timeout=300)
+    scipy_loaded = done.stderr.decode().splitlines()[-1:] == ["True"]
+    return done.returncode, done.stdout, scipy_loaded
+
+
+def cli_statement(argv):
+    return f"from khabcheck.cli import main\ncode = main({argv.split()!r})"
+
+
+@pytest.mark.parametrize("statement", [
+    "import khabcheck",
+    "import khabcheck.cli",
+    cli_statement("scan --n 0..4 --alpha-grid 1/4:2:1/4 --no-timestamp"),
+    cli_statement("scan --n 1..6 --threshold --no-timestamp"),
+    cli_statement("identities --alpha 1/2,2/3 --n-max 6 --no-timestamp"),
+    cli_statement("plot-data --kernel --n 0,1 --points 5"),
+    cli_statement("plot-data --transition --n 0,1 --alpha 1/2 --points 5"),
+], ids=["import-khabcheck", "import-cli", "scan-region", "scan-threshold",
+        "identities", "plot-data-kernel", "plot-data-transition"])
+def test_scipy_is_not_loaded(statement):
+    code, _, scipy_loaded = run_fresh(statement)
+    assert code == 0
+    assert not scipy_loaded
+
+
+def test_integrals_load_scipy_and_report_the_golden_bytes():
+    code, out, scipy_loaded = run_fresh(
+        cli_statement("integrals --suite all --alpha 1/4,3 --no-timestamp"))
+    assert code == 0
+    assert scipy_loaded
+    assert out == (DATA / "report_integrals_all.json").read_bytes()

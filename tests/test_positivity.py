@@ -19,6 +19,8 @@ from khabcheck.positivity import (
     quad_nonneg,
     region_scan,
 )
+from khabcheck.exact import scaled_value
+from khabcheck.positivity import _witness_candidates
 from khabcheck.transition import transition_poly
 
 
@@ -222,6 +224,22 @@ def test_negative_dip_too_narrow_for_floats_is_found_exactly():
     assert v.status is Status.NEGATIVE
     assert r1 < v.witness < r2
     assert _value(coeffs, v.witness) == v.witness_value < 0
+
+
+@pytest.mark.parametrize("n, alpha", [(30, 299), (40, 5000)])
+def test_witness_candidates_are_tried_most_negative_first(n, alpha):
+    # at the largest extrema (z ~ 1.4e9 at n = 30, alpha = 299) c(z) lies
+    # beyond the float range, where plain Horner gives -inf or NaN
+    coeffs = transition_poly(n).specialize(alpha)
+    den = math.lcm(*(x.denominator for x in coeffs))
+    c = [int(x * den) for x in coeffs]
+    tried = _witness_candidates(c)
+    exact = [F(scaled_value(c, F(x)), F(x).denominator ** (len(c) - 1))
+             for x in tried]
+    # every local minimum of these members is negative: n/2 of the n - 1
+    assert len(tried) == n // 2
+    assert all(v < 0 for v in exact)
+    assert exact == sorted(exact)
 
 
 # -- transition polynomials across the critical parameter -----------------------
