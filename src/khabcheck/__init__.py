@@ -9,7 +9,7 @@ reduction with its analytic target.
 
 __version__ = "0.1.0"
 
-from .exact import ALPHA, AlphaPolynomial, Z, ZPolynomial, positive_rational, rational
+from .exact import ALPHA, AlphaPolynomial, ZPolynomial, positive_rational, rational
 from .termalgebra import MixedSum, MixedTerm, mixed_diff, mixed_eval
 from .kernel import kernel_derivative, kernel_eval, kernel_recurrence_check
 from .constants import (
@@ -62,7 +62,7 @@ from .quadrature import (
 
 __all__ = [
     "__version__",
-    "ALPHA", "AlphaPolynomial", "Z", "ZPolynomial", "positive_rational", "rational",
+    "ALPHA", "AlphaPolynomial", "ZPolynomial", "positive_rational", "rational",
     "MixedSum", "MixedTerm", "mixed_diff", "mixed_eval",
     "kernel_derivative", "kernel_eval", "kernel_recurrence_check",
     "RhsConstant", "beta_int", "extremal_density", "kernel_power_moment",

@@ -7,16 +7,19 @@ the package's one admission rule for exact inputs: ``rational`` turns a
 string, int or Fraction into a Fraction and refuses every float (a
 ``numpy.float64`` included), and ``positive_rational`` adds the check that
 the shape parameter alpha is > 0.  Every exact entry point of the package
-admits alpha through ``positive_rational``.  Two rings are provided:
+admits alpha through ``positive_rational``.  Two polynomial types are
+provided, both stored as integers over one positive denominator:
 
-* ``AlphaPolynomial`` -- univariate polynomials in the shape parameter
-  ``alpha`` over the rationals.
-* ``ZPolynomial`` -- polynomials in an abstract variable ``z`` whose
-  coefficients are ``AlphaPolynomial``s, i.e. elements of Q[alpha][z].
+* ``AlphaPolynomial`` -- the ring of univariate polynomials in the shape
+  parameter ``alpha`` over the rationals.
+* ``ZPolynomial`` -- a polynomial in ``z`` with coefficients in Q[alpha],
+  held as integer rows (row j lists the alpha coefficients of z^j) over
+  one denominator.  It is built, specialized at a rational alpha and
+  evaluated; it carries no arithmetic.
 
 Both are immutable (hashable, safe to share across threads) and keep a
-canonical form: trailing zero coefficients are stripped, so equal values
-compare equal structurally.
+canonical form: lowest terms, trailing zero coefficients stripped, so
+equal values compare equal structurally.
 """
 
 from __future__ import annotations
@@ -144,8 +147,8 @@ class AlphaPolynomial:
         return not self.num
 
     # -- ring operations ----------------------------------------------
-    # Operators return NotImplemented for foreign types (e.g. ZPolynomial)
-    # so that Python can dispatch to the other operand's reflected method.
+    # Operators return NotImplemented for foreign types, so a float operand
+    # ends in a TypeError rather than a binary fraction.
 
     def __add__(self, other: AlphaPolyLike) -> AlphaPolynomial:
         if not isinstance(other, (AlphaPolynomial, int, Fraction)):
@@ -221,114 +224,70 @@ def _coerce_alpha(value: AlphaPolyLike) -> AlphaPolynomial:
 ALPHA = AlphaPolynomial((0, 1))
 
 
-def _as_alpha_tuple(coeffs: Iterable[AlphaPolyLike]) -> tuple[AlphaPolynomial, ...]:
-    out = tuple(_coerce_alpha(c) for c in coeffs)
-    while out and out[-1].is_zero:
-        out = out[:-1]
-    return out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ZPolynomial:
-    """A polynomial in ``z`` whose coefficients live in Q[alpha].
+    """A polynomial in ``z`` with coefficients in Q[alpha].
 
-    ``coeffs[j]`` (an :class:`AlphaPolynomial`) multiplies ``z**j``.
-    Canonical form strips trailing zero coefficients, so equality is
-    structural equality of the normalized representation.
+    ``rows[j][i] / den`` multiplies ``alpha**i * z**j``: ints over one
+    positive ``den`` in lowest terms, with no row ending in a zero and no
+    trailing empty row (the zero polynomial is ``()`` over 1, degree -1).
     """
 
-    coeffs: tuple[AlphaPolynomial, ...] = ()
+    rows: tuple[tuple[int, ...], ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _as_alpha_tuple(self.coeffs))
+    def __init__(self, rows: Iterable[Iterable[int]] = (), den: int = 1) -> None:
+        rows = [[operator.index(x) for x in row] for row in rows]
+        den = operator.index(den)
+        if den <= 0:
+            raise ValueError("den must be a positive integer")
+        for row in rows:
+            while row and not row[-1]:
+                row.pop()
+        while rows and not rows[-1]:
+            rows.pop()
+        g = math.gcd(den, *(x for row in rows for x in row))
+        object.__setattr__(self, "rows", tuple(tuple(x // g for x in row) for row in rows))
+        object.__setattr__(self, "den", den // g)
 
-    @staticmethod
-    def constant(c: AlphaPolyLike) -> ZPolynomial:
-        return ZPolynomial((_coerce_alpha(c),))
-
-    @staticmethod
-    def zero() -> ZPolynomial:
-        return ZPolynomial(())
+    @property
+    def coeffs(self) -> tuple[AlphaPolynomial, ...]:
+        """Read-only view: ``coeffs[j]`` multiplies ``z**j``."""
+        return tuple(AlphaPolynomial(row, self.den) for row in self.rows)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return len(self.rows) - 1
 
     @property
     def leading_coeff(self) -> AlphaPolynomial:
-        if self.is_zero:
-            return AlphaPolynomial.zero()
-        return self.coeffs[-1]
-
-    @property
-    def constant_term(self) -> AlphaPolynomial:
-        if self.is_zero:
-            return AlphaPolynomial.zero()
-        return self.coeffs[0]
-
-    def __add__(self, other: ZPolyLike) -> ZPolynomial:
-        other = _coerce_z(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = AlphaPolynomial.zero()
-        a = self.coeffs + (zero,) * (n - len(self.coeffs))
-        b = other.coeffs + (zero,) * (n - len(other.coeffs))
-        return ZPolynomial(tuple(x + y for x, y in zip(a, b)))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> ZPolynomial:
-        return ZPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: ZPolyLike) -> ZPolynomial:
-        return self + (-_coerce_z(other))
-
-    def __rsub__(self, other: ZPolyLike) -> ZPolynomial:
-        return _coerce_z(other) + (-self)
-
-    def __mul__(self, other: ZPolyLike) -> ZPolynomial:
-        other = _coerce_z(other)
-        if self.is_zero or other.is_zero:
-            return ZPolynomial.zero()
-        zero = AlphaPolynomial.zero()
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return ZPolynomial(tuple(out))
-
-    __rmul__ = __mul__
-
-    def diff_z(self) -> ZPolynomial:
-        """Formal derivative with respect to z (alpha is a constant here)."""
-        if self.degree < 1:
-            return ZPolynomial.zero()
-        return ZPolynomial(tuple(j * c for j, c in enumerate(self.coeffs) if j >= 1))
+        return AlphaPolynomial(self.rows[-1] if self.rows else (), self.den)
 
     def specialize(self, alpha: RationalLike) -> tuple[Fraction, ...]:
         """Exact coefficients in z after substituting a rational alpha.
 
         Trailing zeros are stripped, so the result is again canonical.
         """
-        out = [c(alpha) for c in self.coeffs]
+        a = rational(alpha)
+        q = a.denominator
+        out = [Fraction(scaled_value(row, a), self.den * q ** max(len(row) - 1, 0))
+               for row in self.rows]
         while out and out[-1] == 0:
             out.pop()
         return tuple(out)
 
     def evaluate(self, alpha: RationalLike, z: RationalLike) -> Fraction:
-        """Exact evaluation: Horner in z on top of Horner in alpha."""
-        a = rational(alpha)
-        zz = rational(z)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * zz + c(a)
-        return acc
+        """Exact evaluation: integer Horner in alpha per row, then in z."""
+        a, zz = rational(alpha), rational(z)
+        d = max(map(len, self.rows), default=1) - 1
+        q = a.denominator
+        # every row scaled to q^d * row(a), so all share one denominator
+        values = [scaled_value(row, a) * q ** (d + 1 - len(row)) for row in self.rows]
+        den = self.den * q ** d * zz.denominator ** max(self.degree, 0)
+        return Fraction(scaled_value(values, zz), den)
 
     def __str__(self) -> str:
-        if self.is_zero:
+        if not self.rows:
             return "0"
         parts = []
         for j, c in enumerate(self.coeffs):
@@ -341,18 +300,3 @@ class ZPolynomial:
             else:
                 parts.append(f"({c})*z^{j}")
         return " + ".join(parts)
-
-
-ZPolyLike = Union[ZPolynomial, AlphaPolynomial, Fraction, int]
-
-
-def _coerce_z(value: ZPolyLike) -> ZPolynomial:
-    if isinstance(value, ZPolynomial):
-        return value
-    if isinstance(value, (AlphaPolynomial, int, Fraction)):
-        return ZPolynomial.constant(_coerce_alpha(value))
-    raise TypeError(f"cannot treat {value!r} as a polynomial in z")
-
-
-#: the monomial ``z`` itself
-Z = ZPolynomial((AlphaPolynomial.zero(), AlphaPolynomial.constant(1)))

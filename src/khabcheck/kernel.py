@@ -17,8 +17,12 @@ x above a fixed switch point we instead sum the convergent tail series
 
     K_n(x) = sum_{m >= n+1} (1-x)**m / m
 
-with an explicit geometric remainder bound, giving full double accuracy on
-the whole domain.
+with an explicit geometric remainder bound.  The accuracy is absolute,
+not relative: the series stops once its remainder bound is below ``tol``,
+and the closed form keeps the rounding error of its largest term.  Where
+K_n is small beside ``tol`` the value can have no correct digit:
+``kernel_eval(20, 0.9)`` returns 5.1e-18 where K_20(0.9) = 5.3e-23, and
+``kernel_eval(60, 0.5)`` returns -2.1e-17 although K_n > 0 on (0, 1).
 """
 
 from __future__ import annotations

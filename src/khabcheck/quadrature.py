@@ -237,7 +237,7 @@ class ResidualCheck:
 
 
 def integrate_01_kernel(n: int, q: DensityFunction, t: float,
-                        alpha: RationalLike, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
+                        cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
     """The premise integral  int_0^1 K_{n-1}(x) q(t x) dx  for conjecture index n.
 
     The kernel's logarithmic blow-up at 0 combines with q's endpoint power;
@@ -248,7 +248,6 @@ def integrate_01_kernel(n: int, q: DensityFunction, t: float,
         raise ValueError("conjecture index n must be >= 1")
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError("t must be positive and finite")
-    positive_rational(alpha)
     return _premise_integral(n - 1, q, t, cfg, {})
 
 
@@ -273,7 +272,12 @@ def _premise_integral(k_index: int, q: DensityFunction, t: float, cfg: QuadConfi
 
 
 def integrate_log_moment(alpha: RationalLike, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
-    """int_0^oo t^(alpha-1) ln(1 + t^(-2 alpha)) dt  (analytic value: pi/alpha)."""
+    """int_0^oo t^(alpha-1) ln(1 + t^(-2 alpha)) dt  (analytic value: pi/alpha).
+
+    With z = t^(2 alpha), t^(alpha-1) dt = z^(-1/2) dz / (2 alpha), so the
+    integral is (1/(2 alpha)) int_0^oo z^(-1/2) ln(1 + 1/z) dz = pi/alpha: the
+    z-integral is 2 pi (integrate by parts to 2 B(1/2, 1/2)), free of alpha.
+    """
     a = positive_rational(alpha)
     af = float(a)
 
@@ -288,7 +292,9 @@ def integrate_weight_prime_moment(alpha: RationalLike,
     """int_0^oo t^alpha * w'(t) dt  where w is the log weight (value: -pi).
 
     The first derivative collapses to -2a * t^(a-1) / (1 + t^(2a)), giving
-    an integrand with the same endpoint structure as the log moment.
+    an integrand with the same endpoint structure as the log moment.  With
+    z = t^(2a), t^(a-1) dt = z^(-1/2) dz / (2a), so the integral is
+    -int_0^oo z^(-1/2) / (1 + z) dz = -B(1/2, 1/2) = -pi for every alpha.
     """
     a = positive_rational(alpha)
     af = float(a)

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction as F
 
 from khabcheck.constants import verify_moment_identity, verify_reciprocity
-from khabcheck.exact import ALPHA, Z, ZPolynomial
+from khabcheck.exact import ALPHA, AlphaPolynomial
 from khabcheck.positivity import (
     Status,
     alpha_threshold,
@@ -45,13 +45,13 @@ def _verdict(num: int, ok: bool, elapsed: float, budget: float, detail: str):
 def test_criterion_1_exact_polynomial_layer():
     start = time.perf_counter()
     a = ALPHA
-    expected_1 = (2 * a + 1) * Z + (1 - 2 * a)
-    expected_2 = ((2 * a + 1) * (a + 1) * Z * Z
-                  + (1 - 2 * a) * (2 * a + 1) * Z * 2
-                  + (1 - 2 * a) * (1 - a))
-    ok = (transition_poly(0) == ZPolynomial.constant(1)
-          and transition_poly(1) == expected_1
-          and transition_poly(2) == expected_2)
+    expected_1 = (1 - 2 * a, 2 * a + 1)
+    expected_2 = ((1 - 2 * a) * (1 - a),
+                  (1 - 2 * a) * (2 * a + 1) * 2,
+                  (2 * a + 1) * (a + 1))
+    ok = (transition_poly(0).coeffs == (AlphaPolynomial.constant(1),)
+          and transition_poly(1).coeffs == expected_1
+          and transition_poly(2).coeffs == expected_2)
     _verdict(1, ok, time.perf_counter() - start, 1.0,
              "members 1 and 2 match their closed forms coefficient-for-coefficient")
 

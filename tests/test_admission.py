@@ -26,7 +26,6 @@ from khabcheck.positivity import (
 )
 from khabcheck.quadrature import (
     extremal_density_fn,
-    integrate_01_kernel,
     integrate_log_moment,
     integrate_weight_prime_moment,
     khabibullin_transform,
@@ -66,7 +65,6 @@ ENTRIES = {
     "poly_nonneg_on_pos": lambda a: poly_nonneg_on_pos(transition_poly(2), a),
     "region_scan": lambda a: region_scan([2], [F(1, 4), a]),
     "extremal_density_fn": _density,
-    "integrate_01_kernel": lambda a: integrate_01_kernel(2, DENSITY, 0.7, a),
     "integrate_log_moment": integrate_log_moment,
     "integrate_weight_prime_moment": integrate_weight_prime_moment,
     "verify_reconstruction": lambda a: verify_reconstruction(1, a, 0.5),

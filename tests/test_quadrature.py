@@ -149,7 +149,7 @@ def test_kernel_weighted_density_integral():
     # t * int_0^1 A_0(x) q(tx) dx = t^a / a^2 / B(a, n) * a ... checked
     # against the premise driver at t = 1 instead: the grid entry target
     q = extremal_density_fn(F(1, 2), 1)
-    inner = integrate_01_kernel(1, q, 1.0, F(1, 2))
+    inner = integrate_01_kernel(1, q, 1.0)
     assert inner.converged
     # t=1: lhs = B(1/2,1)^(-1) * a * (1/a^2) scaled ... frozen oracle value:
     assert 1.0 * inner.value == pytest.approx(1.0, rel=1e-10)
@@ -282,7 +282,7 @@ def test_chain_rejects_nonfinite_grid_points(t):
         verify_conjecture_chain(2, alpha, extremal_density_fn(alpha, 2),
                                 t_grid=[1.0, t])
     with pytest.raises(ValueError, match="^t must be positive and finite$"):
-        integrate_01_kernel(2, extremal_density_fn(alpha, 2), t, alpha)
+        integrate_01_kernel(2, extremal_density_fn(alpha, 2), t)
 
 
 @pytest.mark.parametrize("lhs, converged", [(0.5, False), (math.nan, True)])
@@ -458,7 +458,7 @@ def test_chain_premise_equals_one_shot_integrals_bit_for_bit(n, alpha, hints, cf
     report = verify_conjecture_chain(n, alpha, q, cfg=cfg)
     assert report.applicable and len(report.premise) == 25
     for entry in report.premise:
-        assert _bits(entry.quad) == _bits(integrate_01_kernel(n, q, entry.t, alpha, cfg))
+        assert _bits(entry.quad) == _bits(integrate_01_kernel(n, q, entry.t, cfg))
 
 
 # -- the extremal density's float route ------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from khabcheck.exact import ALPHA, Z, ZPolynomial
+from khabcheck.exact import ALPHA, AlphaPolynomial, ZPolynomial
 from khabcheck.termalgebra import mixed_eval
 from khabcheck.transition import (
     PhiFamily,
@@ -29,15 +29,16 @@ from khabcheck.transition import (
 # -- exact polynomial layer --------------------------------------------------
 
 def test_first_polynomials_match_hand_expansion():
-    assert transition_poly(0) == ZPolynomial.constant(1)
-    assert transition_poly(1) == (2 * ALPHA + 1) * Z + (1 - 2 * ALPHA)
+    a = ALPHA
+    assert transition_poly(0) == ZPolynomial(((1,),))
+    assert transition_poly(0).coeffs == (AlphaPolynomial.constant(1),)
+    assert transition_poly(1).coeffs == (1 - 2 * a, 2 * a + 1)
 
     # expanded by hand from one recurrence step applied to the degree-1 case
-    a = ALPHA
-    p2 = ((2 * a + 1) * (a + 1) * Z * Z
-          + (1 - 2 * a) * (2 * a + 1) * Z * 2
-          + (1 - 2 * a) * (1 - a))
-    assert transition_poly(2) == p2
+    p2 = ((1 - 2 * a) * (1 - a),
+          (1 - 2 * a) * (2 * a + 1) * 2,
+          (2 * a + 1) * (a + 1))
+    assert transition_poly(2).coeffs == p2
 
 
 def test_degree_equals_index():
@@ -53,10 +54,9 @@ def test_half_alpha_collapses_to_monomial(n):
 
 def test_leading_and_constant_coefficients_closed_form():
     for n in range(1, 11):
-        lead = transition_poly(n).leading_coeff
-        const = transition_poly(n).constant_term
-        lead_expected = ZPolynomial.constant(1).leading_coeff  # the 1-poly
-        const_expected = lead_expected
+        coeffs = transition_poly(n).coeffs
+        lead, const = coeffs[-1], coeffs[0]
+        lead_expected = const_expected = AlphaPolynomial.constant(1)
         for k in range(1, n + 1):
             lead_expected = lead_expected * (1 + F(2, k) * ALPHA)
             const_expected = const_expected * (1 - F(2, k) * ALPHA)
@@ -64,20 +64,34 @@ def test_leading_and_constant_coefficients_closed_form():
         assert const == const_expected
 
 
+def _z_product(p, q):
+    """Convolution of two coefficient lists in z."""
+    out = [AlphaPolynomial.zero()] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
 def _rational_recurrence(n_max):
-    """P_0..P_n_max by the recurrence over Q[alpha][z], as a reference."""
-    polys = [ZPolynomial.constant(1)]
+    """P_0..P_n_max by the recurrence over Q[alpha][z], as a reference.
+
+    Each P is a list of AlphaPolynomial coefficients of z^0, z^1, ...
+    """
+    polys = [[AlphaPolynomial.constant(1)]]
     for n in range(1, n_max + 1):
         prev = polys[-1]
-        linear = (2 * ALPHA + 1) * Z + (1 - F(2, n) * ALPHA)
-        damping = F(1, n) * 2 * ALPHA * (Z * Z + Z)
-        polys.append(linear * prev - damping * prev.diff_z())
+        derivative = [j * c for j, c in enumerate(prev)][1:]
+        linear = [1 - F(2, n) * ALPHA, 2 * ALPHA + 1]
+        damping = [AlphaPolynomial.zero(), F(2, n) * ALPHA, F(2, n) * ALPHA]
+        growth, decay = _z_product(linear, prev), _z_product(damping, derivative)
+        polys.append([g - d for g, d in zip(growth, decay, strict=True)])
     return polys
 
 
 def test_integer_recurrence_matches_rational_recurrence():
     for n, expected in enumerate(_rational_recurrence(30)):
-        assert transition_poly(n) == expected, n
+        assert transition_poly(n).coeffs == tuple(expected), n
 
 
 def test_polynomial_cache_returns_identical_objects():
@@ -262,6 +276,17 @@ def test_asymptotic_report_small_and_large_t():
     # the scaled large-t samples approach 4 a^2 |leading coefficient|
     lead = transition_poly(2).leading_coeff(F(1, 4))
     assert rep2.large_t_limit == pytest.approx(4 * 0.25 ** 2 * float(lead))
+
+
+@pytest.mark.parametrize("check", [
+    lambda: oracle_equiv_check(1, [], [1.0]),
+    lambda: oracle_equiv_check(1, [F(1, 2)], []),
+    lambda: asymptotic_check(1, F(1, 2), F(1), large_ts=()),
+    lambda: asymptotic_check(1, F(1, 2), F(1), small_ts=()),
+], ids=["oracle-alphas", "oracle-ts", "asymptotic-large", "asymptotic-small"])
+def test_empty_sample_grids_are_refused(check):
+    with pytest.raises(ValueError, match="^sample grids must be non-empty$"):
+        check()
 
 
 def test_family_builder_and_validation():
