@@ -25,15 +25,16 @@ alpha values are exact rationals ("1/2", "7/3"); floats are rejected so
 that every certificate-bearing computation stays exact.  Reports are
 deterministic: identical invocations with --no-timestamp produce
 byte-identical output.  Exit codes: 0 all checks passed, 1 a mathematical
-check failed or an integral did not converge, 2 usage error.  A numeric
-failure at one point of an integrals suite (overflow, division by zero, a
-domain error) is that point's `fail` record, with the exception in
-params.error, so the report completes and exits 1.
+check failed, an integral did not converge or a computation failed
+numerically, 2 usage error.  A numeric failure at one point of an
+integrals suite is that point's `fail` record, with the exception in
+params.error, so the report completes; elsewhere it ends the run.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime as _dt
 import io
 import itertools
@@ -172,17 +173,17 @@ def _render_report(records: list[dict], config: dict, fmt: str,
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     # CSV: the records table only; configuration lives in the invocation
     buf = io.StringIO()
-    buf.write("check,params,target,value,residual,status\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["check", "params", "target", "value", "residual", "status"])
     for r in records:
-        cells = [
+        writer.writerow([
             r["check"],
             _render_params(r["params"]),
             "" if r["target"] is None else repr(r["target"]),
             "" if r["value"] is None else repr(r["value"]),
             "" if r["residual"] is None else repr(r["residual"]),
             r["status"],
-        ]
-        buf.write(",".join(cells) + "\n")
+        ])
     return buf.getvalue()
 
 
@@ -451,9 +452,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         result = args.func(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"khabcheck: error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"khabcheck: numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     if isinstance(result, str):  # plot-data
         _emit(result, args.out)
         return 0

@@ -16,18 +16,23 @@ the same shape:
 so the span is closed under d/dt and we can build high-order derivatives
 exactly, in canonical form, without a general CAS.
 
-``MixedSum`` keeps terms merged by the key ``(k, p, q)`` in lexicographic
-order with zero coefficients dropped; two sums representing the same
-function as a formal linear combination compare equal.
+``MixedSum`` holds a sum as integer rows over one positive denominator, like
+``exact.ZPolynomial``: each sorted key ``(k, p, q)`` maps to the integer
+alpha-coefficients of its term, equal keys merge, zero terms are dropped and
+the whole is in lowest terms, so two sums representing the same function as
+a formal linear combination compare equal.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable
 
-from .exact import ALPHA, AlphaPolynomial, AlphaPolyLike, _coerce_alpha
+from .exact import AlphaPolynomial, AlphaPolyLike, _coerce_alpha, rational
 
 
 @dataclass(frozen=True)
@@ -39,88 +44,59 @@ class MixedTerm:
     q: int
     k: int
 
-    def __post_init__(self) -> None:
-        if self.q < 0 or self.k < 0:
-            raise ValueError("exponents q and k must be nonnegative")
-
-    @property
-    def key(self) -> tuple[int, int, int]:
-        return (self.k, self.p, self.q)
-
-    def value(self, alpha: float, t: float) -> float:
-        """Evaluate at floats, working in log space to dodge overflow.
-
-        Overflow is reported as a signed infinity rather than raised, so a
-        caller summing many terms sees a non-finite result instead of an
-        exception.
-        """
-        if t <= 0.0:
-            raise ValueError("t must be positive")
-        # Coefficient at float alpha via Horner (floats are fine here); int / int
-        # is correctly rounded, so x / den is the float of each exact coefficient.
-        cf = 0.0
-        for x in reversed(self.coeff.num):
-            cf = cf * alpha + x / self.coeff.den
-        if cf == 0.0:
-            return 0.0
-        beta = 2.0 * alpha
-        log_t = math.log(t)
-        bl = beta * log_t
-        # log(1 + t**beta), stable on both sides of t = 1
-        if bl > 0.0:
-            log_base = bl + math.log1p(math.exp(-bl))
-        else:
-            log_base = math.log1p(math.exp(bl))
-        log_mag = math.log(abs(cf)) + (self.p + self.q * beta) * log_t - self.k * log_base
-        sign = 1.0 if cf > 0.0 else -1.0
-        if log_mag > 709.0:
-            return sign * math.inf
-        return sign * math.exp(log_mag)
-
     def __str__(self) -> str:
         return f"({self.coeff}) * t^({self.p}+{self.q}b) * (1+t^b)^(-{self.k})"
 
 
-def _normalize(terms: Iterable[MixedTerm]) -> tuple[MixedTerm, ...]:
-    merged: dict[tuple[int, int, int], AlphaPolynomial] = {}
-    for term in terms:
-        key = term.key
-        if key in merged:
-            merged[key] = merged[key] + term.coeff
-        else:
-            merged[key] = term.coeff
-    out = []
-    for key in sorted(merged):
-        coeff = merged[key]
-        if not coeff.is_zero:
-            k, p, q = key
-            out.append(MixedTerm(coeff, p, q, k))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MixedSum:
-    """A finite linear combination of :class:`MixedTerm`, kept canonical."""
+    """A finite linear combination of terms, kept canonical.
 
-    terms: tuple[MixedTerm, ...] = ()
+    ``rows`` pairs each sorted key ``(k, p, q)`` with a row whose ``row[i] / den``
+    multiplies ``alpha**i`` in that key's term: ints over one positive ``den``
+    in lowest terms, no row ending in a zero (the zero sum is ``()`` over 1);
+    floats are rejected.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", _normalize(self.terms))
+    rows: tuple[tuple[tuple[int, int, int], tuple[int, ...]], ...]
+    den: int
+
+    def __init__(self, rows: Iterable[tuple[tuple[int, int, int], Iterable[int]]] = (),
+                 den: int = 1) -> None:
+        den = operator.index(den)
+        if den <= 0:
+            raise ValueError("den must be a positive integer")
+        merged: dict[tuple[int, int, int], list[int]] = {}
+        for key, row in rows:
+            k, _, q = key = tuple(map(operator.index, key))
+            if k < 0 or q < 0:
+                raise ValueError("exponents q and k must be nonnegative")
+            acc = merged.get(key, ())
+            merged[key] = [x + operator.index(y) for x, y in zip_longest(acc, row, fillvalue=0)]
+        for acc in merged.values():
+            while acc and not acc[-1]:
+                acc.pop()
+        g = math.gcd(den, *(x for acc in merged.values() for x in acc))
+        object.__setattr__(self, "rows", tuple(
+            (key, tuple(x // g for x in merged[key])) for key in sorted(merged) if merged[key]))
+        object.__setattr__(self, "den", den // g)
 
     @staticmethod
     def single(coeff: AlphaPolyLike, p: int, q: int, k: int) -> MixedSum:
-        return MixedSum((MixedTerm(_coerce_alpha(coeff), p, q, k),))
-
-    @staticmethod
-    def zero() -> MixedSum:
-        return MixedSum(())
+        c = _coerce_alpha(coeff)
+        return MixedSum((((k, p, q), c.num),), c.den)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def terms(self) -> tuple[MixedTerm, ...]:
+        """Read-only view, one term per key in ``(k, p, q)`` order."""
+        return tuple(MixedTerm(AlphaPolynomial(row, self.den), p, q, k)
+                     for (k, p, q), row in self.rows)
 
     def __add__(self, other: MixedSum) -> MixedSum:
-        return MixedSum(self.terms + other.terms)
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return MixedSum([(key, [x * sa for x in row]) for key, row in self.rows]
+                        + [(key, [x * sb for x in row]) for key, row in other.rows], den)
 
     def __neg__(self) -> MixedSum:
         return self.scale(-1)
@@ -128,38 +104,28 @@ class MixedSum:
     def __sub__(self, other: MixedSum) -> MixedSum:
         return self + (-other)
 
-    def scale(self, factor: AlphaPolyLike) -> MixedSum:
-        f = _coerce_alpha(factor)
-        return MixedSum(tuple(
-            MixedTerm(t.coeff * f, t.p, t.q, t.k) for t in self.terms))
+    def scale(self, factor: Fraction | int) -> MixedSum:
+        f = rational(factor)
+        return MixedSum(((key, [x * f.numerator for x in row]) for key, row in self.rows),
+                        self.den * f.denominator)
 
     def shift_power(self, m: int) -> MixedSum:
         """Multiply the whole sum by t**m."""
-        return MixedSum(tuple(
-            MixedTerm(t.coeff, t.p + m, t.q, t.k) for t in self.terms))
+        return MixedSum((((k, p + m, q), row) for (k, p, q), row in self.rows), self.den)
 
     def derivative(self) -> MixedSum:
         """d/dt, applied term by term via the closed-form rule above."""
-        out: list[MixedTerm] = []
-        for t in self.terms:
+        out = []
+        for (k, p, q), row in self.rows:
             # power-of-t part: exponent p + q*beta differentiates to
             # (p + 2*q*alpha) * t**(p-1+q*beta)
-            front = t.coeff * (AlphaPolynomial.constant(t.p) + 2 * t.q * ALPHA)
-            if not front.is_zero:
-                out.append(MixedTerm(front, t.p - 1, t.q, t.k))
-            if t.k > 0:
-                chain = t.coeff * (-2 * t.k) * ALPHA
-                out.append(MixedTerm(chain, t.p - 1, t.q + 1, t.k + 1))
-        return MixedSum(tuple(out))
-
-    def value(self, alpha: float, t: float) -> float:
-        return math.fsum(term.value(alpha, t) for term in self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
+            out.append(((k, p - 1, q), [p * x + 2 * q * y for x, y in zip((*row, 0), (0, *row))]))
+            # (1+t**beta)**(-k) part: -2*k*alpha * t**(p-1+(q+1)*beta) * (1+t**beta)**(-k-1)
+            out.append(((k + 1, p - 1, q + 1), [0, *(-2 * k * x for x in row)]))
+        return MixedSum(out, self.den)
 
     def __str__(self) -> str:
-        if self.is_zero:
+        if not self.rows:
             return "0"
         return "  +  ".join(str(t) for t in self.terms)
 
@@ -174,5 +140,32 @@ def mixed_diff(s: MixedSum, order: int = 1) -> MixedSum:
 
 
 def mixed_eval(s: MixedSum, alpha: float, t: float) -> float:
-    """Numerically evaluate a mixed sum at float (alpha, t), t > 0."""
-    return s.value(alpha, t)
+    """Numerically evaluate a mixed sum at float (alpha, t), t > 0.
+
+    Each term is evaluated in log space to dodge overflow, and the terms are
+    summed with ``math.fsum``.  An overflowing term is a signed infinity
+    rather than an exception, so the caller sees a non-finite result.
+    """
+    if t <= 0.0:
+        raise ValueError("t must be positive")
+    beta = 2.0 * alpha
+    log_t = math.log(t)
+    bl = beta * log_t
+    # log(1 + t**beta), stable on both sides of t = 1
+    if bl > 0.0:
+        log_base = bl + math.log1p(math.exp(-bl))
+    else:
+        log_base = math.log1p(math.exp(bl))
+    values = []
+    for (k, p, q), row in s.rows:
+        # Coefficient at float alpha via Horner (floats are fine here); int / int
+        # is correctly rounded, so x / den is the float of each exact coefficient.
+        cf = 0.0
+        for x in reversed(row):
+            cf = cf * alpha + x / s.den
+        if cf == 0.0:
+            continue
+        log_mag = math.log(abs(cf)) + (p + q * beta) * log_t - k * log_base
+        sign = 1.0 if cf > 0.0 else -1.0
+        values.append(sign * math.inf if log_mag > 709.0 else sign * math.exp(log_mag))
+    return math.fsum(values)

@@ -33,6 +33,7 @@ from khabcheck.quadrature import (
     verify_reconstruction,
     verify_weighted_moment,
 )
+from khabcheck.termalgebra import MixedSum
 from khabcheck.transition import (
     PhiFamily,
     asymptotic_check,
@@ -100,3 +101,7 @@ def test_exact_evaluators_refuse_floats():
         QuadraticCoeffs(1, 1, 1).eval(0.5)
     with pytest.raises(TypeError):
         region_scan([2], [F(1, 4)]).cell(2, 0.25)
+    with pytest.raises(TypeError):
+        MixedSum.single(0.5, 0, 0, 1)
+    with pytest.raises(TypeError):
+        MixedSum.single(1, 0, 0, 1).scale(0.5)

@@ -1,6 +1,7 @@
 """CLI reports end to end: golden bytes, numeric failures as records,
 parse-time validation, and the documented example invocations."""
 
+import csv
 import json
 import re
 from pathlib import Path
@@ -71,6 +72,30 @@ def test_failures_keep_the_passing_records(capsys):
     assert len(passed) == 15
     assert {r["check"] for r in passed} == {"reconstruction"}
     assert all("error" not in r["params"] for r in passed)
+
+
+def test_csv_cells_keep_commas_in_params(capsys):
+    argv = ("integrals", "--suite", "all", "--alpha", "3/232,1/64", "--no-timestamp")
+    _, out, _ = run(capsys, *argv)
+    records = json.loads(out)["records"]
+    _, out, _ = run(capsys, *argv, "--format", "csv")
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0] == ["check", "params", "target", "value", "residual", "status"]
+    assert len(rows) == len(records) + 1
+    assert all(len(row) == 6 for row in rows)
+    assert [row[1] for row in rows[1:]] == [cli._render_params(r["params"]) for r in records]
+    assert any("," in r["params"].get("error", "") for r in records)
+
+
+@pytest.mark.parametrize("argv", [
+    "plot-data --transition --n 60 --alpha 10000000 --points 3",
+    pytest.param("identities --alpha 1/1" + "0" * 200 + " --n-max 1", id="identities-alpha-1e-200"),
+])
+def test_numeric_failures_outside_integrals_exit_one(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 1
+    assert out == ""
+    assert re.fullmatch(r"khabcheck: numeric failure: OverflowError: [^\n]+\n", err)
 
 
 # -- parse-time validation --------------------------------------------------------

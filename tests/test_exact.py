@@ -16,6 +16,7 @@ from khabcheck.exact import (
     rational,
     simplest_between,
 )
+from khabcheck.termalgebra import MixedSum
 
 small_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -28,6 +29,13 @@ def alpha_polys(max_degree=4):
 def z_polys(max_degree=3):
     rows = st.lists(st.lists(st.integers(-50, 50), max_size=3), max_size=max_degree + 1)
     return st.builds(ZPolynomial, rows, st.integers(1, 20))
+
+
+def mixed_sums(max_terms=4):
+    key = st.tuples(st.integers(0, 4), st.integers(-4, 4), st.integers(0, 3))
+    rows = st.lists(st.tuples(key, st.lists(st.integers(-50, 50), max_size=3)),
+                    max_size=max_terms)
+    return st.builds(MixedSum, rows, st.integers(1, 20))
 
 
 # -- rational parsing ------------------------------------------------------
@@ -79,11 +87,14 @@ def test_zero_polynomial_degree_is_minus_one():
     assert AlphaPolynomial.zero().is_zero
 
 
-@given(alpha_polys(), z_polys(), st.integers(1, 30))
-def test_alpha_poly_normalization_is_idempotent(p, P, k):
+@given(alpha_polys(), z_polys(), mixed_sums(), st.integers(1, 30), st.randoms())
+def test_alpha_poly_normalization_is_idempotent(p, P, S, k, rnd):
     assert AlphaPolynomial(p.coeffs) == p
     # rows * k over den * k is rows over den
     assert ZPolynomial([[k * x for x in row] for row in P.rows], k * P.den) == P
+    assert MixedSum([(key, [k * x for x in row]) for key, row in S.rows], k * S.den) == S
+    # terms given in any key order are the same sum
+    assert MixedSum(rnd.sample(S.rows, len(S.rows)), S.den) == S
 
 
 # -- integers over one denominator ------------------------------------------

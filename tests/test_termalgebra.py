@@ -24,7 +24,7 @@ def small_sums():
     return st.lists(term, max_size=4).map(
         lambda ts: sum(
             (MixedSum.single(c, p, q, k) for c, p, q, k in ts),
-            MixedSum.zero(),
+            MixedSum(),
         ))
 
 
@@ -33,6 +33,12 @@ def test_single_term_structure():
     (term,) = s.terms
     assert term.coeff == AlphaPolynomial.constant(F(3, 2))
     assert (term.p, term.q, term.k) == (1, 0, 2)
+
+
+def test_negative_exponents_q_and_k_are_refused():
+    for q, k in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            MixedSum.single(1, 0, q, k)
 
 
 def test_terms_with_equal_keys_merge():
@@ -115,10 +121,11 @@ def test_derivative_commutes_with_power_shift(s, m):
     assert left.terms == right.terms
 
 
-def test_scale_by_alpha_polynomial():
-    s = MixedSum.single(2, 1, 1, 1).scale(3 * ALPHA + 1)
+def test_scale_by_a_fraction():
+    s = MixedSum.single(2 * (3 * ALPHA + 1), 1, 1, 1).scale(F(-5, 4))
     (term,) = s.terms
-    assert term.coeff == 2 * (3 * ALPHA + 1)
+    assert term.coeff == F(-5, 2) * (3 * ALPHA + 1)
+    assert (s.rows, s.den) == ((((1, 1, 1), (-5, -15)),), 2)
 
 
 def test_mixed_diff_orders():
