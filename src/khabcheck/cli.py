@@ -27,8 +27,9 @@ deterministic: identical invocations with --no-timestamp produce
 byte-identical output.  Exit codes: 0 all checks passed, 1 a mathematical
 check failed, an integral did not converge or a computation failed
 numerically, 2 usage error.  A numeric failure at one point of an
-integrals suite is that point's `fail` record, with the exception in
-params.error, so the report completes; elsewhere it ends the run.
+integrals suite, or in one identities record, is that record's `fail`,
+with the exception in params.error, so the report completes; elsewhere
+(scan, plot-data) it ends the run.
 """
 
 from __future__ import annotations
@@ -200,27 +201,38 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _moment_identity(alpha: Fraction, n: int) -> tuple:
+    product = kernel_power_moment(alpha, n, "product")
+    telescoped = kernel_power_moment(alpha, n, "sum")
+    return (PASS if product == telescoped else FAIL, float(product), float(telescoped),
+            float(telescoped - product))
+
+
+def _reciprocity(alpha: Fraction, n: int) -> tuple:
+    prod = beta_int(alpha, n) * rhs_constant(alpha, n).pi_coefficient
+    return PASS if prod == 1 else FAIL, 1.0, float(prod), float(prod - 1)
+
+
+# identity: (check name, first index, (alpha, n) -> (status, target, value, residual))
+_IDENTITIES = (("kernel-moment-identity", 0, _moment_identity),
+               ("beta-product-reciprocity", 1, _reciprocity))
+
+
 def _cmd_identities(args: argparse.Namespace) -> tuple[list[dict], dict]:
     records = []
     for alpha in sorted(args.alpha):
-        for n in range(0, args.n_max + 1):
-            product = kernel_power_moment(alpha, n, "product")
-            telescoped = kernel_power_moment(alpha, n, "sum")
-            records.append(_record(
-                "kernel-moment-identity",
-                {"alpha": str(alpha), "n": n},
-                PASS if product == telescoped else FAIL,
-                target=float(product), value=float(telescoped),
-                residual=float(telescoped - product),
-            ))
-        for n in range(1, args.n_max + 1):
-            prod = beta_int(alpha, n) * rhs_constant(alpha, n).pi_coefficient
-            records.append(_record(
-                "beta-product-reciprocity",
-                {"alpha": str(alpha), "n": n},
-                PASS if prod == 1 else FAIL,
-                target=1.0, value=float(prod), residual=float(prod - 1),
-            ))
+        for check, first, identity in _IDENTITIES:
+            for n in range(first, args.n_max + 1):
+                params = {"alpha": str(alpha), "n": n}
+                try:
+                    status, target, value, residual = identity(alpha, n)
+                except ArithmeticError as exc:
+                    # an exact value too large for a float fails that record only
+                    records.append(_record(
+                        check, {**params, "error": f"{type(exc).__name__}: {exc}"}, FAIL))
+                    continue
+                records.append(_record(check, params, status,
+                                       target=target, value=value, residual=residual))
     config = {"command": "identities", "alpha": [str(a) for a in args.alpha],
               "nMax": args.n_max}
     return records, config

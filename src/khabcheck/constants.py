@@ -14,11 +14,13 @@ inequality, and the power moment of the n-th kernel,
 
     integral_0^1 K_n(x) * x**(alpha-1) dx,
 
-equals B(alpha, n+1) / alpha.  Everything here is exact Fraction
-arithmetic on an alpha admitted by ``exact.positive_rational``, so a float
-alpha is refused rather than turned into a binary fraction; the one float
-helper, ``extremal_density``, is a one-shot evaluation that redoes the
-exact product on every call.  Integrands use
+equals B(alpha, n+1) / alpha.  Everything here is exact, on an alpha
+admitted by ``exact.positive_rational``, so a float alpha is refused rather
+than turned into a binary fraction.  With alpha = p/q, each product runs
+over the integers, as one numerator and one denominator, and forms a
+single ``Fraction`` at the end.  The one float helper,
+``extremal_density``, is a one-shot evaluation that redoes the exact
+integer product on every call.  Integrands use
 ``quadrature.extremal_density_fn``, which reduces the exact scale to a
 float once per density.
 """
@@ -37,10 +39,13 @@ def beta_int(alpha: RationalLike, n: int) -> Fraction:
     a = positive_rational(alpha)
     if n < 1:
         raise ValueError("n must be >= 1")
-    value = 1 / a
+    p, q = a.numerator, a.denominator
+    # with a = p/q, each factor k/(k+a) is kq/(kq+p)
+    num, den = q, p
     for k in range(1, n):
-        value *= Fraction(k) / (k + a)
-    return value
+        num *= k * q
+        den *= k * q + p
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -66,10 +71,13 @@ def rhs_constant(alpha: RationalLike, n: int) -> RhsConstant:
     a = positive_rational(alpha)
     if n < 1:
         raise ValueError("n must be >= 1")
-    coeff = a
+    p, q = a.numerator, a.denominator
+    # with a = p/q, each factor 1 + a/k is (kq+p)/(kq)
+    num, den = p, q
     for k in range(1, n):
-        coeff *= 1 + a / k
-    return RhsConstant(alpha=a, n=n, pi_coefficient=coeff)
+        num *= k * q + p
+        den *= k * q
+    return RhsConstant(alpha=a, n=n, pi_coefficient=Fraction(num, den))
 
 
 def kernel_power_moment(alpha: RationalLike, n: int, mode: str = "product") -> Fraction:

@@ -28,7 +28,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int]
@@ -237,7 +237,7 @@ class ZPolynomial:
     den: int
 
     def __init__(self, rows: Iterable[Iterable[int]] = (), den: int = 1) -> None:
-        rows = [[operator.index(x) for x in row] for row in rows]
+        rows = [list(map(operator.index, row)) for row in rows]
         den = operator.index(den)
         if den <= 0:
             raise ValueError("den must be a positive integer")
@@ -246,8 +246,10 @@ class ZPolynomial:
                 row.pop()
         while rows and not rows[-1]:
             rows.pop()
-        g = math.gcd(den, *(x for row in rows for x in row))
-        object.__setattr__(self, "rows", tuple(tuple(x // g for x in row) for row in rows))
+        g = math.gcd(den, *chain.from_iterable(rows))
+        if g > 1:
+            rows = [[x // g for x in row] for row in rows]
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
         object.__setattr__(self, "den", den // g)
 
     @property

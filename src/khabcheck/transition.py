@@ -8,8 +8,8 @@ Two fully independent constructions are maintained side by side:
         P_n = ((2a+1) z + (1 - 2a/n)) P_{n-1}  -  (2a z (z+1) / n) P_{n-1}',
 
     from which  Phi_n(a, t) = 4 a^2 t^(2a-1) P_n(a, z) / (1+z)^(n+2)  with
-    z = t^(2a).  The recurrence itself runs over the integers, on
-    Q_n = n! P_n.
+    z = t^(2a).  Each P_n is integer rows over one denominator, one
+    integer step of the recurrence from the cached P_{n-1}.
 
 2.  **Derivative oracle** (slow, independent): Phi_n is, by its defining
     formula, a derivative of the weighted n+1-st derivative of the log
@@ -42,43 +42,54 @@ from .termalgebra import MixedSum, mixed_diff, mixed_eval
 # ---------------------------------------------------------------------------
 
 
-def _scaled_recurrence(n: int) -> list[list[int]]:
-    """Integer coefficients of Q_n = n! P_n, as rows over z of columns over alpha.
+def _recurrence_step(n: int, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """One integer step of the recurrence: rows of c * P_{n-1} to rows of m * c * P_n.
 
-    Multiplying the recurrence by n! clears every denominator:
+    ``rows`` (row j lists the alpha coefficients of z^j) is any integer
+    multiple c * P_{n-1}.  Multiplying the recurrence by n clears its
+    denominators,
 
-        Q_n = (n (2a+1) z + n - 2a) Q_{n-1}  -  2a z (z+1) Q_{n-1}',
+        n P_n = (n (2a+1) z + n - 2a) P_{n-1}  -  2a z (z+1) P_{n-1}',
 
-    so the z^j row of Q_n is  n (Q[j-1] + Q[j]) + 2a ((n-j+1) Q[j-1] - (j+1) Q[j]).
+    so, with Q = rows, the z^j row of n * c * P_n is
+
+        n (Q[j-1] + Q[j]) + 2a ((n-j+1) Q[j-1] - (j+1) Q[j]).
+
+    At even n every such row is even, so the step divides it by
+    h = gcd(n, 2) and returns it with m = n / h: if P_{n-1} = rows / den,
+    then P_n = step_rows / (m * den).
     """
-    q = [[1]]
-    for m in range(1, n + 1):
-        rows = []
-        for j in range(m + 1):
-            row = [0] * (m + 1)
-            if j:
-                for i, x in enumerate(q[j - 1]):
-                    row[i] += m * x
-                    row[i + 1] += 2 * (m - j + 1) * x
-            if j < m:
-                for i, x in enumerate(q[j]):
-                    row[i] += m * x
-                    row[i + 1] -= 2 * (j + 1) * x
-            rows.append(row)
-        q = rows
-    return q
+    h = math.gcd(n, 2)
+    m = n // h
+    # every row padded to n + 1 entries, between zero rows for z^-1 and z^n;
+    # the last entry is 0, so q[i - 1] at i = 0 reads a zero
+    zero = [0] * (n + 1)
+    q = [zero, *([*row, *zero[len(row):]] for row in rows), zero]
+    out = []
+    for j in range(n + 1):
+        lo, hi = q[j], q[j + 1]  # Q[j-1] and Q[j]
+        up, down = 2 * (n - j + 1) // h, 2 * (j + 1) // h
+        out.append([m * (lo[i] + hi[i]) + up * lo[i - 1] - down * hi[i - 1]
+                    for i in range(n + 1)])
+    return out, m
 
 
 @lru_cache(maxsize=None)
 def transition_poly(n: int) -> ZPolynomial:
     """Exact P_n in Q[alpha][z] via the first-order recurrence (cached).
 
-    The recurrence runs over the integers (see ``_scaled_recurrence``); its
-    rows are P_n over the one denominator n!.
+    Integers over one denominator: each index takes one integer step (see
+    ``_recurrence_step``) from the cached P_{n-1}, filling the cache upward
+    so that no call recurses deeply.
     """
     if n < 0:
         raise ValueError("polynomial index must be >= 0")
-    return ZPolynomial(_scaled_recurrence(n), math.factorial(n))
+    if n == 0:
+        return ZPolynomial(((1,),))
+    for k in range(n):  # fill the cache upward
+        prev = transition_poly(k)
+    rows, m = _recurrence_step(n, prev.rows)
+    return ZPolynomial(rows, m * prev.den)
 
 
 def transition_eval(n: int, alpha: RationalLike, t: float) -> float:
@@ -184,8 +195,7 @@ def transition_oracle(n: int) -> MixedSum:
         raise ValueError("index must be >= 0")
     deriv = log_weight_derivatives(n + 1)[n]  # w^(n+1)
     sign = Fraction((-1) ** (n + 1), math.factorial(n))
-    inner = deriv.scale(sign).shift_power(n + 1)
-    return -inner.derivative()
+    return deriv.scale(-sign).shift_power(n + 1).derivative()
 
 
 def transition_via_base_derivatives(n: int) -> MixedSum:

@@ -89,13 +89,34 @@ def test_csv_cells_keep_commas_in_params(capsys):
 
 @pytest.mark.parametrize("argv", [
     "plot-data --transition --n 60 --alpha 10000000 --points 3",
-    pytest.param("identities --alpha 1/1" + "0" * 200 + " --n-max 1", id="identities-alpha-1e-200"),
 ])
 def test_numeric_failures_outside_integrals_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv.split())
     assert code == 1
     assert out == ""
     assert re.fullmatch(r"khabcheck: numeric failure: OverflowError: [^\n]+\n", err)
+
+
+def test_identities_overflow_fails_only_its_records(capsys):
+    # the kernel moments at alpha = 1e-160 are ~1e320, beyond a float
+    tiny = "1/1" + "0" * 160
+    code, out, err = run(capsys, "identities", "--alpha", f"{tiny},1/2", "--n-max", "2",
+                         "--no-timestamp")
+    assert code == 1
+    assert err == ""
+    records = json.loads(out)["records"]
+    assert len(records) == 2 * (3 + 2)
+    failed = [r for r in records if r["status"] == "fail"]
+    assert [(r["check"], r["params"]["alpha"], r["params"]["n"]) for r in failed] == [
+        ("kernel-moment-identity", tiny, n) for n in range(3)]
+    for r in failed:
+        assert re.fullmatch(r"OverflowError: .+", r["params"]["error"])
+        assert r["target"] is None and r["value"] is None and r["residual"] is None
+    # the reciprocity records at the tiny alpha and every record at 1/2 are kept
+    assert all(r["status"] == "pass" and "error" not in r["params"]
+               for r in records if r not in failed)
+    _, half, _ = run(capsys, "identities", "--alpha", "1/2", "--n-max", "2", "--no-timestamp")
+    assert [r for r in records if r["params"]["alpha"] == "1/2"] == json.loads(half)["records"]
 
 
 # -- parse-time validation --------------------------------------------------------

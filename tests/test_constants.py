@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from khabcheck.constants import (
     beta_int,
@@ -107,6 +109,41 @@ def test_moment_matches_quadrature():
         assert res.converged
         assert res.value == pytest.approx(float(kernel_power_moment(alpha, n)),
                                           rel=1e-9)
+
+
+# -- integer products against step-by-step Fraction loops -------------------------
+
+def _beta_by_fractions(a, n):
+    value = 1 / a
+    for k in range(1, n):
+        value *= F(k) / (k + a)
+    return value
+
+
+def _rhs_by_fractions(a, n):
+    coeff = a
+    for k in range(1, n):
+        coeff *= 1 + a / k
+    return coeff
+
+
+# alpha = p/q with p, q in 1..10^6 spans [1e-6, 1e6]
+extreme_alphas = st.builds(F, st.integers(1, 10**6), st.integers(1, 10**6))
+
+
+@given(extreme_alphas, st.integers(0, 30))
+@example(F(1, 10**6), 30)
+@example(F(10**6), 30)
+@settings(max_examples=80, deadline=None)
+def test_integer_products_equal_fraction_loops(alpha, n):
+    if n >= 1:
+        assert beta_int(alpha, n) == _beta_by_fractions(alpha, n)
+        assert rhs_constant(alpha, n).pi_coefficient == _rhs_by_fractions(alpha, n)
+    assert kernel_power_moment(alpha, n, "product") == _beta_by_fractions(alpha, n + 1) / alpha
+    telescoped = 1 / (alpha * alpha)
+    for m in range(1, n + 1):
+        telescoped -= _beta_by_fractions(alpha, m + 1) / m
+    assert kernel_power_moment(alpha, n, "sum") == telescoped
 
 
 def test_extremal_density_frozen_values():

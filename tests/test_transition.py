@@ -90,8 +90,38 @@ def _rational_recurrence(n_max):
 
 
 def test_integer_recurrence_matches_rational_recurrence():
-    for n, expected in enumerate(_rational_recurrence(30)):
+    transition_poly.cache_clear()
+    polys = _rational_recurrence(30)
+    # the highest index first, so the upward fill builds every lower one
+    assert transition_poly(30).coeffs == tuple(polys[30])
+    for n, expected in enumerate(polys):
         assert transition_poly(n).coeffs == tuple(expected), n
+
+
+def test_transition_poly_fills_the_cache_upward():
+    transition_poly.cache_clear()
+    top = transition_poly(25)
+    assert transition_poly.cache_info().currsize == 26
+    misses = transition_poly.cache_info().misses
+    polys = [transition_poly(n) for n in range(26)]
+    assert transition_poly.cache_info().misses == misses
+    assert polys[25] is top
+    assert [p.degree for p in polys] == list(range(26))
+
+
+def test_cold_transition_poly_does_not_recurse_deeply():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    transition_poly.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        poly = transition_poly(80)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert poly.degree == 80
 
 
 def test_polynomial_cache_returns_identical_objects():
