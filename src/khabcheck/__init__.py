@@ -13,9 +13,7 @@ from .exact import ALPHA, AlphaPolynomial, ZPolynomial, positive_rational, ratio
 from .termalgebra import MixedSum, MixedTerm, mixed_diff, mixed_eval
 from .kernel import kernel_derivative, kernel_eval, kernel_recurrence_check
 from .constants import (
-    RhsConstant,
     beta_int,
-    extremal_density,
     kernel_power_moment,
     rhs_constant,
     verify_moment_identity,
@@ -65,8 +63,8 @@ __all__ = [
     "ALPHA", "AlphaPolynomial", "ZPolynomial", "positive_rational", "rational",
     "MixedSum", "MixedTerm", "mixed_diff", "mixed_eval",
     "kernel_derivative", "kernel_eval", "kernel_recurrence_check",
-    "RhsConstant", "beta_int", "extremal_density", "kernel_power_moment",
-    "rhs_constant", "verify_moment_identity", "verify_reciprocity",
+    "beta_int", "kernel_power_moment", "rhs_constant", "verify_moment_identity",
+    "verify_reciprocity",
     "AsymptoticReport", "OracleAgreement", "PhiFamily", "asymptotic_check",
     "log_weight", "log_weight_derivatives", "oracle_equiv_check",
     "transition_eval", "transition_evaluator", "transition_oracle",

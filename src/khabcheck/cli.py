@@ -209,7 +209,7 @@ def _moment_identity(alpha: Fraction, n: int) -> tuple:
 
 
 def _reciprocity(alpha: Fraction, n: int) -> tuple:
-    prod = beta_int(alpha, n) * rhs_constant(alpha, n).pi_coefficient
+    prod = beta_int(alpha, n) * rhs_constant(alpha, n)
     return PASS if prod == 1 else FAIL, 1.0, float(prod), float(prod - 1)
 
 

@@ -18,17 +18,12 @@ equals B(alpha, n+1) / alpha.  Everything here is exact, on an alpha
 admitted by ``exact.positive_rational``, so a float alpha is refused rather
 than turned into a binary fraction.  With alpha = p/q, each product runs
 over the integers, as one numerator and one denominator, and forms a
-single ``Fraction`` at the end.  The one float helper,
-``extremal_density``, is a one-shot evaluation that redoes the exact
-integer product on every call.  Integrands use
-``quadrature.extremal_density_fn``, which reduces the exact scale to a
-float once per density.
+single ``Fraction`` at the end.  The density that attains equality,
+alpha * t**(alpha-1) / B(alpha, n), is ``quadrature.extremal_density_fn``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import RationalLike, positive_rational
@@ -48,21 +43,9 @@ def beta_int(alpha: RationalLike, n: int) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class RhsConstant:
-    """The exact multiple of pi appearing on the inequality's right side."""
-
-    alpha: Fraction
-    n: int
-    pi_coefficient: Fraction
-
-    @property
-    def value(self) -> float:
-        return math.pi * float(self.pi_coefficient)
-
-
-def rhs_constant(alpha: RationalLike, n: int) -> RhsConstant:
-    """pi-coefficient  alpha * prod_{k=1..n-1} (1 + alpha/k)  as an exact record.
+def rhs_constant(alpha: RationalLike, n: int) -> Fraction:
+    """The exact pi-coefficient  alpha * prod_{k=1..n-1} (1 + alpha/k)  of the
+    inequality's right side.
 
     By construction this is exactly ``1 / beta_int(alpha, n)``; the product
     form is computed independently so the reciprocity law is a real check,
@@ -77,7 +60,7 @@ def rhs_constant(alpha: RationalLike, n: int) -> RhsConstant:
     for k in range(1, n):
         num *= k * q + p
         den *= k * q
-    return RhsConstant(alpha=a, n=n, pi_coefficient=Fraction(num, den))
+    return Fraction(num, den)
 
 
 def kernel_power_moment(alpha: RationalLike, n: int, mode: str = "product") -> Fraction:
@@ -115,23 +98,7 @@ def verify_moment_identity(alpha: RationalLike, n_max: int) -> list[bool]:
 
 
 def verify_reciprocity(alpha: RationalLike, n_max: int) -> list[bool]:
-    """Check beta_int * rhs_constant.pi_coefficient == 1 exactly, n = 1..n_max."""
+    """Check beta_int * rhs_constant == 1 exactly, n = 1..n_max."""
     a = positive_rational(alpha)
-    return [
-        beta_int(a, n) * rhs_constant(a, n).pi_coefficient == 1
-        for n in range(1, n_max + 1)
-    ]
+    return [beta_int(a, n) * rhs_constant(a, n) == 1 for n in range(1, n_max + 1)]
 
-
-def extremal_density(alpha: RationalLike, n: int, t: float) -> float:
-    """The density  alpha * t**(alpha-1) / B(alpha, n)  that attains equality.
-
-    This is the test function for which the premise of the reduction holds
-    with equality; feeding it through the full chain must reproduce the
-    pi-multiple right-hand side exactly (up to quadrature error).
-    """
-    a = positive_rational(alpha)
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    scale = float(a / beta_int(a, n))
-    return scale * t ** (float(a) - 1.0)

@@ -7,8 +7,14 @@ the package's one admission rule for exact inputs: ``rational`` turns a
 string, int or Fraction into a Fraction and refuses every float (a
 ``numpy.float64`` included), and ``positive_rational`` adds the check that
 the shape parameter alpha is > 0.  Every exact entry point of the package
-admits alpha through ``positive_rational``.  Two polynomial types are
-provided, both stored as integers over one positive denominator:
+admits alpha through ``positive_rational``.
+
+Exact polynomials are held as integer rows over one positive denominator,
+and three functions own that form: ``lowest_terms`` makes rows canonical,
+``cleared`` admits a list of rationals as integers over their least common
+denominator, and ``row_value`` evaluates one row exactly at a rational
+point (by the integer Horner of ``scaled_value``).  Two polynomial types
+are built on them:
 
 * ``AlphaPolynomial`` -- the ring of univariate polynomials in the shape
   parameter ``alpha`` over the rationals.
@@ -96,6 +102,42 @@ def scaled_value(c: Sequence[int], z: Fraction) -> int:
     return acc
 
 
+def row_value(row: Sequence[int], den: int, x: Fraction) -> Fraction:
+    """Exact value of ``row / den`` (ascending coefficients) at a rational x."""
+    return Fraction(scaled_value(row, x), den * x.denominator ** max(len(row) - 1, 0))
+
+
+def cleared(coeffs: Iterable[RationalLike]) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator.
+
+    Each entry is admitted through ``rational``, so a float is a TypeError.
+    """
+    fracs = [rational(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in fracs))
+    return [c.numerator * (den // c.denominator) for c in fracs], den
+
+
+def lowest_terms(rows: Iterable[Iterable[int]], den: int) -> tuple[list[list[int]], int]:
+    """Integer rows over one denominator, made canonical.
+
+    Entries and ``den`` are admitted through ``operator.index`` (a float is
+    a TypeError) and ``den`` must be positive.  Each row loses its trailing
+    zeros, and rows and ``den`` are divided by their common gcd.
+    """
+    rows = [list(map(operator.index, row)) for row in rows]
+    den = operator.index(den)
+    if den <= 0:
+        raise ValueError("den must be a positive integer")
+    for row in rows:
+        while row and not row[-1]:
+            row.pop()
+    g = math.gcd(den, *chain.from_iterable(rows))
+    if g > 1:
+        rows = [[x // g for x in row] for row in rows]
+        den //= g
+    return rows, den
+
+
 @dataclass(frozen=True, init=False)
 class AlphaPolynomial:
     """A polynomial in ``alpha``: ``num[i] / den`` multiplies ``alpha**i``.
@@ -109,17 +151,10 @@ class AlphaPolynomial:
 
     def __init__(self, coeffs: Iterable[RationalLike] = (), den: int | None = None) -> None:
         if den is None:
-            fracs = [rational(c) for c in coeffs]
-            den = math.lcm(*(c.denominator for c in fracs))
-            coeffs = [c.numerator * (den // c.denominator) for c in fracs]
-        num, den = [operator.index(x) for x in coeffs], operator.index(den)
-        if den <= 0:
-            raise ValueError("den must be a positive integer")
-        while num and not num[-1]:
-            num.pop()
-        g = math.gcd(den, *num)
-        object.__setattr__(self, "num", tuple(x // g for x in num))
-        object.__setattr__(self, "den", den // g)
+            coeffs, den = cleared(coeffs)
+        (num,), den = lowest_terms((coeffs,), den)
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
 
     # -- constructors -------------------------------------------------
 
@@ -190,8 +225,7 @@ class AlphaPolynomial:
 
     def __call__(self, alpha: RationalLike) -> Fraction:
         """Evaluate exactly at a rational alpha (integer Horner)."""
-        a = rational(alpha)
-        return Fraction(scaled_value(self.num, a), self.den * a.denominator ** max(self.degree, 0))
+        return row_value(self.num, self.den, rational(alpha))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -237,20 +271,11 @@ class ZPolynomial:
     den: int
 
     def __init__(self, rows: Iterable[Iterable[int]] = (), den: int = 1) -> None:
-        rows = [list(map(operator.index, row)) for row in rows]
-        den = operator.index(den)
-        if den <= 0:
-            raise ValueError("den must be a positive integer")
-        for row in rows:
-            while row and not row[-1]:
-                row.pop()
+        rows, den = lowest_terms(rows, den)
         while rows and not rows[-1]:
             rows.pop()
-        g = math.gcd(den, *chain.from_iterable(rows))
-        if g > 1:
-            rows = [[x // g for x in row] for row in rows]
         object.__setattr__(self, "rows", tuple(map(tuple, rows)))
-        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "den", den)
 
     @property
     def coeffs(self) -> tuple[AlphaPolynomial, ...]:
@@ -271,9 +296,7 @@ class ZPolynomial:
         Trailing zeros are stripped, so the result is again canonical.
         """
         a = rational(alpha)
-        q = a.denominator
-        out = [Fraction(scaled_value(row, a), self.den * q ** max(len(row) - 1, 0))
-               for row in self.rows]
+        out = [row_value(row, self.den, a) for row in self.rows]
         while out and out[-1] == 0:
             out.pop()
         return tuple(out)

@@ -37,8 +37,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .exact import (RationalLike, ZPolynomial, positive_rational, rational, scaled_value,
-                    simplest_between)
+from .exact import (RationalLike, ZPolynomial, cleared, positive_rational, rational, row_value,
+                    scaled_value, simplest_between)
 from .transition import transition_poly
 
 #: an integer polynomial as coefficients in ascending powers of z
@@ -158,14 +158,15 @@ def _sign_variations(chain: list[IntPoly], z: Fraction) -> int:
 
 
 def _split_point(c: IntPoly, lo: Fraction, hi: Fraction) -> Fraction:
-    """A point strictly inside (lo, hi) where c does not vanish."""
-    for num, den in ((1, 2), (1, 3), (2, 3), (2, 5), (3, 5), (1, 7), (3, 7),
-                     (5, 7), (1, 11), (5, 11), (7, 11), (9, 11), (1, 13),
-                     (5, 13), (11, 13), (1, 17)):
-        mid = lo + (hi - lo) * Fraction(num, den)
-        if scaled_value(c, mid):
-            return mid
-    raise RuntimeError("could not find a non-root split point")  # pragma: no cover
+    """A point strictly inside (lo, hi) where c does not vanish.
+
+    The midpoint, or while that is a root, the midpoint of the lower half;
+    c has finitely many roots, so this ends.
+    """
+    mid = (lo + hi) / 2
+    while not scaled_value(c, mid):
+        mid = (lo + mid) / 2
+    return mid
 
 
 def _isolate_roots(c: IntPoly, chain: list[IntPoly], lo: Fraction, hi: Fraction,
@@ -288,29 +289,27 @@ def quad_nonneg(c: QuadraticCoeffs) -> PositivityVerdict:
 
 def coeffs_nonneg_on_pos(coeffs: Sequence[RationalLike]) -> PositivityVerdict:
     """Exact sign decision on (0, oo) for an explicit coefficient list."""
-    c = [rational(x) for x in coeffs]
-    while c and c[-1] == 0:
+    c, den = cleared(coeffs)  # the coefficients are c / den
+    while c and not c[-1]:
         c.pop()
     if not c:
         return PositivityVerdict(Status.NONNEGATIVE, "all-coefficients-nonnegative")
     # powers of z are positive on (0, oo): dropping a common z^m factor
     # changes no sign and makes the constant term nonzero
-    first_nonzero = next(i for i, x in enumerate(c) if x != 0)
+    first_nonzero = next(i for i, x in enumerate(c) if x)
     c = c[first_nonzero:]
     if all(x >= 0 for x in c):
         return PositivityVerdict(Status.NONNEGATIVE, "all-coefficients-nonnegative")
 
-    # c = scale * p with p a primitive integer polynomial and scale > 0,
-    # so p has the sign of c everywhere
-    den = math.lcm(*(x.denominator for x in c))
-    p = _primitive([x.numerator * (den // x.denominator) for x in c])
-    scale = c[0] / p[0]
+    # c / den = scale * p with p a primitive integer polynomial and
+    # scale > 0, so p has the sign of c everywhere
+    p = _primitive(c)
+    scale = Fraction(c[0], den * p[0])
 
     def negative_at(z: Fraction) -> PositivityVerdict:
         # report the value of the *original* polynomial, z^m factor restored
-        value = scale * Fraction(scaled_value(p, z), z.denominator ** (len(p) - 1))
         return PositivityVerdict(Status.NEGATIVE, witness=z,
-                                 witness_value=value * z ** first_nonzero)
+                                 witness_value=scale * row_value(p, 1, z) * z ** first_nonzero)
 
     if p[0] < 0:
         return negative_at(_geometric_witness(

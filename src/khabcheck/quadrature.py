@@ -103,10 +103,10 @@ class DensityFunction:
 def extremal_density_fn(alpha: RationalLike, n: int) -> DensityFunction:
     """The equality-attaining density as a DensityFunction with exponent hints.
 
-    The exact constant 1/B(alpha, n) is reduced to a float once, here, so an
-    evaluation is one float power and one product.  Scale and exponent are
-    the floats ``constants.extremal_density`` forms on each call, so both
-    routes return the same value bit for bit.
+    The density is  alpha * t**(alpha-1) / B(alpha, n): the test function for
+    which the premise of the reduction holds with equality.  The exact scale
+    alpha/B(alpha, n) is reduced to a float once, here, so an evaluation is
+    one float power and one product.
     """
     a = positive_rational(alpha)
     scale = float(a / beta_int(a, n))
@@ -353,7 +353,7 @@ def verify_weighted_moment(n: int, alpha: RationalLike,
 
     result = integrate_half_line(f, cfg, power_at_zero=3.0 * af - 1.0, decay_power=af)
     return ResidualCheck(value=result.value,
-                         target=rhs_constant(a, n + 1).value, quad=result)
+                         target=math.pi * float(rhs_constant(a, n + 1)), quad=result)
 
 
 def khabibullin_transform(n: int, alpha: RationalLike, psi: DensityFunction,
@@ -529,7 +529,7 @@ def verify_conjecture_chain(n: int, alpha: RationalLike, q: DensityFunction,
     conclusion = integrate_half_line(conclusion_integrand, cfg,
                                      power_at_zero=power_at_zero,
                                      decay_power=decay_power)
-    coeff = rhs_constant(a, n).pi_coefficient
+    coeff = rhs_constant(a, n)
     return ChainReport(
         conjecture_n=n, poly_index=poly_index, alpha=a,
         positivity=verdict, applicable=True,

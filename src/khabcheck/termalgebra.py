@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable
 
-from .exact import AlphaPolynomial, AlphaPolyLike, _coerce_alpha, rational
+from .exact import AlphaPolynomial, AlphaPolyLike, _coerce_alpha, lowest_terms, rational
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,6 @@ class MixedSum:
 
     def __init__(self, rows: Iterable[tuple[tuple[int, int, int], Iterable[int]]] = (),
                  den: int = 1) -> None:
-        den = operator.index(den)
-        if den <= 0:
-            raise ValueError("den must be a positive integer")
         merged: dict[tuple[int, int, int], list[int]] = {}
         for key, row in rows:
             k, _, q = key = tuple(map(operator.index, key))
@@ -73,13 +70,11 @@ class MixedSum:
                 raise ValueError("exponents q and k must be nonnegative")
             acc = merged.get(key, ())
             merged[key] = [x + operator.index(y) for x, y in zip_longest(acc, row, fillvalue=0)]
-        for acc in merged.values():
-            while acc and not acc[-1]:
-                acc.pop()
-        g = math.gcd(den, *(x for acc in merged.values() for x in acc))
+        keys = sorted(merged)
+        rows, den = lowest_terms((merged[key] for key in keys), den)
         object.__setattr__(self, "rows", tuple(
-            (key, tuple(x // g for x in merged[key])) for key in sorted(merged) if merged[key]))
-        object.__setattr__(self, "den", den // g)
+            (key, tuple(row)) for key, row in zip(keys, rows) if row))
+        object.__setattr__(self, "den", den)
 
     @staticmethod
     def single(coeff: AlphaPolyLike, p: int, q: int, k: int) -> MixedSum:
@@ -144,7 +139,8 @@ def mixed_eval(s: MixedSum, alpha: float, t: float) -> float:
 
     Each term is evaluated in log space to dodge overflow, and the terms are
     summed with ``math.fsum``.  An overflowing term is a signed infinity
-    rather than an exception, so the caller sees a non-finite result.
+    rather than an exception, so the caller sees a non-finite result:
+    infinities of both signs sum to NaN.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
@@ -168,4 +164,7 @@ def mixed_eval(s: MixedSum, alpha: float, t: float) -> float:
         log_mag = math.log(abs(cf)) + (p + q * beta) * log_t - k * log_base
         sign = 1.0 if cf > 0.0 else -1.0
         values.append(sign * math.inf if log_mag > 709.0 else sign * math.exp(log_mag))
-    return math.fsum(values)
+    try:
+        return math.fsum(values)
+    except ValueError:  # fsum refuses -inf + inf
+        return math.nan

@@ -239,7 +239,8 @@ def oracle_equiv_check(
     """Compare both Phi constructions over a full (n, alpha, t) grid.
 
     The comparison metric is |fast - oracle| <= rel_tol * (1 + |fast|); every
-    offending grid point is returned as data rather than raised.
+    offending grid point is returned as data rather than raised.  A point
+    whose deviation is NaN or infinite fails, with ``max_deviation`` inf.
     """
     if not alpha_samples or not t_samples:
         raise ValueError("sample grids must be non-empty")
@@ -260,6 +261,8 @@ def oracle_equiv_check(
                 a_val = fast(t)
                 b_val = mixed_eval(oracle, af, t)
                 dev = abs(a_val - b_val) / (1.0 + abs(a_val))
+                if not math.isfinite(dev):
+                    dev = math.inf
                 worst = max(worst, dev)
                 checked += 1
                 if dev > rel_tol:

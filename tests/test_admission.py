@@ -12,7 +12,6 @@ import pytest
 
 from khabcheck.constants import (
     beta_int,
-    extremal_density,
     kernel_power_moment,
     rhs_constant,
     verify_moment_identity,
@@ -57,7 +56,6 @@ ENTRIES = {
     "kernel_power_moment": lambda a: kernel_power_moment(a, 2, "sum"),
     "verify_moment_identity": lambda a: verify_moment_identity(a, 2),
     "verify_reciprocity": lambda a: verify_reciprocity(a, 2),
-    "extremal_density": lambda a: extremal_density(a, 2, 0.7),
     "transition_evaluator": lambda a: transition_evaluator(2, a)(0.7),
     "PhiFamily.build": lambda a: PhiFamily.build(a, 2),
     "oracle_equiv_check": lambda a: oracle_equiv_check(1, [F(1, 4), a], [0.7]),

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from khabcheck.constants import (
     beta_int,
-    extremal_density,
     kernel_power_moment,
     rhs_constant,
     verify_moment_identity,
     verify_reciprocity,
 )
+from khabcheck.quadrature import extremal_density_fn
 
 
 def test_beta_int_frozen_values():
@@ -47,11 +47,9 @@ def test_beta_int_matches_gamma_ratio():
 
 
 def test_rhs_constant_frozen_values():
-    c = rhs_constant(F(1, 2), 2)
-    assert c.pi_coefficient == F(3, 4)
-    assert c.value == pytest.approx(0.75 * math.pi, abs=1e-15)
-    assert rhs_constant(F(1), 1).pi_coefficient == 1
-    assert rhs_constant(F(1), 3).pi_coefficient == 3
+    assert rhs_constant(F(1, 2), 2) == F(3, 4)
+    assert rhs_constant(F(1), 1) == 1
+    assert rhs_constant(F(1), 3) == 3
 
 
 def test_rhs_constant_is_independent_product_form():
@@ -61,14 +59,14 @@ def test_rhs_constant_is_independent_product_form():
     expected = a
     for k in range(1, 6):
         expected *= 1 + a / k
-    assert rhs_constant(a, 6).pi_coefficient == expected
+    assert rhs_constant(a, 6) == expected
 
 
 @pytest.mark.parametrize("alpha", [F(1, 4), F(1, 2), F(1), F(5, 3), F(3)])
 def test_reciprocity(alpha):
     assert verify_reciprocity(alpha, 12)
     for n in range(1, 13):
-        assert rhs_constant(alpha, n).pi_coefficient * beta_int(alpha, n) == 1
+        assert rhs_constant(alpha, n) * beta_int(alpha, n) == 1
 
 
 def test_kernel_power_moment_modes_agree_exactly():
@@ -138,7 +136,7 @@ extreme_alphas = st.builds(F, st.integers(1, 10**6), st.integers(1, 10**6))
 def test_integer_products_equal_fraction_loops(alpha, n):
     if n >= 1:
         assert beta_int(alpha, n) == _beta_by_fractions(alpha, n)
-        assert rhs_constant(alpha, n).pi_coefficient == _rhs_by_fractions(alpha, n)
+        assert rhs_constant(alpha, n) == _rhs_by_fractions(alpha, n)
     assert kernel_power_moment(alpha, n, "product") == _beta_by_fractions(alpha, n + 1) / alpha
     telescoped = 1 / (alpha * alpha)
     for m in range(1, n + 1):
@@ -147,17 +145,16 @@ def test_integer_products_equal_fraction_loops(alpha, n):
 
 
 def test_extremal_density_frozen_values():
-    assert extremal_density(F(1, 2), 1, 1.0) == pytest.approx(0.25, abs=1e-15)
-    assert extremal_density(F(1, 2), 2, 4.0) == pytest.approx(3.0 / 16.0,
-                                                              abs=1e-15)
+    assert extremal_density_fn(F(1, 2), 1)(1.0) == pytest.approx(0.25, abs=1e-15)
+    assert extremal_density_fn(F(1, 2), 2)(4.0) == pytest.approx(3.0 / 16.0, abs=1e-15)
     # a * t^(a-1) / B(a, n) with a = 1, n = 2 gives the constant 2
-    assert extremal_density(F(1), 2, 123.0) == pytest.approx(2.0)
+    assert extremal_density_fn(F(1), 2)(123.0) == pytest.approx(2.0)
 
 
 def test_extremal_density_scales_like_power():
     a, n = F(1, 3), 3
     for t in (0.1, 1.0, 7.0):
-        ratio = extremal_density(a, n, 2.0 * t) / extremal_density(a, n, t)
+        ratio = extremal_density_fn(a, n)(2.0 * t) / extremal_density_fn(a, n)(t)
         assert ratio == pytest.approx(2.0 ** (float(a) - 1.0), rel=1e-12)
 
 

@@ -99,6 +99,28 @@ def test_alpha_poly_normalization_is_idempotent(p, P, S, k, rnd):
 
 # -- integers over one denominator ------------------------------------------
 
+@given(st.lists(st.integers(-50, 50), max_size=4), st.integers(-20, 20), st.booleans())
+def test_integer_row_types_share_one_canonical_form(row, den, with_float):
+    key = (1, -1, 2)
+    makers = (AlphaPolynomial, lambda r, d: ZPolynomial([r], d),
+              lambda r, d: MixedSum([(key, r)], d))
+    if with_float:
+        for make in makers:
+            with pytest.raises(TypeError):
+                make([*row, 2.0], den)
+        return
+    if den <= 0:
+        for make in makers:
+            with pytest.raises(ValueError, match="^den must be a positive integer$"):
+                make(row, den)
+        return
+    p, P, S = (make(row, den) for make in makers)
+    assert p == AlphaPolynomial([F(x, den) for x in row])
+    assert P.rows == ((p.num,) if p.num else ())
+    assert S.rows == (((key, p.num),) if p.num else ())
+    assert p.den == P.den == S.den
+
+
 @given(alpha_polys())
 def test_alpha_poly_round_trips_through_num_and_den(p):
     q = AlphaPolynomial(p.num, p.den)

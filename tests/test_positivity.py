@@ -20,7 +20,7 @@ from khabcheck.positivity import (
     region_scan,
 )
 from khabcheck.exact import scaled_value
-from khabcheck.positivity import _witness_candidates
+from khabcheck.positivity import _split_point, _witness_candidates
 from khabcheck.transition import transition_poly
 
 
@@ -145,6 +145,11 @@ def test_monomial_factor_is_stripped():
     # z^3 (z - 2)^2 is nonnegative although low coefficients vanish
     coeffs = (F(0), F(0), F(0), F(4), F(-4), F(1))
     assert coeffs_nonneg_on_pos(coeffs).status is Status.NONNEGATIVE
+
+
+def test_split_point_steps_off_a_root_at_the_midpoint():
+    assert _split_point([-1, 1], F(0), F(2)) == F(1, 2)  # z - 1 vanishes at 1
+    assert _split_point([-1, 1], F(0), F(4)) == F(2)
 
 
 def test_negative_leading_coefficient_witness():

@@ -172,7 +172,7 @@ def test_weighted_moment_identity(n, alpha):
     check = verify_weighted_moment(n, alpha)
     assert check.quad.converged
     assert check.target == pytest.approx(
-        math.pi * float(rhs_constant(alpha, n + 1).pi_coefficient), rel=1e-15)
+        math.pi * float(rhs_constant(alpha, n + 1)), rel=1e-15)
     assert abs(check.residual) < 1e-8
 
 
@@ -491,13 +491,13 @@ def _outcome(fn, *args):
        n=st.integers(1, 6),
        t=st.floats(min_value=1e-300, max_value=1e300))
 def test_density_fn_equals_one_shot_density_bit_for_bit(alpha, n, t):
-    assert _outcome(extremal_density_fn(alpha, n), t) == \
-        _outcome(constants.extremal_density, alpha, n, t)
+    def one_shot(alpha, n, t):
+        return float(alpha / constants.beta_int(alpha, n)) * t ** (float(alpha) - 1.0)
+
+    assert _outcome(extremal_density_fn(alpha, n), t) == _outcome(one_shot, alpha, n, t)
 
 
 @pytest.mark.parametrize("t", [0.0, -1.0])
 def test_density_rejects_nonpositive_t_on_both_routes(t):
     with pytest.raises(ValueError, match="^t must be positive$"):
         extremal_density_fn(F(1, 2), 2)(t)
-    with pytest.raises(ValueError, match="^t must be positive$"):
-        constants.extremal_density(F(1, 2), 2, t)

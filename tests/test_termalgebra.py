@@ -160,3 +160,9 @@ def test_extreme_arguments_do_not_overflow():
     decaying = MixedSum.single(1, p=0, q=0, k=2)
     assert mixed_eval(decaying, 2.0, 1e200) == 0.0
     assert mixed_eval(decaying, 2.0, 1e-200) == pytest.approx(1.0)
+
+
+def test_overflowing_terms_of_both_signs_sum_to_nan():
+    # +inf and -inf terms have no sum; the result is NaN, not a ValueError
+    s = MixedSum.single(1, p=5, q=0, k=0) - MixedSum.single(1, p=6, q=0, k=0)
+    assert math.isnan(mixed_eval(s, 0.5, 1e300))

@@ -330,6 +330,23 @@ def test_family_builder_and_validation():
         fam.evaluator(5)
 
 
+def test_oracle_comparison_fails_points_whose_deviation_is_not_finite():
+    # at alpha = 10^110 both float routes overflow, and the oracle's terms
+    # overflow with both signs: a NaN deviation is a failure, not a pass
+    report = oracle_equiv_check(2, [10**110], [1.0, 2.0], 1e-10)
+    assert not report.passed
+    assert len(report.failures) == 4
+    assert report.max_deviation == math.inf
+    assert PhiFamily.build(10**110, 2).validate() is False
+
+
+def test_oracle_comparison_keeps_its_finite_failures():
+    # the float oracle's known error at 90/97; a finite deviation is reported as is
+    report = oracle_equiv_check(20, [F(90, 97)], (0.1, 0.5, 1, 2, 10), 1e-10)
+    assert len(report.failures) == 13
+    assert report.max_deviation == pytest.approx(1.23e-8, rel=1e-2)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
 def test_oracle_comparison_refuses_a_tolerance_outside_zero_to_infinity(tol):
     # no deviation exceeds a NaN rel_tol, so validate() would pass
