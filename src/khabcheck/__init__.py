@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .exact import ALPHA, AlphaPolynomial, ZPolynomial, positive_rational, rational
 from .termalgebra import MixedSum, MixedTerm, mixed_diff, mixed_eval
-from .kernel import kernel_derivative, kernel_eval, kernel_recurrence_check
+from .kernel import kernel_eval
 from .constants import (
     beta_int,
     kernel_power_moment,
@@ -35,12 +35,10 @@ from .transition import (
 )
 from .positivity import (
     PositivityVerdict,
-    QuadraticCoeffs,
     ScanReport,
     Status,
     alpha_threshold,
     poly_nonneg_on_pos,
-    quad_nonneg,
     region_scan,
 )
 from .quadrature import (
@@ -52,7 +50,6 @@ from .quadrature import (
     integrate_01_kernel,
     integrate_log_moment,
     integrate_weight_prime_moment,
-    khabibullin_transform,
     verify_conjecture_chain,
     verify_reconstruction,
     verify_weighted_moment,
@@ -62,17 +59,17 @@ __all__ = [
     "__version__",
     "ALPHA", "AlphaPolynomial", "ZPolynomial", "positive_rational", "rational",
     "MixedSum", "MixedTerm", "mixed_diff", "mixed_eval",
-    "kernel_derivative", "kernel_eval", "kernel_recurrence_check",
+    "kernel_eval",
     "beta_int", "kernel_power_moment", "rhs_constant", "verify_moment_identity",
     "verify_reciprocity",
     "AsymptoticReport", "OracleAgreement", "PhiFamily", "asymptotic_check",
     "log_weight", "log_weight_derivatives", "oracle_equiv_check",
     "transition_eval", "transition_evaluator", "transition_oracle",
     "transition_poly", "transition_via_base_derivatives",
-    "PositivityVerdict", "QuadraticCoeffs", "ScanReport", "Status",
-    "alpha_threshold", "poly_nonneg_on_pos", "quad_nonneg", "region_scan",
+    "PositivityVerdict", "ScanReport", "Status",
+    "alpha_threshold", "poly_nonneg_on_pos", "region_scan",
     "ChainReport", "DensityFunction", "QuadConfig", "QuadResult",
     "extremal_density_fn", "integrate_01_kernel", "integrate_log_moment",
-    "integrate_weight_prime_moment", "khabibullin_transform",
+    "integrate_weight_prime_moment",
     "verify_conjecture_chain", "verify_reconstruction", "verify_weighted_moment",
 ]

@@ -67,22 +67,3 @@ def kernel_eval(n: int, x: float, tol: float = DEFAULT_TOL) -> float:
         if power / (m * x) < tol:
             return acc
 
-
-def kernel_derivative(n: int, x: float) -> float:
-    """d/dx of the n-th kernel: exactly -(1-x)**n / x on (0, 1]."""
-    if n < 0:
-        raise ValueError("kernel index n must be >= 0")
-    if not 0.0 < x <= 1.0:
-        raise ValueError(f"kernel argument must lie in (0, 1], got {x!r}")
-    return -((1.0 - x) ** n) / x
-
-
-def kernel_recurrence_check(n: int, x: float, tol: float = DEFAULT_TOL) -> float:
-    """Residual of the step-down relation K_{n+1} = K_n - (1-x)**(n+1)/(n+1).
-
-    Returns the signed defect; it should vanish to rounding for every valid
-    input, and is exposed so test suites and the CLI can assert exactly that.
-    """
-    lhs = kernel_eval(n + 1, x, tol)
-    rhs = kernel_eval(n, x, tol) - (1.0 - x) ** (n + 1) / (n + 1)
-    return lhs - rhs

@@ -33,7 +33,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -56,24 +56,6 @@ class Status(enum.Enum):
     NONNEGATIVE = "Nonnegative"
     NEGATIVE = "Negative"
     INCONCLUSIVE = "Inconclusive"
-
-
-@dataclass(frozen=True)
-class QuadraticCoeffs:
-    """Exact coefficients of  A z^2 + B z + C."""
-
-    A: Fraction
-    B: Fraction
-    C: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "A", rational(self.A))
-        object.__setattr__(self, "B", rational(self.B))
-        object.__setattr__(self, "C", rational(self.C))
-
-    def eval(self, z: RationalLike) -> Fraction:
-        zz = rational(z)
-        return (self.A * zz + self.B) * zz + self.C
 
 
 @dataclass(frozen=True)
@@ -241,52 +223,6 @@ def _float_witness(c: IntPoly) -> Optional[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _geometric_witness(is_negative: Callable[[Fraction], bool],
-                       start: Fraction, ratio: Fraction) -> Fraction:
-    """The first z = start * ratio^k, k = 0, 1, ..., with ``is_negative(z)``."""
-    z = start
-    for _ in range(100_000):
-        if is_negative(z):
-            return z
-        z *= ratio
-    raise RuntimeError("geometric search failed to certify negativity")  # pragma: no cover
-
-
-def quad_nonneg(c: QuadraticCoeffs) -> PositivityVerdict:
-    """Exact sign decision for A z^2 + B z + C on z > 0.
-
-    Implements the three-way criterion for quadratics: with A > 0 and B < 0
-    nonnegativity is equivalent to a nonpositive discriminant (the vertex
-    -B/(2A) lies in the positive axis); with A > 0, B >= 0 or with A = 0 it
-    reduces to sign conditions on the remaining coefficients.
-    """
-    A, B, C = c.A, c.B, c.C
-
-    def negative_from(start: Fraction, ratio: Fraction) -> PositivityVerdict:
-        z = _geometric_witness(lambda z: c.eval(z) < 0, start, ratio)
-        return PositivityVerdict(Status.NEGATIVE, witness=z, witness_value=c.eval(z))
-
-    if A > 0:
-        if B < 0:
-            disc = B * B - 4 * A * C
-            if disc <= 0:
-                return PositivityVerdict(Status.NONNEGATIVE, "criterion-case-1")
-            vertex = -B / (2 * A)
-            return PositivityVerdict(Status.NEGATIVE, witness=vertex,
-                                     witness_value=c.eval(vertex))
-        if C >= 0:
-            return PositivityVerdict(Status.NONNEGATIVE, "criterion-case-2")
-        return negative_from(Fraction(1), Fraction(1, 2))
-    if A == 0:
-        if B >= 0 and C >= 0:
-            return PositivityVerdict(Status.NONNEGATIVE, "criterion-case-3")
-        if C < 0:
-            return negative_from(Fraction(1), Fraction(1, 2))
-        return negative_from(Fraction(1), Fraction(2))
-    # A < 0: dominated by the negative leading term for large z
-    return negative_from(max(Fraction(1), -B / A), Fraction(2))
-
-
 def coeffs_nonneg_on_pos(coeffs: Sequence[RationalLike]) -> PositivityVerdict:
     """Exact sign decision on (0, oo) for an explicit coefficient list."""
     c, den = cleared(coeffs)  # the coefficients are c / den
@@ -312,8 +248,11 @@ def coeffs_nonneg_on_pos(coeffs: Sequence[RationalLike]) -> PositivityVerdict:
                                  witness_value=scale * row_value(p, 1, z) * z ** first_nonzero)
 
     if p[0] < 0:
-        return negative_at(_geometric_witness(
-            lambda z: scaled_value(p, z) < 0, Fraction(1), Fraction(1, 2)))
+        # p(z) -> p[0] < 0 as z -> 0+, so halving from 1 ends
+        z = Fraction(1)
+        while scaled_value(p, z) >= 0:
+            z /= 2
+        return negative_at(z)
     if p[-1] < 0:
         # beyond every root p keeps the sign of its leading coefficient
         return negative_at(Fraction(_root_bound(p)))

@@ -356,38 +356,6 @@ def verify_weighted_moment(n: int, alpha: RationalLike,
                          target=math.pi * float(rhs_constant(a, n + 1)), quad=result)
 
 
-def khabibullin_transform(n: int, alpha: RationalLike, psi: DensityFunction,
-                          cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
-    """The transform  psi |-> int_0^oo Phi_{n-1}(t) psi(t) dt  (conjecture index n).
-
-    Integrability against Phi_{n-1} is the caller's responsibility; when
-    psi carries exponent hints they are checked against Phi's endpoint
-    behavior (t^(2a-1) at zero, t^(-1-2a) decay) and refused outright if
-    the combination cannot converge.
-    """
-    a = positive_rational(alpha)
-    if n < 1:
-        raise ValueError("conjecture index n must be >= 1")
-    af = float(a)
-    phi = transition_evaluator(n - 1, a)
-
-    power_at_zero = None
-    if psi.power_at_zero is not None:
-        power_at_zero = 2.0 * af - 1.0 + psi.power_at_zero
-        if power_at_zero <= -1.0:
-            raise ValueError("psi grows too fast at 0 for the transform to converge")
-    decay_power = None
-    if psi.power_at_infinity is not None:
-        decay_power = 2.0 * af - psi.power_at_infinity
-        if decay_power <= 0.0:
-            raise ValueError("psi grows too fast at infinity for the transform to converge")
-
-    def f(t: float) -> float:
-        return phi(t) * psi(t)
-
-    return integrate_half_line(f, cfg, power_at_zero=power_at_zero, decay_power=decay_power)
-
-
 # ---------------------------------------------------------------------------
 # the full reduction chain
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from khabcheck.constants import (
     verify_reciprocity,
 )
 from khabcheck.positivity import (
-    QuadraticCoeffs,
     coeffs_nonneg_on_pos,
     poly_nonneg_on_pos,
     region_scan,
@@ -27,7 +26,6 @@ from khabcheck.quadrature import (
     extremal_density_fn,
     integrate_log_moment,
     integrate_weight_prime_moment,
-    khabibullin_transform,
     verify_conjecture_chain,
     verify_reconstruction,
     verify_weighted_moment,
@@ -68,7 +66,6 @@ ENTRIES = {
     "integrate_weight_prime_moment": integrate_weight_prime_moment,
     "verify_reconstruction": lambda a: verify_reconstruction(1, a, 0.5),
     "verify_weighted_moment": lambda a: verify_weighted_moment(1, a),
-    "khabibullin_transform": lambda a: khabibullin_transform(1, a, DENSITY),
     "verify_conjecture_chain": lambda a: verify_conjecture_chain(1, a, DENSITY, t_grid=[0.7]),
 }
 
@@ -93,10 +90,6 @@ def test_entry_reads_a_string_as_the_same_rational(entry):
 def test_exact_evaluators_refuse_floats():
     with pytest.raises(TypeError):
         coeffs_nonneg_on_pos([0.5, 1])
-    with pytest.raises(TypeError):
-        QuadraticCoeffs(0.5, 1, 1)
-    with pytest.raises(TypeError):
-        QuadraticCoeffs(1, 1, 1).eval(0.5)
     with pytest.raises(TypeError):
         region_scan([2], [F(1, 4)]).cell(2, 0.25)
     with pytest.raises(TypeError):

@@ -1,14 +1,18 @@
-"""Import boundary: SciPy loads only when a quadrature panel runs.
+"""Import boundary: the public surface, and SciPy loads only when a quadrature
+panel runs.
 
-Each case runs in a fresh ``python -I`` interpreter with ``src`` first on
-``sys.path``, so no module loaded by the test session leaks into it.
+Each SciPy case runs in a fresh ``python -I`` interpreter with ``src`` first
+on ``sys.path``, so no module loaded by the test session leaks into it.
 """
 
+import importlib
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import khabcheck
 
 ROOT = Path(__file__).parents[1]
 DATA = Path(__file__).parent / "data"
@@ -59,3 +63,43 @@ def test_integrals_load_scipy_and_report_the_golden_bytes():
     assert code == 0
     assert scipy_loaded
     assert out == (DATA / "report_integrals_all.json").read_bytes()
+
+
+PUBLIC = [
+    "__version__",
+    "ALPHA", "AlphaPolynomial", "ZPolynomial", "positive_rational", "rational",
+    "MixedSum", "MixedTerm", "mixed_diff", "mixed_eval",
+    "kernel_eval",
+    "beta_int", "kernel_power_moment", "rhs_constant", "verify_moment_identity",
+    "verify_reciprocity",
+    "AsymptoticReport", "OracleAgreement", "PhiFamily", "asymptotic_check",
+    "log_weight", "log_weight_derivatives", "oracle_equiv_check",
+    "transition_eval", "transition_evaluator", "transition_oracle",
+    "transition_poly", "transition_via_base_derivatives",
+    "PositivityVerdict", "ScanReport", "Status",
+    "alpha_threshold", "poly_nonneg_on_pos", "region_scan",
+    "ChainReport", "DensityFunction", "QuadConfig", "QuadResult",
+    "extremal_density_fn", "integrate_01_kernel", "integrate_log_moment",
+    "integrate_weight_prime_moment",
+    "verify_conjecture_chain", "verify_reconstruction", "verify_weighted_moment",
+]
+
+#: names deleted because no command, workload or module called them, by the
+#: submodule that defined each
+ABSENT = {
+    "quad_nonneg": "positivity",
+    "QuadraticCoeffs": "positivity",
+    "kernel_derivative": "kernel",
+    "kernel_recurrence_check": "kernel",
+    "khabibullin_transform": "quadrature",
+}
+
+
+def test_public_surface_is_pinned():
+    assert len(PUBLIC) == 45
+    assert khabcheck.__all__ == PUBLIC
+    for name in PUBLIC:
+        getattr(khabcheck, name)
+    for name, module in ABSENT.items():
+        assert not hasattr(khabcheck, name)
+        assert not hasattr(importlib.import_module(f"khabcheck.{module}"), name)

@@ -5,12 +5,7 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from khabcheck.kernel import (
-    DEFAULT_TOL,
-    kernel_derivative,
-    kernel_eval,
-    kernel_recurrence_check,
-)
+from khabcheck.kernel import DEFAULT_TOL, kernel_eval
 
 
 def test_frozen_values():
@@ -54,19 +49,17 @@ def test_tail_tolerance_is_honoured():
 @pytest.mark.parametrize("x", [0.05, 0.25, 0.5, 0.85, 0.95])
 @pytest.mark.parametrize("n", range(5))
 def test_recurrence_defect_is_tiny(n, x):
-    # A_{n+1}(x) = A_n(x) - (1-x)^(n+1)/(n+1)
-    assert abs(kernel_recurrence_check(n, x)) < 1e-14
+    # A_{n+1}(x) = A_n(x) - (1-x)^(n+1)/(n+1), on both sides of the switch at 0.9
+    step = kernel_eval(n, x) - (1.0 - x) ** (n + 1) / (n + 1)
+    assert abs(kernel_eval(n + 1, x) - step) < 1e-14
 
 
 def test_derivative_closed_form():
-    assert kernel_derivative(0, 1.0) == -1.0
-    assert kernel_derivative(1, 0.5) == -1.0
-    assert kernel_derivative(2, 0.5) == -0.5
-    assert kernel_derivative(3, 1.0) == 0.0
-    # slope of the defining integral, numerically
+    # the slope of the defining integral is -(1-x)^n / x, on both branches
     h = 1e-7
-    numeric = (kernel_eval(2, 0.4 + h) - kernel_eval(2, 0.4 - h)) / (2 * h)
-    assert kernel_derivative(2, 0.4) == pytest.approx(numeric, rel=1e-7)
+    for n, x in ((0, 0.4), (2, 0.4), (3, 0.7), (1, 0.95)):
+        numeric = (kernel_eval(n, x + h) - kernel_eval(n, x - h)) / (2 * h)
+        assert numeric == pytest.approx(-((1.0 - x) ** n) / x, rel=1e-7), (n, x)
 
 
 def test_domain_validation():
@@ -80,8 +73,6 @@ def test_domain_validation():
         kernel_eval(-1, 0.5)
     with pytest.raises(ValueError):
         kernel_eval(0, 0.5, tol=0.0)
-    with pytest.raises(ValueError):
-        kernel_derivative(-2, 0.5)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])

@@ -11,12 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from khabcheck.positivity import (
-    QuadraticCoeffs,
     Status,
     alpha_threshold,
     coeffs_nonneg_on_pos,
     poly_nonneg_on_pos,
-    quad_nonneg,
     region_scan,
 )
 from khabcheck.exact import scaled_value
@@ -24,43 +22,75 @@ from khabcheck.positivity import _split_point, _witness_candidates
 from khabcheck.transition import transition_poly
 
 
-# -- quadratic criterion -------------------------------------------------------
+# -- quadratics: the general ladder against the three-case criterion -----------
+
+def _quadratic(coeffs, z):
+    """c0 + c1 z + c2 z^2 at z, exactly."""
+    c0, c1, c2 = coeffs
+    return (c2 * z + c1) * z + c0
+
+
+def _quadratic_criterion(coeffs):
+    """Status of c0 + c1 z + c2 z^2 on z > 0 by the three-case criterion.
+
+    A reference independent of the ladder.  With c2 > 0 and c1 < 0 the
+    vertex -c1/(2 c2) is positive, so nonnegativity is a nonpositive
+    discriminant and otherwise the vertex is a witness; with c2 > 0 and
+    c1 >= 0 it is c0 >= 0; with c2 = 0 it is c1 >= 0 and c0 >= 0; with
+    c2 < 0 the leading term wins for large z.  Returns the status and the
+    vertex witness, or None where the criterion names no witness.
+    """
+    c0, c1, c2 = coeffs
+    if c2 > 0 and c1 < 0:
+        if c1 * c1 - 4 * c2 * c0 <= 0:
+            return Status.NONNEGATIVE, None
+        return Status.NEGATIVE, -c1 / (2 * c2)
+    if c2 > 0:
+        nonnegative = c0 >= 0
+    else:
+        nonnegative = c2 == 0 and c1 >= 0 and c0 >= 0
+    return Status.NONNEGATIVE if nonnegative else Status.NEGATIVE, None
+
+
+def _assert_agrees_with_criterion(coeffs):
+    """The ladder's verdict on a quadratic, checked against the criterion."""
+    v = coeffs_nonneg_on_pos(coeffs)
+    status, vertex = _quadratic_criterion(coeffs)
+    assert v.status is status, coeffs
+    if status is Status.NEGATIVE:
+        assert v.witness > 0
+        assert _quadratic(coeffs, v.witness) == v.witness_value < 0
+        if vertex is not None:
+            assert _quadratic(coeffs, vertex) < 0
+    return v
+
 
 def test_quadratic_nonnegative_with_touching_root():
-    v = quad_nonneg(QuadraticCoeffs(F(1), F(-2), F(1)))  # (z-1)^2
-    assert v.status is Status.NONNEGATIVE
-    assert v.certificate == "criterion-case-1"
+    v = _assert_agrees_with_criterion((F(1), F(-2), F(1)))  # (z-1)^2
+    assert v.certificate == "sturm-even-multiplicity"
 
 
 def test_quadratic_negative_has_exact_witness():
-    v = quad_nonneg(QuadraticCoeffs(F(1), F(-3), F(1)))
-    assert v.status is Status.NEGATIVE
-    assert v.witness == F(3, 2)
-    assert v.witness_value == F(-5, 4)
-    # the witness is exact: re-evaluating reproduces the negative value
-    q = QuadraticCoeffs(F(1), F(-3), F(1))
-    assert q.eval(v.witness) == v.witness_value < 0
+    # z^2 - 3z + 1 < 0 on ((3-sqrt 5)/2, (3+sqrt 5)/2); the vertex is 3/2
+    coeffs = (F(1), F(-3), F(1))
+    assert _quadratic_criterion(coeffs) == (Status.NEGATIVE, F(3, 2))
+    _assert_agrees_with_criterion(coeffs)
 
 
 def test_quadratic_degenerate_cases():
     # no quadratic term, positive slope and intercept
-    v = quad_nonneg(QuadraticCoeffs(F(0), F(9, 5), F(1, 5)))
-    assert v.status is Status.NONNEGATIVE
-    assert v.certificate == "criterion-case-3"
+    v = _assert_agrees_with_criterion((F(1, 5), F(9, 5), F(0)))
+    assert v.certificate == "all-coefficients-nonnegative"
     # negative slope alone eventually wins
-    v2 = quad_nonneg(QuadraticCoeffs(F(0), F(-1), F(10)))
-    assert v2.status is Status.NEGATIVE
-    assert F(0) < v2.witness
-    assert v2.witness_value < 0
+    _assert_agrees_with_criterion((F(10), F(-1), F(0)))
     # constants
-    assert quad_nonneg(QuadraticCoeffs(F(0), F(0), F(2))).status is Status.NONNEGATIVE
-    assert quad_nonneg(QuadraticCoeffs(F(0), F(0), F(-2))).status is Status.NEGATIVE
+    assert _assert_agrees_with_criterion((F(2), F(0), F(0))).status is Status.NONNEGATIVE
+    assert _assert_agrees_with_criterion((F(-2), F(0), F(0))).status is Status.NEGATIVE
 
 
 def test_quadratic_negative_leading_coefficient():
-    v = quad_nonneg(QuadraticCoeffs(F(-1), F(5), F(100)))
-    assert v.status is Status.NEGATIVE
-    assert QuadraticCoeffs(F(-1), F(5), F(100)).eval(v.witness) < 0
+    v = _assert_agrees_with_criterion((F(100), F(5), F(-1)))
+    assert v.witness == 102  # beyond the Cauchy root bound 2 + 100/1
 
 
 def test_random_quadratics_verdicts_are_sound():
@@ -68,19 +98,13 @@ def test_random_quadratics_verdicts_are_sound():
     sample_points = [F(k, 10) for k in range(1, 1001)]
     nonneg_seen = neg_seen = 0
     for _ in range(500):
-        q = QuadraticCoeffs(
-            F(rng.randint(-9, 9), rng.randint(1, 9)),
-            F(rng.randint(-9, 9), rng.randint(1, 9)),
-            F(rng.randint(-9, 9), rng.randint(1, 9)),
-        )
-        v = quad_nonneg(q)
+        coeffs = tuple(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))[::-1]
+        v = _assert_agrees_with_criterion(coeffs)
         if v.status is Status.NEGATIVE:
             neg_seen += 1
-            assert v.witness > 0
-            assert q.eval(v.witness) == v.witness_value < 0
         else:
             nonneg_seen += 1
-            assert all(q.eval(z) >= 0 for z in sample_points)
+            assert all(_quadratic(coeffs, z) >= 0 for z in sample_points)
     # the seeded stream must exercise both branches
     assert nonneg_seen > 50 and neg_seen > 50
 
@@ -88,18 +112,8 @@ def test_random_quadratics_verdicts_are_sound():
 def test_general_route_agrees_with_quadratic_criterion():
     rng = random.Random(77)
     for _ in range(200):
-        coeffs = (
-            F(rng.randint(-6, 6), rng.randint(1, 6)),
-            F(rng.randint(-6, 6), rng.randint(1, 6)),
-            F(rng.randint(-6, 6), rng.randint(1, 6)),
-        )
-        via_quad = quad_nonneg(QuadraticCoeffs(coeffs[2], coeffs[1], coeffs[0]))
-        via_general = coeffs_nonneg_on_pos(coeffs)
-        assert via_quad.status is via_general.status
-        if via_general.status is Status.NEGATIVE:
-            c, b, a2 = coeffs
-            w = via_general.witness
-            assert a2 * w * w + b * w + c < 0
+        _assert_agrees_with_criterion(
+            tuple(F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(3)))
 
 
 # -- general degree: Sturm route -----------------------------------------------

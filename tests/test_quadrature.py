@@ -23,13 +23,13 @@ from khabcheck.quadrature import (
     integrate_log_moment,
     integrate_unit_interval,
     integrate_weight_prime_moment,
-    khabibullin_transform,
     log_spaced,
     verify_conjecture_chain,
     verify_reconstruction,
     verify_weighted_moment,
 )
 from khabcheck.positivity import PositivityVerdict, Status
+from khabcheck.transition import transition_eval
 
 
 # -- configuration and result plumbing ----------------------------------------
@@ -116,6 +116,11 @@ def test_half_line_rejects_nonconvergent_decay():
         integrate_half_line(lambda t: 1.0 / (1.0 + t), decay_power=0.0)
 
 
+def test_unit_interval_rejects_nonintegrable_endpoint_power():
+    with pytest.raises(ValueError, match=r"^endpoint power -1\.0 is not integrable$"):
+        integrate_unit_interval(lambda t: 1.0 / t, power_at_zero=-1.0)
+
+
 def test_tolerance_monotonicity():
     # tightening tolerances never worsens the achieved error
     errors = []
@@ -176,32 +181,14 @@ def test_weighted_moment_identity(n, alpha):
     assert abs(check.residual) < 1e-8
 
 
-# -- the transform ------------------------------------------------------------------
+# -- the density transform psi |-> int_0^oo Phi_{n-1}(t) psi(t) dt ------------------
 
 def test_transform_of_plain_power_has_closed_form():
-    # n=1, a=1/2: integral of t^(1/2) / (1+t)^2 over (0, oo) equals pi/2
-    psi = DensityFunction(lambda t: math.sqrt(t), "sqrt", 0.5, 0.5)
-    r = khabibullin_transform(1, F(1, 2), psi)
+    # n=1, a=1/2, psi = sqrt: integral of t^(1/2) / (1+t)^2 over (0, oo) equals pi/2
+    r = integrate_half_line(lambda t: transition_eval(0, F(1, 2), t) * math.sqrt(t),
+                            power_at_zero=0.5, decay_power=0.5)
     assert r.converged
     assert r.value == pytest.approx(math.pi / 2.0, rel=1e-12)
-
-
-def test_transform_of_zero_density_vanishes():
-    psi = DensityFunction(lambda t: 0.0, "zero", 0.0, 0.0)
-    r = khabibullin_transform(2, F(1, 2), psi)
-    assert r.value == 0.0
-
-
-def test_transform_rejects_nonintegrable_hints():
-    too_fast_at_zero = DensityFunction(lambda t: t ** -2.0, "bad0", -2.0, -2.0)
-    with pytest.raises(ValueError):
-        khabibullin_transform(1, F(1, 2), too_fast_at_zero)
-    too_fat_tail = DensityFunction(lambda t: t, "badinf", 1.0, 1.0)
-    with pytest.raises(ValueError):
-        khabibullin_transform(1, F(1, 2), too_fat_tail)
-    with pytest.raises(ValueError):
-        khabibullin_transform(0, F(1, 2),
-                              DensityFunction(lambda t: 0.0, "z", 0.0, 0.0))
 
 
 def test_transform_with_smooth_cutoff_loses_exactly_the_tail():
