@@ -1,7 +1,7 @@
 """Exact rational arithmetic and the two polynomial rings used everywhere else.
 
 Everything in this module is exact: coefficients are integers over one
-denominator, with `fractions.Fraction` at the API boundary, and no float
+denominator, a value at a point is a `fractions.Fraction`, and no float
 ever sneaks in until a caller explicitly evaluates.  This module is also
 the package's one admission rule for exact inputs: ``rational`` turns a
 string, int or Fraction into a Fraction and refuses every float (a
@@ -20,8 +20,8 @@ are built on them:
   parameter ``alpha`` over the rationals.
 * ``ZPolynomial`` -- a polynomial in ``z`` with coefficients in Q[alpha],
   held as integer rows (row j lists the alpha coefficients of z^j) over
-  one denominator.  It is built, specialized at a rational alpha and
-  evaluated; it carries no arithmetic.
+  one denominator.  It is built, specialized to one integer z-row at a
+  rational alpha and evaluated; it carries no arithmetic.
 
 Both are immutable (hashable, safe to share across threads) and keep a
 canonical form: lowest terms, trailing zero coefficients stripped, so
@@ -136,6 +136,19 @@ def lowest_terms(rows: Iterable[Iterable[int]], den: int) -> tuple[list[list[int
         rows = [[x // g for x in row] for row in rows]
         den //= g
     return rows, den
+
+
+def _specialized(rows: Sequence[Sequence[int]], den: int, a: Fraction) -> tuple[list[int], int]:
+    """The z-row of ``rows / den`` at alpha = a = p/q, as ``lowest_terms`` leaves it.
+
+    Each alpha-row's ``scaled_value`` is scaled to q^d, d the largest
+    alpha-degree, so all share the denominator den * q^d.
+    """
+    q = a.denominator
+    d = max(map(len, rows), default=1) - 1
+    values = [scaled_value(row, a) * q ** (d + 1 - len(row)) for row in rows]
+    (row,), den = lowest_terms((values,), den * q ** d)
+    return row, den
 
 
 @dataclass(frozen=True, init=False)
@@ -290,26 +303,17 @@ class ZPolynomial:
     def leading_coeff(self) -> AlphaPolynomial:
         return AlphaPolynomial(self.rows[-1] if self.rows else (), self.den)
 
-    def specialize(self, alpha: RationalLike) -> tuple[Fraction, ...]:
-        """Exact coefficients in z after substituting a rational alpha.
+    def specialize(self, alpha: RationalLike) -> tuple[list[int], int]:
+        """The z-coefficients at a rational alpha: ``(row, den)``, ``row / den``.
 
-        Trailing zeros are stripped, so the result is again canonical.
+        Integers over one positive denominator, canonical by ``lowest_terms``
+        (trailing zeros stripped), with no Fraction built on the way.
         """
-        a = rational(alpha)
-        out = [row_value(row, self.den, a) for row in self.rows]
-        while out and out[-1] == 0:
-            out.pop()
-        return tuple(out)
+        return _specialized(self.rows, self.den, rational(alpha))
 
     def evaluate(self, alpha: RationalLike, z: RationalLike) -> Fraction:
         """Exact evaluation: integer Horner in alpha per row, then in z."""
-        a, zz = rational(alpha), rational(z)
-        d = max(map(len, self.rows), default=1) - 1
-        q = a.denominator
-        # every row scaled to q^d * row(a), so all share one denominator
-        values = [scaled_value(row, a) * q ** (d + 1 - len(row)) for row in self.rows]
-        den = self.den * q ** d * zz.denominator ** max(self.degree, 0)
-        return Fraction(scaled_value(values, zz), den)
+        return row_value(*_specialized(self.rows, self.den, rational(alpha)), rational(z))
 
     def __str__(self) -> str:
         if not self.rows:

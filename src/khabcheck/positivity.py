@@ -5,9 +5,10 @@ z > 0, so this module decides that property *exactly*: verdicts are backed
 either by a certificate (a reason the polynomial cannot go negative) or by
 a rational witness point where it provably does.
 
-Decision ladder for a specialized polynomial p(z) with rational
-coefficients, after scaling it by a positive constant to a primitive
-integer polynomial (which changes no sign):
+Decision ladder for a specialized polynomial: an integer row over a
+positive denominator (what ``ZPolynomial.specialize`` returns), scaled by
+a positive constant to a primitive integer polynomial p(z), which changes
+no sign:
 
 1. zero polynomial, or all coefficients >= 0  ->  Nonnegative;
 2. lowest-order nonzero coefficient < 0       ->  Negative (p < 0 near 0+,
@@ -37,8 +38,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .exact import (RationalLike, ZPolynomial, cleared, positive_rational, rational, row_value,
-                    scaled_value, simplest_between)
+from .exact import (RationalLike, ZPolynomial, lowest_terms, positive_rational, rational,
+                    row_value, scaled_value, simplest_between)
 from .transition import transition_poly
 
 #: an integer polynomial as coefficients in ascending powers of z
@@ -223,29 +224,23 @@ def _float_witness(c: IntPoly) -> Optional[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def coeffs_nonneg_on_pos(coeffs: Sequence[RationalLike]) -> PositivityVerdict:
-    """Exact sign decision on (0, oo) for an explicit coefficient list."""
-    c, den = cleared(coeffs)  # the coefficients are c / den
-    while c and not c[-1]:
-        c.pop()
-    if not c:
-        return PositivityVerdict(Status.NONNEGATIVE, "all-coefficients-nonnegative")
-    # powers of z are positive on (0, oo): dropping a common z^m factor
-    # changes no sign and makes the constant term nonzero
-    first_nonzero = next(i for i, x in enumerate(c) if x)
-    c = c[first_nonzero:]
-    if all(x >= 0 for x in c):
-        return PositivityVerdict(Status.NONNEGATIVE, "all-coefficients-nonnegative")
+def coeffs_nonneg_on_pos(coeffs: Sequence[int], den: int = 1) -> PositivityVerdict:
+    """Exact sign decision on (0, oo) for ``coeffs / den``, ascending in z.
 
-    # c / den = scale * p with p a primitive integer polynomial and
-    # scale > 0, so p has the sign of c everywhere
-    p = _primitive(c)
-    scale = Fraction(c[0], den * p[0])
+    ``coeffs`` are integers over one positive ``den``, admitted through
+    ``lowest_terms``: a float is a TypeError and ``den <= 0`` a ValueError.
+    """
+    (row,), den = lowest_terms((coeffs,), den)
+    if all(x >= 0 for x in row):
+        return PositivityVerdict(Status.NONNEGATIVE, "all-coefficients-nonnegative")
+    # powers of z are positive on (0, oo), and so is the gcd: dropping a
+    # common z^m factor and dividing by the gcd leaves a primitive integer
+    # polynomial p with a nonzero constant term and the sign of the row
+    p = _primitive(row[next(i for i, x in enumerate(row) if x):])
 
     def negative_at(z: Fraction) -> PositivityVerdict:
-        # report the value of the *original* polynomial, z^m factor restored
         return PositivityVerdict(Status.NEGATIVE, witness=z,
-                                 witness_value=scale * row_value(p, 1, z) * z ** first_nonzero)
+                                 witness_value=row_value(row, den, z))
 
     if p[0] < 0:
         # p(z) -> p[0] < 0 as z -> 0+, so halving from 1 ends
@@ -280,7 +275,7 @@ def coeffs_nonneg_on_pos(coeffs: Sequence[RationalLike]) -> PositivityVerdict:
 
 def poly_nonneg_on_pos(P: ZPolynomial, alpha: RationalLike) -> PositivityVerdict:
     """Decide P(alpha, z) >= 0 for all z > 0, exactly, at a rational alpha."""
-    return coeffs_nonneg_on_pos(P.specialize(positive_rational(alpha)))
+    return coeffs_nonneg_on_pos(*P.specialize(positive_rational(alpha)))
 
 
 # ---------------------------------------------------------------------------

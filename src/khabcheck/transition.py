@@ -106,7 +106,8 @@ def transition_evaluator(n: int, alpha: RationalLike) -> Callable[[float], float
         Phi_n = 4 a^2 t^(2a-1) * sum_j c_j p^j w^(n+2-j).
     """
     a = positive_rational(alpha)
-    coeffs = [float(c) for c in transition_poly(n).specialize(a)]
+    row, den = transition_poly(n).specialize(a)
+    coeffs = [x / den for x in row]  # int / int rounds correctly, as float(Fraction) does
     af = float(a)
     two_a = 2.0 * af
     scale = 4.0 * af * af

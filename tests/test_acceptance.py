@@ -159,8 +159,8 @@ def test_criterion_8_positivity_region():
             witness_ok = (v.status is Status.NEGATIVE and v.witness > 0
                           and v.witness_value < 0)
             if witness_ok:
-                coeffs = transition_poly(n).specialize(alpha)
-                value = sum(c * v.witness ** i for i, c in enumerate(coeffs))
+                row, den = transition_poly(n).specialize(alpha)
+                value = sum(F(c, den) * v.witness ** i for i, c in enumerate(row))
                 witness_ok = value == v.witness_value
             ok = ok and witness_ok
     widths = []

@@ -91,8 +91,16 @@ def test_exact_evaluators_refuse_floats():
     with pytest.raises(TypeError):
         coeffs_nonneg_on_pos([0.5, 1])
     with pytest.raises(TypeError):
+        coeffs_nonneg_on_pos([1, 1], 2.0)
+    with pytest.raises(TypeError):
         region_scan([2], [F(1, 4)]).cell(2, 0.25)
     with pytest.raises(TypeError):
         MixedSum.single(0.5, 0, 0, 1)
     with pytest.raises(TypeError):
         MixedSum.single(1, 0, 0, 1).scale(0.5)
+
+
+@pytest.mark.parametrize("den", [0, -1])
+def test_decider_refuses_a_nonpositive_den(den):
+    with pytest.raises(ValueError, match="^den must be a positive integer$"):
+        coeffs_nonneg_on_pos([1, 1], den)

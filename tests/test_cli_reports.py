@@ -27,16 +27,20 @@ def run(capsys, *argv):
 # -- golden reports: --no-timestamp output must not change by a byte ------------
 
 @pytest.mark.parametrize("golden, argv", [
-    ("report_integrals_all.json", "integrals --suite all --alpha 1/4,3"),
-    ("report_integrals_all.csv", "integrals --suite all --alpha 1/4,3 --format csv"),
-    ("report_integrals_sweep.json", "integrals --suite all --alpha 1/30,5/8,7/4"),
-    ("report_identities.json", "identities --alpha 1/2,2/3 --n-max 6"),
-    ("report_scan_region.json", "scan --n 0..4 --alpha-grid 1/4:2:1/4"),
-    ("report_scan_threshold.json", "scan --n 1..6 --threshold"),
-    ("report_scan_region_21x40.csv", "scan --n 0..20 --alpha-grid 1/20:2:1/20 --format csv"),
+    ("report_integrals_all.json", "integrals --suite all --alpha 1/4,3 --no-timestamp"),
+    ("report_integrals_all.csv",
+     "integrals --suite all --alpha 1/4,3 --format csv --no-timestamp"),
+    ("report_integrals_sweep.json", "integrals --suite all --alpha 1/30,5/8,7/4 --no-timestamp"),
+    ("report_identities.json", "identities --alpha 1/2,2/3 --n-max 6 --no-timestamp"),
+    ("report_scan_region.json", "scan --n 0..4 --alpha-grid 1/4:2:1/4 --no-timestamp"),
+    ("report_scan_threshold.json", "scan --n 1..6 --threshold --no-timestamp"),
+    ("report_scan_region_21x40.csv",
+     "scan --n 0..20 --alpha-grid 1/20:2:1/20 --format csv --no-timestamp"),
+    # plot-data prints transition_evaluator floats directly and has no timestamp
+    ("plot_transition.csv", "plot-data --transition --n 0..20 --alpha 7/3 --points 41"),
 ])
 def test_report_matches_golden_bytes(capsys, golden, argv):
-    code, out, _ = run(capsys, *argv.split(), "--no-timestamp")
+    code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert out == (DATA / golden).read_bytes().decode("utf-8")
 

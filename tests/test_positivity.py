@@ -17,7 +17,7 @@ from khabcheck.positivity import (
     poly_nonneg_on_pos,
     region_scan,
 )
-from khabcheck.exact import scaled_value
+from khabcheck.exact import cleared, scaled_value
 from khabcheck.positivity import _split_point, _witness_candidates
 from khabcheck.transition import transition_poly
 
@@ -54,7 +54,7 @@ def _quadratic_criterion(coeffs):
 
 def _assert_agrees_with_criterion(coeffs):
     """The ladder's verdict on a quadratic, checked against the criterion."""
-    v = coeffs_nonneg_on_pos(coeffs)
+    v = coeffs_nonneg_on_pos(*cleared(coeffs))
     status, vertex = _quadratic_criterion(coeffs)
     assert v.status is status, coeffs
     if status is Status.NEGATIVE:
@@ -119,29 +119,28 @@ def test_general_route_agrees_with_quadratic_criterion():
 # -- general degree: Sturm route -----------------------------------------------
 
 def test_all_nonnegative_coefficients_fast_path():
-    v = coeffs_nonneg_on_pos((F(1), F(0), F(3)))
+    v = coeffs_nonneg_on_pos([1, 0, 3])
     assert v.status is Status.NONNEGATIVE
     assert v.certificate == "all-coefficients-nonnegative"
 
 
 def test_strictly_positive_quartic_has_no_positive_root():
     # z^2 - z + 1 > 0 everywhere; Sturm confirms no root on (0, bound]
-    v = coeffs_nonneg_on_pos((F(1), F(-1), F(1)))
+    v = coeffs_nonneg_on_pos([1, -1, 1])
     assert v.status is Status.NONNEGATIVE
     assert v.certificate == "sturm-no-positive-root"
 
 
 def test_touching_roots_with_even_multiplicity():
     # (z-1)^2 (z^2+1) touches zero at z = 1 without crossing
-    coeffs = (F(1), F(-2), F(2), F(-2), F(1))
-    v = coeffs_nonneg_on_pos(coeffs)
+    v = coeffs_nonneg_on_pos([1, -2, 2, -2, 1])
     assert v.status is Status.NONNEGATIVE
     assert v.certificate == "sturm-even-multiplicity"
 
 
 def test_simple_crossing_is_detected_with_witness():
     # (z-1)(z-2)(z-3) dips negative on (1,2) and (0,1) tails
-    coeffs = (F(-6), F(11), F(-6), F(1))
+    coeffs = [-6, 11, -6, 1]
     v = coeffs_nonneg_on_pos(coeffs)
     assert v.status is Status.NEGATIVE
     w = v.witness
@@ -151,14 +150,25 @@ def test_simple_crossing_is_detected_with_witness():
 
 
 def test_zero_polynomial_is_nonnegative():
-    assert coeffs_nonneg_on_pos((F(0),)).status is Status.NONNEGATIVE
-    assert coeffs_nonneg_on_pos(()).status is Status.NONNEGATIVE
+    assert coeffs_nonneg_on_pos([0]).status is Status.NONNEGATIVE
+    assert coeffs_nonneg_on_pos([]).status is Status.NONNEGATIVE
+    assert coeffs_nonneg_on_pos([0, 0], 7).status is Status.NONNEGATIVE
 
 
 def test_monomial_factor_is_stripped():
     # z^3 (z - 2)^2 is nonnegative although low coefficients vanish
-    coeffs = (F(0), F(0), F(0), F(4), F(-4), F(1))
-    assert coeffs_nonneg_on_pos(coeffs).status is Status.NONNEGATIVE
+    assert coeffs_nonneg_on_pos([0, 0, 0, 4, -4, 1]).status is Status.NONNEGATIVE
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-50, 50), max_size=6), st.integers(1, 30), st.integers(1, 30))
+@example([1, -2, 2, -2, 1], 3, 4)  # touching root: the Sturm rung decides
+@example([0, 0, -6, 11, -6, 1], 5, 6)  # z^2 (z-1)(z-2)(z-3): a z^m factor and a dip
+def test_verdict_depends_on_the_polynomial_not_its_writing(c, den, k):
+    v = coeffs_nonneg_on_pos(c, den)
+    assert coeffs_nonneg_on_pos([k * x for x in c], k * den) == v
+    if v.status is Status.NEGATIVE:
+        assert v.witness_value == _value([F(x, den) for x in c], v.witness) < 0
 
 
 def test_split_point_steps_off_a_root_at_the_midpoint():
@@ -167,10 +177,9 @@ def test_split_point_steps_off_a_root_at_the_midpoint():
 
 
 def test_negative_leading_coefficient_witness():
-    v = coeffs_nonneg_on_pos((F(100), F(0), F(0), F(-1)))
+    v = coeffs_nonneg_on_pos([100, 0, 0, -1])
     assert v.status is Status.NEGATIVE
-    c0, _, _, c3 = F(100), F(0), F(0), F(-1)
-    assert c0 + c3 * v.witness ** 3 < 0
+    assert 100 - v.witness ** 3 == v.witness_value < 0
 
 
 # -- polynomials whose sign is known by construction ------------------------------
@@ -211,7 +220,7 @@ TALL = F(2 ** 80 - 1, 2 ** 79 + 1)
 @example([F(1), F(0), F(1)], [TALL])
 @example([F(3)], [F(7, 3), F(7, 3)])
 def test_squared_factors_keep_the_polynomial_nonnegative(factor, double_roots):
-    v = coeffs_nonneg_on_pos(_build(factor, double_roots))
+    v = coeffs_nonneg_on_pos(*cleared(_build(factor, double_roots)))
     assert v.status is Status.NONNEGATIVE
     # a positive root rules out all-nonnegative coefficients, and it is
     # found by isolation, so the certificate is determined
@@ -228,7 +237,7 @@ def test_squared_factors_keep_the_polynomial_nonnegative(factor, double_roots):
 def test_simple_positive_roots_make_the_polynomial_negative(factor, double_roots,
                                                             simple_roots):
     coeffs = _build(factor, double_roots, simple_roots)
-    v = coeffs_nonneg_on_pos(coeffs)
+    v = coeffs_nonneg_on_pos(*cleared(coeffs))
     assert v.status is Status.NEGATIVE
     assert v.witness > 0
     assert _value(coeffs, v.witness) == v.witness_value < 0
@@ -239,7 +248,7 @@ def test_negative_dip_too_narrow_for_floats_is_found_exactly():
     # below float resolution, so the exact isolation rung must find it
     r1, r2 = F(1), 1 + F(1, 2 ** 70)
     coeffs = _times(_times([F(1), F(0), F(1)], [-r1, F(1)]), [-r2, F(1)])
-    v = coeffs_nonneg_on_pos(coeffs)
+    v = coeffs_nonneg_on_pos(*cleared(coeffs))
     assert v.status is Status.NEGATIVE
     assert r1 < v.witness < r2
     assert _value(coeffs, v.witness) == v.witness_value < 0
@@ -249,9 +258,7 @@ def test_negative_dip_too_narrow_for_floats_is_found_exactly():
 def test_witness_candidates_are_tried_most_negative_first(n, alpha):
     # at the largest extrema (z ~ 1.4e9 at n = 30, alpha = 299) c(z) lies
     # beyond the float range, where plain Horner gives -inf or NaN
-    coeffs = transition_poly(n).specialize(alpha)
-    den = math.lcm(*(x.denominator for x in coeffs))
-    c = [int(x * den) for x in coeffs]
+    c, _ = transition_poly(n).specialize(alpha)
     tried = _witness_candidates(c)
     exact = [F(scaled_value(c, F(x)), F(x).denominator ** (len(c) - 1))
              for x in tried]
@@ -275,9 +282,8 @@ def test_transition_polys_negative_above_half(alpha):
     for n in range(1, 9):
         v = poly_nonneg_on_pos(transition_poly(n), alpha)
         assert v.status is Status.NEGATIVE, (n, alpha)
-        specialized = transition_poly(n).specialize(alpha)
-        value = sum(c * v.witness ** i for i, c in enumerate(specialized))
-        assert value == v.witness_value < 0
+        row, den = transition_poly(n).specialize(alpha)
+        assert _value([F(x, den) for x in row], v.witness) == v.witness_value < 0
 
 
 def test_constant_member_is_nonnegative_for_every_alpha():
