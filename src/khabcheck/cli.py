@@ -58,8 +58,8 @@ from .quadrature import (
     extremal_density_fn,
     integrate_log_moment,
     integrate_weight_prime_moment,
+    reconstruction_sweep,
     verify_conjecture_chain,
-    verify_reconstruction,
     verify_weighted_moment,
     DensityFunction,
 )
@@ -153,6 +153,11 @@ def _record(check: str, params: dict, status: str,
             "value": value, "residual": residual, "status": status}
 
 
+def _failed(check: str, params: dict, exc: Exception) -> dict:
+    """A record failed by a numeric exception, named in params.error."""
+    return _record(check, {**params, "error": f"{type(exc).__name__}: {exc}"}, FAIL)
+
+
 def _render_params(params: dict) -> str:
     return ";".join(f"{k}={params[k]}" for k in sorted(params))
 
@@ -228,8 +233,7 @@ def _cmd_identities(args: argparse.Namespace) -> tuple[list[dict], dict]:
                     status, target, value, residual = identity(alpha, n)
                 except ArithmeticError as exc:
                     # an exact value too large for a float fails that record only
-                    records.append(_record(
-                        check, {**params, "error": f"{type(exc).__name__}: {exc}"}, FAIL))
+                    records.append(_failed(check, params, exc))
                     continue
                 records.append(_record(check, params, status,
                                        target=target, value=value, residual=residual))
@@ -238,16 +242,34 @@ def _cmd_identities(args: argparse.Namespace) -> tuple[list[dict], dict]:
     return records, config
 
 
+def _scored_record(check: str, params: dict, tol: float, c: ResidualCheck) -> dict:
+    return _record(check, params, PASS if c.quad.converged and abs(c.residual) <= tol else FAIL,
+                   target=c.target, value=c.value, residual=c.residual)
+
+
 def _scored(measure):
     """Suite driver for one integral scored against its target.
 
     ``measure(cfg, **point)`` returns a ``ResidualCheck``.
     """
-    def records(check, params, tol, cfg, q, **point):
-        c = measure(cfg, **point)
-        return [_record(check, params,
-                        PASS if c.quad.converged and abs(c.residual) <= tol else FAIL,
-                        target=c.target, value=c.value, residual=c.residual)]
+    def records(check, params, tol, cfg, args, **point):
+        return [_scored_record(check, params, tol, measure(cfg, **point))]
+    return records
+
+
+def _reconstruction_records(check, params, tol, cfg, args, n, alpha):
+    """One record per y of ``--y``, all from one sweep at (n, alpha); a
+    numeric failure at one y fails that record only."""
+    records = []
+    sweep = None
+    for y in args.y:
+        at = {**params, "y": y}
+        try:
+            if sweep is None:  # a sweep that cannot be built fails every y alike
+                sweep = reconstruction_sweep(n, alpha, cfg)
+            records.append(_scored_record(check, at, tol, sweep(y)))
+        except (ArithmeticError, ValueError) as exc:
+            records.append(_failed(check, at, exc))
     return records
 
 
@@ -255,11 +277,12 @@ def _against(result: QuadResult, target: float) -> ResidualCheck:
     return ResidualCheck(value=result.value, target=target, quad=result)
 
 
-def _chain_records(check, params, tol, cfg, q, n, alpha):
+def _chain_records(check, params, tol, cfg, args, n, alpha):
     """Premise and conclusion records, or one inconclusive record when the
     positivity gate of the reduction does not hold."""
     if n < 1:
         return []  # the combined run owns index 0 elsewhere
+    q = args.q
     density = (extremal_density_fn(alpha, n) if q == "extremal" else
                DensityFunction(lambda t: 0.0, "zero density",
                                power_at_zero=0.0, power_at_infinity=-10.0))
@@ -280,7 +303,8 @@ def _chain_records(check, params, tol, cfg, q, n, alpha):
     ]
 
 
-# suite: (check name, default pass tolerance, grid axes in loop order, driver).
+# suite: (check name, default pass tolerance, grid axes in loop order, driver);
+# a driver returns the records of one grid point, the reconstruction's one per y.
 # Drivers name the numeric layers as module globals, looked up per call, so
 # that wrappers swapped into this module at run time see every call.
 _SUITES = {
@@ -288,8 +312,7 @@ _SUITES = {
         lambda cfg, alpha: _against(integrate_log_moment(alpha, cfg), math.pi / float(alpha)))),
     "weight-prime": ("weight-derivative-moment", 1e-8, ("alpha",), _scored(
         lambda cfg, alpha: _against(integrate_weight_prime_moment(alpha, cfg), -math.pi))),
-    "reconstruction": ("reconstruction", 1e-6, ("n", "alpha", "y"), _scored(
-        lambda cfg, n, alpha, y: verify_reconstruction(n, alpha, y, cfg))),
+    "reconstruction": ("reconstruction", 1e-6, ("n", "alpha"), _reconstruction_records),
     "weighted-moment": ("weighted-transition-moment", 1e-6, ("n", "alpha"), _scored(
         lambda cfg, n, alpha: verify_weighted_moment(n, alpha, cfg))),
     "chain": ("conjecture-chain", 1e-6, ("n", "alpha"), _chain_records),
@@ -302,7 +325,7 @@ def _cmd_integrals(args: argparse.Namespace) -> tuple[list[dict], dict]:
         args.n = list(range(1, 4)) if args.suite == "chain" else list(range(0, 5))
     if args.suite == "chain" and any(n < 1 for n in args.n):
         raise ValueError("chain suite needs conjecture index n >= 1")
-    grid = {"n": args.n, "alpha": sorted(args.alpha), "y": args.y}
+    grid = {"n": args.n, "alpha": sorted(args.alpha)}
     records = []
     for suite in _SUITES if args.suite == "all" else [args.suite]:
         check, tol, axes, driver = _SUITES[suite]
@@ -311,11 +334,10 @@ def _cmd_integrals(args: argparse.Namespace) -> tuple[list[dict], dict]:
             point = dict(zip(axes, values))
             params = {**point, "alpha": str(point["alpha"])}
             try:
-                records += driver(check, params, tol, cfg, args.q, **point)
+                records += driver(check, params, tol, cfg, args, **point)
             except (ArithmeticError, ValueError) as exc:
                 # a numeric failure at one grid point fails that point only
-                records.append(_record(
-                    check, {**params, "error": f"{type(exc).__name__}: {exc}"}, FAIL))
+                records.append(_failed(check, params, exc))
     config = {"command": "integrals", "suite": args.suite,
               "alpha": [str(a) for a in sorted(args.alpha)],
               "n": args.n, "y": args.y, "q": args.q,

@@ -107,12 +107,12 @@ def transition_evaluator(n: int, alpha: RationalLike) -> Callable[[float], float
     """
     a = positive_rational(alpha)
     row, den = transition_poly(n).specialize(a)
-    coeffs = [x / den for x in row]  # int / int rounds correctly, as float(Fraction) does
+    # int / int rounds correctly, as float(Fraction) does; c_j goes with w^(n+2-j)
+    terms = [(x / den, n + 2 - j) for j, x in enumerate(row)]
     af = float(a)
     two_a = 2.0 * af
     scale = 4.0 * af * af
-    n_plus_2 = n + 2
-    lead = coeffs[-1]
+    lead = terms[-1][0]
 
     def phi(t: float) -> float:
         if not 0.0 < t < math.inf:
@@ -128,8 +128,8 @@ def transition_evaluator(n: int, alpha: RationalLike) -> Callable[[float], float
         w = 1.0 / (1.0 + z)
         total = 0.0
         pj = 1.0
-        for j, c in enumerate(coeffs):
-            total += c * pj * w ** (n_plus_2 - j)
+        for c, e in terms:
+            total += c * pj * w ** e
             pj *= p
         return scale * t ** (two_a - 1.0) * total
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from khabcheck import cli
+from khabcheck import cli, quadrature
 from khabcheck.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -89,6 +89,44 @@ def test_csv_cells_keep_commas_in_params(capsys):
     assert all(len(row) == 6 for row in rows)
     assert [row[1] for row in rows[1:]] == [cli._render_params(r["params"]) for r in records]
     assert any("," in r["params"].get("error", "") for r in records)
+
+
+def test_reconstruction_failure_at_one_y_fails_that_record_only(capsys):
+    # at y = 1e308, y/u overflows to inf at some node, which Phi_n refuses
+    argv = ("integrals", "--suite", "reconstruction", "--alpha", "1/4", "--n", "1",
+            "--no-timestamp", "--y")
+    code, out, err = run(capsys, *argv, "0.5,1e308,2")
+    assert code == 1 and err == ""
+    records = json.loads(out)["records"]
+    assert [r["status"] for r in records] == ["pass", "fail", "pass"]
+    assert records[1]["params"] == {"n": 1, "alpha": "1/4", "y": 1e308,
+                                    "error": "ValueError: t must be positive and finite"}
+    _, kept, _ = run(capsys, *argv, "0.5,2")
+    assert [records[0], records[2]] == json.loads(kept)["records"]
+
+
+def _kernel_calls(monkeypatch, capsys, argv):
+    calls = []
+    kernel_eval = quadrature.kernel_eval
+    monkeypatch.setattr(quadrature, "kernel_eval",
+                        lambda k, x: calls.append((k, x)) or kernel_eval(k, x))
+    run(capsys, *argv.split())
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("alpha", ["1/4", "1/2", "7/2"])
+def test_reconstruction_suite_evaluates_each_kernel_node_once(monkeypatch, capsys, alpha):
+    calls = _kernel_calls(monkeypatch, capsys, "integrals --suite reconstruction "
+                          f"--alpha {alpha} --n 0..2 --y 1e-3,1/2,1,2,1e3")
+    # one sweep per (n, alpha): K_n at a node is computed once for all five y
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_no_node_table_outlives_its_report(monkeypatch, capsys):
+    argv = "integrals --suite all --alpha 1/4,3 --no-timestamp"
+    first = _kernel_calls(monkeypatch, capsys, argv)
+    assert first and _kernel_calls(monkeypatch, capsys, argv) == first
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,12 +25,14 @@ from khabcheck.quadrature import (
     integrate_unit_interval,
     integrate_weight_prime_moment,
     log_spaced,
+    reconstruction_sweep,
     verify_conjecture_chain,
     verify_reconstruction,
     verify_weighted_moment,
 )
 from khabcheck.positivity import PositivityVerdict, Status
-from khabcheck.transition import transition_eval
+from khabcheck.kernel import kernel_eval
+from khabcheck.transition import transition_eval, transition_evaluator
 
 
 # -- configuration and result plumbing ----------------------------------------
@@ -43,6 +46,16 @@ def test_config_defaults_and_validation():
         QuadConfig(rel_tol=-1e-9)
     with pytest.raises(ValueError):
         QuadConfig(max_subdivisions=0)
+
+
+def test_subdivision_budget_is_admitted_as_an_integer():
+    # a float budget would reach QUADPACK and fail there, at the first integral
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        QuadConfig(max_subdivisions=2.5)
+    with pytest.raises(TypeError):
+        QuadConfig(max_subdivisions=2.0)
+    budget = QuadConfig(max_subdivisions=np.int64(7)).max_subdivisions
+    assert budget == 7 and type(budget) is int
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
@@ -59,14 +72,38 @@ def test_tolerances_must_be_finite(tol):
 
 def test_result_addition_accumulates_error_and_convergence():
     a = QuadResult(value=1.0, error_estimate=1e-12, converged=True,
-                   subdivisions_used=3)
+                   subdivisions_used=3, evaluations=63)
     b = QuadResult(value=2.0, error_estimate=3e-12, converged=False,
-                   subdivisions_used=4)
+                   subdivisions_used=4, evaluations=147)
     c = a + b
     assert c.value == 3.0
     assert c.error_estimate == pytest.approx(4e-12)
     assert not c.converged
     assert c.subdivisions_used == 7
+    assert c.evaluations == 210
+
+
+def _counted(f):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("integral", [
+    lambda f: integrate_unit_interval(f, power_at_zero=-0.5),       # flattened pass
+    lambda f: integrate_unit_interval(f),                           # graded pass
+    lambda f: integrate_unit_interval(f, QuadConfig(max_subdivisions=1),
+                                      power_at_zero=3.0),           # fallback: both
+    lambda f: integrate_half_line(f, power_at_zero=-0.5, decay_power=0.5),
+], ids=["flattened", "graded", "fallback", "half-line"])
+def test_evaluations_count_every_integrand_call(integral):
+    f, calls = _counted(lambda t: t ** -0.5 * math.sin(40.0 * t) / (1.0 + t))
+    r = integral(f)
+    assert r.evaluations == len(calls) > 0
 
 
 def test_converged_respects_tolerances():
@@ -429,7 +466,17 @@ def test_chain_kernel_work_does_not_scale_with_the_grid(monkeypatch, n, alpha, c
 
 def _bits(r: QuadResult) -> tuple:
     return (r.value.hex(), r.error_estimate.hex(), r.converged,
-            r.subdivisions_used)
+            r.subdivisions_used, r.evaluations)
+
+
+def _tableless_premise(n, q, t, cfg):
+    """The premise integral as written, each node computed afresh."""
+    def integrand(x):
+        if x <= 0.0 or x > 1.0:
+            return 0.0
+        return kernel_eval(n - 1, x) * q.evaluator(t * x)
+
+    return integrate_unit_interval(integrand, cfg, q.power_at_zero)
 
 
 @pytest.mark.parametrize("n, alpha, hints, cfg", [
@@ -445,7 +492,55 @@ def test_chain_premise_equals_one_shot_integrals_bit_for_bit(n, alpha, hints, cf
     report = verify_conjecture_chain(n, alpha, q, cfg=cfg)
     assert report.applicable and len(report.premise) == 25
     for entry in report.premise:
-        assert _bits(entry.quad) == _bits(integrate_01_kernel(n, q, entry.t, cfg))
+        assert _bits(entry.quad) == _bits(integrate_01_kernel(n, q, entry.t, cfg)) \
+            == _bits(_tableless_premise(n, q, entry.t, cfg))
+
+
+# -- the reconstruction's node table ------------------------------------------------
+
+def _tableless_reconstruction(n, alpha, y, cfg):
+    """The reconstruction integral as written, each node computed afresh."""
+    phi = transition_evaluator(n, alpha)
+
+    def integrand(u):
+        if u <= 0.0 or u > 1.0:
+            return 0.0
+        return phi(y / u) * kernel_eval(n, u) * y / (u * u)
+
+    return integrate_unit_interval(integrand, cfg, 2.0 * float(alpha) - 1.0)
+
+
+@pytest.mark.parametrize("n, alpha, cfg", [
+    (2, F(1, 4), DEFAULT_CONFIG),                     # endpoint power -1/2
+    (1, F(7, 2), DEFAULT_CONFIG),                     # endpoint power 6
+    (1, F(7, 2), QuadConfig(max_subdivisions=2)),     # graded fallback
+    (3, F(1, 2), DEFAULT_CONFIG),                     # no power: graded pass only
+], ids=["negative-power", "positive-power", "fallback", "graded"])
+def test_reconstruction_sweep_equals_one_shot_integrals_bit_for_bit(n, alpha, cfg):
+    sweep = reconstruction_sweep(n, alpha, cfg)
+    for y in (1e-3, 0.5, 1.0, 2.0, 1e3):
+        swept = sweep(y)
+        one_shot = verify_reconstruction(n, alpha, y, cfg)
+        assert _bits(swept.quad) == _bits(one_shot.quad) \
+            == _bits(_tableless_reconstruction(n, alpha, y, cfg))
+        assert (swept.value, swept.target) == (one_shot.value, one_shot.target)
+        if cfg.max_subdivisions == 2:  # both passes ran, two subdivisions each
+            assert swept.quad.subdivisions_used == 4
+
+
+@pytest.mark.parametrize("alpha", [F(1, 4), F(1, 2), F(7, 2)])
+def test_reconstruction_kernel_work_does_not_scale_with_the_y_grid(monkeypatch, alpha):
+    calls = []
+    monkeypatch.setattr(quadrature, "kernel_eval",
+                        lambda k, x: calls.append(x) or kernel_eval(k, x))
+    sweep = reconstruction_sweep(2, alpha)
+    evaluations = 0
+    for y in log_spaced(1e-3, 1e3, 13):
+        check = sweep(y)
+        assert check.quad.converged
+        evaluations += check.quad.evaluations
+    # one evaluation per distinct node, shared by every y of the grid
+    assert len(calls) == len(set(calls)) < evaluations / 3
 
 
 # -- the extremal density's float route ------------------------------------------
