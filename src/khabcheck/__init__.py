@@ -1,16 +1,17 @@
 """khabcheck: machine verification of the integral-inequality reduction
 behind Khabibullin's conjecture.
 
-The package provides exact rational polynomial machinery, a symbolic term
-algebra closed under differentiation, certified positivity decisions, and
-adaptive quadrature drivers that confront every integral identity of the
-reduction with its analytic target.
+The package provides exact polynomials held as integer rows over one
+denominator, a symbolic term algebra closed under differentiation held the
+same way, certified positivity decisions, and adaptive quadrature drivers
+that confront every integral identity of the reduction with its analytic
+target.
 """
 
 __version__ = "0.1.0"
 
-from .exact import ALPHA, AlphaPolynomial, ZPolynomial, positive_rational, rational
-from .termalgebra import MixedSum, MixedTerm, mixed_diff, mixed_eval
+from .exact import ZPolynomial, positive_rational, rational
+from .termalgebra import MixedSum, mixed_diff, mixed_eval
 from .kernel import kernel_eval
 from .constants import (
     beta_int,
@@ -57,8 +58,8 @@ from .quadrature import (
 
 __all__ = [
     "__version__",
-    "ALPHA", "AlphaPolynomial", "ZPolynomial", "positive_rational", "rational",
-    "MixedSum", "MixedTerm", "mixed_diff", "mixed_eval",
+    "ZPolynomial", "positive_rational", "rational",
+    "MixedSum", "mixed_diff", "mixed_eval",
     "kernel_eval",
     "beta_int", "kernel_power_moment", "rhs_constant", "verify_moment_identity",
     "verify_reciprocity",

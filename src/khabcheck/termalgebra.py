@@ -20,7 +20,10 @@ exactly, in canonical form, without a general CAS.
 ``exact.ZPolynomial``: each sorted key ``(k, p, q)`` maps to the integer
 alpha-coefficients of its term, equal keys merge, zero terms are dropped and
 the whole is in lowest terms, so two sums representing the same function as
-a formal linear combination compare equal.
+a formal linear combination compare equal.  Its operations (``+``, ``-``,
+``scale``, ``shift_power``, ``derivative``) are integer row operations, and
+a single term is built from its row, e.g. ``MixedSum((((1, -1, 0), (0, -2)),))``
+for -2*alpha * t**(-1) * (1 + t**beta)**(-1).
 """
 
 from __future__ import annotations
@@ -32,20 +35,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable
 
-from .exact import AlphaPolynomial, AlphaPolyLike, _coerce_alpha, lowest_terms, rational
-
-
-@dataclass(frozen=True)
-class MixedTerm:
-    """One term  coeff(alpha) * t**(p + q*beta) * (1 + t**beta)**(-k)."""
-
-    coeff: AlphaPolynomial
-    p: int
-    q: int
-    k: int
-
-    def __str__(self) -> str:
-        return f"({self.coeff}) * t^({self.p}+{self.q}b) * (1+t^b)^(-{self.k})"
+from .exact import lowest_terms, rational
 
 
 @dataclass(frozen=True, init=False)
@@ -75,17 +65,6 @@ class MixedSum:
         object.__setattr__(self, "rows", tuple(
             (key, tuple(row)) for key, row in zip(keys, rows) if row))
         object.__setattr__(self, "den", den)
-
-    @staticmethod
-    def single(coeff: AlphaPolyLike, p: int, q: int, k: int) -> MixedSum:
-        c = _coerce_alpha(coeff)
-        return MixedSum((((k, p, q), c.num),), c.den)
-
-    @property
-    def terms(self) -> tuple[MixedTerm, ...]:
-        """Read-only view, one term per key in ``(k, p, q)`` order."""
-        return tuple(MixedTerm(AlphaPolynomial(row, self.den), p, q, k)
-                     for (k, p, q), row in self.rows)
 
     def __add__(self, other: MixedSum) -> MixedSum:
         den = math.lcm(self.den, other.den)
@@ -118,11 +97,6 @@ class MixedSum:
             # (1+t**beta)**(-k) part: -2*k*alpha * t**(p-1+(q+1)*beta) * (1+t**beta)**(-k-1)
             out.append(((k + 1, p - 1, q + 1), [0, *(-2 * k * x for x in row)]))
         return MixedSum(out, self.den)
-
-    def __str__(self) -> str:
-        if not self.rows:
-            return "0"
-        return "  +  ".join(str(t) for t in self.terms)
 
 
 def mixed_diff(s: MixedSum, order: int = 1) -> MixedSum:

@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .exact import ALPHA, RationalLike, ZPolynomial, positive_rational
+from .exact import RationalLike, ZPolynomial, positive_rational, row_value
 from .termalgebra import MixedSum, mixed_diff, mixed_eval
 
 # ---------------------------------------------------------------------------
@@ -160,9 +160,10 @@ def log_weight_prime_seed() -> MixedSum:
 
     Differentiating ln(1 + t^(-2a)) and clearing negative powers of the base
     gives exactly  -2a * t^(-1) * (1 + t^(2a))^(-1),  i.e. the term
-    (p, q, k) = (-1, 0, 1) with coefficient -2*alpha.
+    (p, q, k) = (-1, 0, 1) with coefficient -2*alpha: the key (1, -1, 0)
+    with alpha-row (0, -2).
     """
-    return MixedSum.single(-2 * ALPHA, p=-1, q=0, k=1)
+    return MixedSum((((1, -1, 0), (0, -2)),))
 
 
 @lru_cache(maxsize=None)
@@ -243,6 +244,8 @@ def oracle_equiv_check(
     offending grid point is returned as data rather than raised.  A point
     whose deviation is NaN or infinite fails, with ``max_deviation`` inf.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     if not alpha_samples or not t_samples:
         raise ValueError("sample grids must be non-empty")
     if not 0 <= rel_tol < math.inf:
@@ -323,7 +326,8 @@ def asymptotic_check(
     phi = transition_evaluator(n, a)
     af = float(a)
     wf = float(w)
-    limit = 4.0 * af * af * abs(float(transition_poly(n).leading_coeff(a)))
+    P = transition_poly(n)
+    limit = 4.0 * af * af * abs(float(row_value(P.rows[-1], P.den, a)))
 
     large = tuple((t, t ** (1.0 + 2.0 * af) * abs(phi(t))) for t in sorted(large_ts))
     small = tuple((t, t ** (1.0 + wf) * abs(phi(t))) for t in sorted(small_ts, reverse=True))

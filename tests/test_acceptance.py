@@ -10,7 +10,7 @@ import time
 from fractions import Fraction as F
 
 from khabcheck.constants import verify_moment_identity, verify_reciprocity
-from khabcheck.exact import ALPHA, AlphaPolynomial
+from khabcheck.exact import ZPolynomial
 from khabcheck.positivity import (
     Status,
     alpha_threshold,
@@ -44,14 +44,13 @@ def _verdict(num: int, ok: bool, elapsed: float, budget: float, detail: str):
 
 def test_criterion_1_exact_polynomial_layer():
     start = time.perf_counter()
-    a = ALPHA
-    expected_1 = (1 - 2 * a, 2 * a + 1)
-    expected_2 = ((1 - 2 * a) * (1 - a),
-                  (1 - 2 * a) * (2 * a + 1) * 2,
-                  (2 * a + 1) * (a + 1))
-    ok = (transition_poly(0).coeffs == (AlphaPolynomial.constant(1),)
-          and transition_poly(1).coeffs == expected_1
-          and transition_poly(2).coeffs == expected_2)
+    # (1 - 2a) + (2a + 1) z
+    expected_1 = ZPolynomial(((1, -2), (1, 2)))
+    # (1-2a)(1-a) + 2(1-2a)(2a+1) z + (2a+1)(a+1) z^2, expanded by hand
+    expected_2 = ZPolynomial(((1, -3, 2), (2, 0, -8), (1, 3, 2)))
+    ok = (transition_poly(0) == ZPolynomial(((1,),))
+          and transition_poly(1) == expected_1
+          and transition_poly(2) == expected_2)
     _verdict(1, ok, time.perf_counter() - start, 1.0,
              "members 1 and 2 match their closed forms coefficient-for-coefficient")
 

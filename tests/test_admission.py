@@ -95,9 +95,9 @@ def test_exact_evaluators_refuse_floats():
     with pytest.raises(TypeError):
         region_scan([2], [F(1, 4)]).cell(2, 0.25)
     with pytest.raises(TypeError):
-        MixedSum.single(0.5, 0, 0, 1)
+        MixedSum([((1, 0, 0), [0.5])])
     with pytest.raises(TypeError):
-        MixedSum.single(1, 0, 0, 1).scale(0.5)
+        MixedSum([((1, 0, 0), [1])]).scale(0.5)
 
 
 @pytest.mark.parametrize("den", [0, -1])

@@ -38,6 +38,8 @@ def run(capsys, *argv):
      "scan --n 0..20 --alpha-grid 1/20:2:1/20 --format csv --no-timestamp"),
     # plot-data prints transition_evaluator floats directly and has no timestamp
     ("plot_transition.csv", "plot-data --transition --n 0..20 --alpha 7/3 --points 41"),
+    # kernel_eval floats on both sides of the series switch at x = 0.9
+    ("plot_kernel.csv", "plot-data --kernel --n 0..12 --points 100"),
 ])
 def test_report_matches_golden_bytes(capsys, golden, argv):
     code, out, _ = run(capsys, *argv.split())

@@ -1,6 +1,7 @@
-"""Exact polynomial tests: canonical forms, ring laws, evaluation."""
+"""Exact polynomial tests: canonical forms, row operations, evaluation."""
 
 import math
+from collections import defaultdict
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,21 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from khabcheck.exact import (
-    ALPHA,
-    AlphaPolynomial,
     ZPolynomial,
+    lowest_terms,
     positive_rational,
     rational,
+    row_value,
     simplest_between,
 )
 from khabcheck.termalgebra import MixedSum
 
 small_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
-
-
-def alpha_polys(max_degree=4):
-    return st.lists(small_fractions, max_size=max_degree + 1).map(
-        lambda cs: AlphaPolynomial(tuple(cs)))
 
 
 def z_polys(max_degree=3):
@@ -65,9 +61,9 @@ def test_positive_rational_admits_only_positive_exact_values():
 
 
 def test_evaluation_rejects_float_points():
-    with pytest.raises(TypeError):
-        ALPHA(0.5)
     P = ZPolynomial(((0, 1), (1,)))  # alpha + z
+    with pytest.raises(TypeError):
+        P.specialize(0.5)
     with pytest.raises(TypeError):
         P.evaluate(0.5, 1)
     with pytest.raises(TypeError):
@@ -77,19 +73,18 @@ def test_evaluation_rejects_float_points():
 # -- canonical form --------------------------------------------------------
 
 def test_trailing_zeros_are_stripped():
-    assert AlphaPolynomial((F(1), F(0), F(0))) == AlphaPolynomial((F(1),))
+    assert lowest_terms([[1, 0, 0], [0, 0]], 1) == ([[1], []], 1)
     assert ZPolynomial(((0, 1, 0), (0, 0), ())) == ZPolynomial(((0, 1),))
 
 
 def test_zero_polynomial_degree_is_minus_one():
-    assert AlphaPolynomial.zero().degree == -1
     assert ZPolynomial().degree == -1
-    assert AlphaPolynomial.zero().is_zero
+    assert ZPolynomial([[0, 0], []], 3).degree == -1
 
 
-@given(alpha_polys(), z_polys(), mixed_sums(), st.integers(1, 30), st.randoms())
-def test_alpha_poly_normalization_is_idempotent(p, P, S, k, rnd):
-    assert AlphaPolynomial(p.coeffs) == p
+@given(z_polys(), mixed_sums(), st.integers(1, 30), st.randoms())
+def test_alpha_poly_normalization_is_idempotent(P, S, k, rnd):
+    assert lowest_terms(P.rows, P.den) == ([list(row) for row in P.rows], P.den)
     # rows * k over den * k is rows over den
     assert ZPolynomial([[k * x for x in row] for row in P.rows], k * P.den) == P
     assert MixedSum([(key, [k * x for x in row]) for key, row in S.rows], k * S.den) == S
@@ -102,7 +97,7 @@ def test_alpha_poly_normalization_is_idempotent(p, P, S, k, rnd):
 @given(st.lists(st.integers(-50, 50), max_size=4), st.integers(-20, 20), st.booleans())
 def test_integer_row_types_share_one_canonical_form(row, den, with_float):
     key = (1, -1, 2)
-    makers = (AlphaPolynomial, lambda r, d: ZPolynomial([r], d),
+    makers = (lambda r, d: lowest_terms([r], d), lambda r, d: ZPolynomial([r], d),
               lambda r, d: MixedSum([(key, r)], d))
     if with_float:
         for make in makers:
@@ -114,68 +109,63 @@ def test_integer_row_types_share_one_canonical_form(row, den, with_float):
             with pytest.raises(ValueError, match="^den must be a positive integer$"):
                 make(row, den)
         return
-    p, P, S = (make(row, den) for make in makers)
-    assert p == AlphaPolynomial([F(x, den) for x in row])
-    assert P.rows == ((p.num,) if p.num else ())
-    assert S.rows == (((key, p.num),) if p.num else ())
-    assert p.den == P.den == S.den
+    ([num], d), P, S = (make(row, den) for make in makers)
+    expected = [F(x, den) for x in row]
+    while expected and not expected[-1]:
+        expected.pop()
+    assert [F(x, d) for x in num] == expected
+    assert math.gcd(d, *num) == 1
+    assert P.rows == ((tuple(num),) if num else ())
+    assert S.rows == (((key, tuple(num)),) if num else ())
+    assert d == P.den == S.den
 
 
-@given(alpha_polys())
-def test_alpha_poly_round_trips_through_num_and_den(p):
-    q = AlphaPolynomial(p.num, p.den)
-    assert q == p
-    assert hash(q) == hash(p)
-    assert p.den > 0
-    assert math.gcd(p.den, *p.num) == 1
-    assert p.coeffs == tuple(F(x, p.den) for x in p.num)
+@given(z_polys())
+def test_alpha_poly_round_trips_through_num_and_den(P):
+    Q = ZPolynomial(P.rows, P.den)
+    assert Q == P
+    assert hash(Q) == hash(P)
+    assert P.den > 0
+    assert math.gcd(P.den, *(x for row in P.rows for x in row)) == 1
 
 
-@given(alpha_polys())
-def test_zero_difference_has_unit_denominator(p):
-    assert (p - p).num == ()
-    assert (p - p).den == 1
+@given(mixed_sums())
+def test_zero_difference_has_unit_denominator(S):
+    assert (S - S).rows == ()
+    assert (S - S).den == 1
 
 
 def test_integer_input_is_reduced_to_lowest_terms():
-    p = AlphaPolynomial([2, 4], 6)
-    assert p == AlphaPolynomial((F(1, 3), F(2, 3)))
-    assert (p.num, p.den) == ((1, 2), 3)
-    assert AlphaPolynomial([-2, 4], 6) == AlphaPolynomial((F(-1, 3), F(2, 3)))
-    assert AlphaPolynomial([3, 0, 0], 9) == AlphaPolynomial.constant(F(1, 3))
-    for zero in (AlphaPolynomial.zero(), AlphaPolynomial([0, 0], 7), ALPHA - ALPHA):
-        assert (zero.num, zero.den) == ((), 1)
+    assert lowest_terms([[2, 4]], 6) == ([[1, 2]], 3)
+    assert lowest_terms([[-2, 4]], 6) == ([[-1, 2]], 3)
+    assert lowest_terms([[3, 0, 0]], 9) == ([[1]], 3)
+    assert lowest_terms([[0, 0]], 7) == ([[]], 1)
     for den in (0, -6):
         with pytest.raises(ValueError):
-            AlphaPolynomial([2, 4], den)
+            lowest_terms([[2, 4]], den)
         with pytest.raises(ValueError):
             ZPolynomial([[2, 4]], den)
     P = ZPolynomial([[2], [4, 6, 0]], 8)
     assert (P.rows, P.den) == (((1,), (2, 3)), 4)
-    assert P.coeffs == (AlphaPolynomial.constant(F(1, 4)), AlphaPolynomial((F(1, 2), F(3, 4))))
     zero = ZPolynomial([[0, 0], []], 7)
     assert (zero.rows, zero.den) == ((), 1)
 
 
 def test_floats_are_rejected():
     with pytest.raises(TypeError):
-        AlphaPolynomial((0.5,))
+        lowest_terms([[0.5]], 1)
     with pytest.raises(TypeError):
-        AlphaPolynomial((1, 0.5))
+        lowest_terms([[1, 0.5]], 1)
     with pytest.raises(TypeError):
-        AlphaPolynomial.constant(0.25)
+        lowest_terms([[1, 2]], 0.5)
     with pytest.raises(TypeError):
-        AlphaPolynomial((1, 2), 0.5)
-    with pytest.raises(TypeError):
-        AlphaPolynomial((0.5,), 2)
+        MixedSum([((0, 0, 0), [0.5])])
     with pytest.raises(TypeError):
         ZPolynomial(((0.5,),))
     with pytest.raises(TypeError):
         ZPolynomial(((0, 1), (0.5,)))
     with pytest.raises(TypeError):
         ZPolynomial(((1,),), 0.5)
-    with pytest.raises(TypeError):
-        ALPHA * 0.5
 
 
 @given(z_polys(), small_fractions)
@@ -194,38 +184,73 @@ def test_specialize_matches_fraction_horner(P, a):
     assert den > 0 and math.gcd(den, *row) == 1 and (not row or row[-1])
 
 
-# -- ring laws -------------------------------------------------------------
+# -- the alpha-coefficient rows under the term algebra's operations ---------
+#
+# A MixedSum keeps one alpha-row per key: + and - add rows, ``scale``
+# multiplies them by a rational, and ``derivative`` multiplies them by the
+# alpha-polynomials p + 2q*alpha and -2k*alpha.
 
-@given(alpha_polys(), alpha_polys())
-def test_alpha_addition_commutes(p, q):
-    assert p + q == q + p
+@given(mixed_sums(), mixed_sums())
+def test_alpha_addition_commutes(S, U):
+    assert S + U == U + S
 
 
-@given(alpha_polys(), alpha_polys(), alpha_polys())
+@given(mixed_sums(), mixed_sums(), small_fractions)
 @settings(max_examples=50)
-def test_alpha_multiplication_distributes(p, q, r):
-    assert p * (q + r) == p * q + p * r
+def test_alpha_multiplication_distributes(S, U, f):
+    assert (S + U).scale(f) == S.scale(f) + U.scale(f)
 
 
-@given(alpha_polys(), alpha_polys(), small_fractions)
-def test_alpha_evaluation_is_a_ring_homomorphism(p, q, a):
-    assert (p + q)(a) == p(a) + q(a)
-    assert (p * q)(a) == p(a) * q(a)
+@given(mixed_sums(), mixed_sums(), small_fractions)
+def test_alpha_evaluation_is_a_ring_homomorphism(S, U, a):
+    # row_value at alpha = a takes the sum of two sums to the sum of their
+    # values, and the derivative's products to products of rationals
+    def at(s):
+        values = ((key, row_value(row, s.den, a)) for key, row in s.rows)
+        return {key: c for key, c in values if c}
+
+    values, other = at(S), at(U)
+    total = defaultdict(F)
+    for key, c in [*values.items(), *other.items()]:
+        total[key] += c
+    assert at(S + U) == {key: c for key, c in total.items() if c}
+
+    product = defaultdict(F)
+    for (k, p, q), c in values.items():
+        product[(k, p - 1, q)] += (p + 2 * q * a) * c
+        product[(k + 1, p - 1, q + 1)] += -2 * k * a * c
+    assert at(S.derivative()) == {key: c for key, c in product.items() if c}
+    assert row_value([1, -2], 1, F(1, 2)) == 0  # 1 - 2a at a = 1/2
 
 
-@given(alpha_polys(), alpha_polys())
-def test_alpha_degree_of_product_adds(p, q):
-    if p.is_zero or q.is_zero:
-        assert (p * q).is_zero
+@given(st.integers(0, 4), st.integers(-4, 4), st.integers(0, 3),
+       st.lists(st.integers(-50, 50), min_size=1, max_size=4).filter(lambda r: r[-1]))
+def test_alpha_degree_of_product_adds(k, p, q, row):
+    # the derivative of one term multiplies its alpha-row (degree d) by
+    # p + 2q*alpha and by -2k*alpha; each product has degree d + the factor's
+    d = len(row) - 1
+    rows = dict(MixedSum([((k, p, q), row)]).derivative().rows)
+    power, weight = rows.get((k, p - 1, q)), rows.get((k + 1, p - 1, q + 1))
+    if q:
+        assert len(power) - 1 == d + 1
+    elif p:
+        assert len(power) - 1 == d
     else:
-        assert (p * q).degree == p.degree + q.degree
+        assert power is None  # the factor p + 2q*alpha is zero
+    if k:
+        assert len(weight) - 1 == d + 1
+    else:
+        assert weight is None
 
 
 # -- mixed scalar arithmetic ------------------------------------------------
 
 def test_int_and_fraction_coercion():
-    assert 2 * ALPHA + 1 == AlphaPolynomial((F(1), F(2)))
-    assert (1 - 2 * ALPHA)(F(1, 2)) == 0
+    # a scale factor is admitted through ``rational``: an int, the equal
+    # Fraction and its string are one factor
+    S = MixedSum([((0, 0, 0), [1, 2])])  # 2a + 1
+    assert S.scale(2) == S.scale(F(2)) == S.scale("2") == MixedSum([((0, 0, 0), [2, 4])])
+    assert S.scale(F(1, 2)) == MixedSum([((0, 0, 0), [1, 2])], 2)
 
 
 def test_specialize_strips_trailing_zeros():

@@ -67,8 +67,8 @@ def test_integrals_load_scipy_and_report_the_golden_bytes():
 
 PUBLIC = [
     "__version__",
-    "ALPHA", "AlphaPolynomial", "ZPolynomial", "positive_rational", "rational",
-    "MixedSum", "MixedTerm", "mixed_diff", "mixed_eval",
+    "ZPolynomial", "positive_rational", "rational",
+    "MixedSum", "mixed_diff", "mixed_eval",
     "kernel_eval",
     "beta_int", "kernel_power_moment", "rhs_constant", "verify_moment_identity",
     "verify_reciprocity",
@@ -92,11 +92,14 @@ ABSENT = {
     "kernel_derivative": "kernel",
     "kernel_recurrence_check": "kernel",
     "khabibullin_transform": "quadrature",
+    "ALPHA": "exact",
+    "AlphaPolynomial": "exact",
+    "MixedTerm": "termalgebra",
 }
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC) == 45
+    assert len(PUBLIC) == 42
     assert khabcheck.__all__ == PUBLIC
     for name in PUBLIC:
         getattr(khabcheck, name)

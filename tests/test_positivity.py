@@ -17,9 +17,15 @@ from khabcheck.positivity import (
     poly_nonneg_on_pos,
     region_scan,
 )
-from khabcheck.exact import cleared, scaled_value
+from khabcheck.exact import scaled_value
 from khabcheck.positivity import _split_point, _witness_candidates
 from khabcheck.transition import transition_poly
+
+
+def _cleared(coeffs):
+    """Rationals as integer numerators over their least common denominator."""
+    den = math.lcm(*(F(c).denominator for c in coeffs))
+    return [int(c * den) for c in coeffs], den
 
 
 # -- quadratics: the general ladder against the three-case criterion -----------
@@ -54,7 +60,7 @@ def _quadratic_criterion(coeffs):
 
 def _assert_agrees_with_criterion(coeffs):
     """The ladder's verdict on a quadratic, checked against the criterion."""
-    v = coeffs_nonneg_on_pos(*cleared(coeffs))
+    v = coeffs_nonneg_on_pos(*_cleared(coeffs))
     status, vertex = _quadratic_criterion(coeffs)
     assert v.status is status, coeffs
     if status is Status.NEGATIVE:
@@ -220,7 +226,7 @@ TALL = F(2 ** 80 - 1, 2 ** 79 + 1)
 @example([F(1), F(0), F(1)], [TALL])
 @example([F(3)], [F(7, 3), F(7, 3)])
 def test_squared_factors_keep_the_polynomial_nonnegative(factor, double_roots):
-    v = coeffs_nonneg_on_pos(*cleared(_build(factor, double_roots)))
+    v = coeffs_nonneg_on_pos(*_cleared(_build(factor, double_roots)))
     assert v.status is Status.NONNEGATIVE
     # a positive root rules out all-nonnegative coefficients, and it is
     # found by isolation, so the certificate is determined
@@ -237,7 +243,7 @@ def test_squared_factors_keep_the_polynomial_nonnegative(factor, double_roots):
 def test_simple_positive_roots_make_the_polynomial_negative(factor, double_roots,
                                                             simple_roots):
     coeffs = _build(factor, double_roots, simple_roots)
-    v = coeffs_nonneg_on_pos(*cleared(coeffs))
+    v = coeffs_nonneg_on_pos(*_cleared(coeffs))
     assert v.status is Status.NEGATIVE
     assert v.witness > 0
     assert _value(coeffs, v.witness) == v.witness_value < 0
@@ -248,7 +254,7 @@ def test_negative_dip_too_narrow_for_floats_is_found_exactly():
     # below float resolution, so the exact isolation rung must find it
     r1, r2 = F(1), 1 + F(1, 2 ** 70)
     coeffs = _times(_times([F(1), F(0), F(1)], [-r1, F(1)]), [-r2, F(1)])
-    v = coeffs_nonneg_on_pos(*cleared(coeffs))
+    v = coeffs_nonneg_on_pos(*_cleared(coeffs))
     assert v.status is Status.NEGATIVE
     assert r1 < v.witness < r2
     assert _value(coeffs, v.witness) == v.witness_value < 0

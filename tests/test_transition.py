@@ -4,13 +4,14 @@ import json
 import math
 import sys
 from fractions import Fraction as F
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from khabcheck.exact import ALPHA, AlphaPolynomial, ZPolynomial
+from khabcheck.exact import ZPolynomial, row_value
 from khabcheck.termalgebra import mixed_eval
 from khabcheck.transition import (
     PhiFamily,
@@ -28,17 +29,19 @@ from khabcheck.transition import (
 
 # -- exact polynomial layer --------------------------------------------------
 
-def test_first_polynomials_match_hand_expansion():
-    a = ALPHA
-    assert transition_poly(0) == ZPolynomial(((1,),))
-    assert transition_poly(0).coeffs == (AlphaPolynomial.constant(1),)
-    assert transition_poly(1).coeffs == (1 - 2 * a, 2 * a + 1)
+#: 31 distinct alphas: an alpha-polynomial of degree <= 30 is fixed by its
+#: values at them, so agreement here is agreement of the polynomials
+ALPHAS = [F(k, 8) for k in range(1, 32)]
 
-    # expanded by hand from one recurrence step applied to the degree-1 case
-    p2 = ((1 - 2 * a) * (1 - a),
-          (1 - 2 * a) * (2 * a + 1) * 2,
-          (2 * a + 1) * (a + 1))
-    assert transition_poly(2).coeffs == p2
+
+def test_first_polynomials_match_hand_expansion():
+    assert transition_poly(0) == ZPolynomial(((1,),))
+    # (1 - 2a) + (2a + 1) z
+    assert transition_poly(1) == ZPolynomial(((1, -2), (1, 2)))
+
+    # expanded by hand from one recurrence step applied to the degree-1 case:
+    # (1-2a)(1-a) + 2(1-2a)(2a+1) z + (2a+1)(a+1) z^2
+    assert transition_poly(2) == ZPolynomial(((1, -3, 2), (2, 0, -8), (1, 3, 2)))
 
 
 def test_degree_equals_index():
@@ -53,49 +56,68 @@ def test_half_alpha_collapses_to_monomial(n):
 
 
 def test_leading_and_constant_coefficients_closed_form():
+    # lead = prod (1 + 2a/k) and const = prod (1 - 2a/k) over k = 1..n; both
+    # have alpha-degree n <= 10, so their values at ALPHAS decide equality
     for n in range(1, 11):
-        coeffs = transition_poly(n).coeffs
-        lead, const = coeffs[-1], coeffs[0]
-        lead_expected = const_expected = AlphaPolynomial.constant(1)
-        for k in range(1, n + 1):
-            lead_expected = lead_expected * (1 + F(2, k) * ALPHA)
-            const_expected = const_expected * (1 - F(2, k) * ALPHA)
-        assert lead == lead_expected
-        assert const == const_expected
+        P = transition_poly(n)
+        for a in ALPHAS:
+            lead = const = F(1)
+            for k in range(1, n + 1):
+                lead *= 1 + 2 * a / k
+                const *= 1 - 2 * a / k
+            assert row_value(P.rows[-1], P.den, a) == lead
+            assert row_value(P.rows[0], P.den, a) == const
 
 
-def _z_product(p, q):
-    """Convolution of two coefficient lists in z."""
-    out = [AlphaPolynomial.zero()] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] = out[i + j] + x * y
-    return out
+def _recurrence_at(a, n_max):
+    """P_0..P_n_max at alpha = a by the recurrence over Q[z], as a reference.
 
-
-def _rational_recurrence(n_max):
-    """P_0..P_n_max by the recurrence over Q[alpha][z], as a reference.
-
-    Each P is a list of AlphaPolynomial coefficients of z^0, z^1, ...
+    P_n = ((2a+1) z + (1 - 2a/n)) P_{n-1} - (2a z (z+1) / n) P_{n-1}', each
+    P a list of Fraction coefficients of z^0, z^1, ..., trailing zeros kept.
     """
-    polys = [[AlphaPolynomial.constant(1)]]
+    polys = [[F(1)]]
     for n in range(1, n_max + 1):
-        prev = polys[-1]
-        derivative = [j * c for j, c in enumerate(prev)][1:]
-        linear = [1 - F(2, n) * ALPHA, 2 * ALPHA + 1]
-        damping = [AlphaPolynomial.zero(), F(2, n) * ALPHA, F(2, n) * ALPHA]
-        growth, decay = _z_product(linear, prev), _z_product(damping, derivative)
-        polys.append([g - d for g, d in zip(growth, decay, strict=True)])
+        out = [F(0)] * (n + 1)
+        for j, c in enumerate(polys[-1]):
+            # the linear factor times c z^j, less 2a/n (z^2 + z) times j c z^(j-1)
+            damping = 2 * a / n * j * c
+            out[j] += (1 - 2 * a / n) * c - damping
+            out[j + 1] += (2 * a + 1) * c - damping
+        polys.append(out)
     return polys
 
 
 def test_integer_recurrence_matches_rational_recurrence():
     transition_poly.cache_clear()
-    polys = _rational_recurrence(30)
     # the highest index first, so the upward fill builds every lower one
-    assert transition_poly(30).coeffs == tuple(polys[30])
-    for n, expected in enumerate(polys):
-        assert transition_poly(n).coeffs == tuple(expected), n
+    transition_poly(30)
+    for a in ALPHAS:
+        for n, expected in enumerate(_recurrence_at(a, 30)):
+            while expected and not expected[-1]:
+                expected.pop()
+            row, den = transition_poly(n).specialize(a)
+            assert [F(x, den) for x in row] == expected, (n, a)
+
+
+def _times_linear(row, c0, c1):
+    """The integer alpha-row of (c0 + c1 alpha) * row."""
+    return [c0 * x + c1 * y for x, y in zip([*row, 0], [0, *row])]
+
+
+def test_recurrence_step_matches_its_row_formula():
+    # n c_j^(n) = (n + 2a(n-j+1)) c_{j-1}^(n-1) + (n - 2a(j+1)) c_j^(n-1), with
+    # c_j^(n) = rows_n[j] / den_n; times den_n * den_{n-1}, in integer rows
+    for n in range(1, 41):
+        P, Q = transition_poly(n), transition_poly(n - 1)
+        prev = [(), *Q.rows, ()]  # prev[j] is Q's row of z^(j-1), empty outside 0..n-1
+        for j in range(n + 1):
+            left = [n * Q.den * x for x in P.rows[j]]
+            lo = _times_linear(prev[j], n, 2 * (n - j + 1))
+            hi = _times_linear(prev[j + 1], n, -2 * (j + 1))
+            right = [P.den * (x + y) for x, y in zip_longest(lo, hi, fillvalue=0)]
+            while right and not right[-1]:
+                right.pop()
+            assert left == right, (n, j)
 
 
 def test_transition_poly_fills_the_cache_upward():
@@ -171,7 +193,8 @@ def test_overflowing_power_takes_the_asymptotic_branch():
     # t^(2a) overflows a float here; Phi ~ 4 a^2 lead(P_n)(a) t^(-1-2a)
     assert transition_eval(2, F(3), 1e120) == 0.0
     t = 10.0 ** 3.1
-    lead = float(transition_poly(1).leading_coeff(F(50)))
+    P = transition_poly(1)
+    lead = float(row_value(P.rows[-1], P.den, F(50)))
     expected = math.exp(math.log(4 * 50.0 ** 2 * lead) - 101.0 * math.log(t))
     assert transition_eval(1, F(50), t) == pytest.approx(expected, rel=1e-6)
 
@@ -242,9 +265,9 @@ def test_cold_log_weight_derivatives_do_not_recurse_deeply():
 
 
 def test_oracle_base_case_structure():
-    (term,) = transition_oracle(0).terms
-    assert term.coeff == 4 * ALPHA * ALPHA
-    assert (term.p, term.q, term.k) == (-1, 1, 2)
+    # 4a^2 t^(2a-1) (1+t^(2a))^(-2): key (k, p, q) = (2, -1, 1), alpha-row (0, 0, 4)
+    oracle = transition_oracle(0)
+    assert (oracle.rows, oracle.den) == ((((2, -1, 1), (0, 0, 4)),), 1)
     # at a = 1/2 this is 1/(1+t)^2
     for t in (0.2, 1.0, 9.0):
         assert mixed_eval(transition_oracle(0), 0.5, t) == pytest.approx(
@@ -304,18 +327,25 @@ def test_asymptotic_report_small_and_large_t():
     rep2 = asymptotic_check(2, F(1, 4), omega=F(1))
     assert rep2.passed
     # the scaled large-t samples approach 4 a^2 |leading coefficient|
-    lead = transition_poly(2).leading_coeff(F(1, 4))
+    P = transition_poly(2)
+    lead = row_value(P.rows[-1], P.den, F(1, 4))
     assert rep2.large_t_limit == pytest.approx(4 * 0.25 ** 2 * float(lead))
 
 
-@pytest.mark.parametrize("check", [
-    lambda: oracle_equiv_check(1, [], [1.0]),
-    lambda: oracle_equiv_check(1, [F(1, 2)], []),
-    lambda: asymptotic_check(1, F(1, 2), F(1), large_ts=()),
-    lambda: asymptotic_check(1, F(1, 2), F(1), small_ts=()),
-], ids=["oracle-alphas", "oracle-ts", "asymptotic-large", "asymptotic-small"])
-def test_empty_sample_grids_are_refused(check):
-    with pytest.raises(ValueError, match="^sample grids must be non-empty$"):
+EMPTY = "^sample grids must be non-empty$"
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda: oracle_equiv_check(1, [], [1.0]), EMPTY),
+    (lambda: oracle_equiv_check(1, [F(1, 2)], []), EMPTY),
+    (lambda: asymptotic_check(1, F(1, 2), F(1), large_ts=()), EMPTY),
+    (lambda: asymptotic_check(1, F(1, 2), F(1), small_ts=()), EMPTY),
+    # no index to check: refused before the invalid t sample is read
+    (lambda: oracle_equiv_check(-1, [F(1, 2)], [-5.0]), "^n_max must be >= 0$"),
+], ids=["oracle-alphas", "oracle-ts", "asymptotic-large", "asymptotic-small",
+        "oracle-negative-n"])
+def test_empty_sample_grids_are_refused(check, message):
+    with pytest.raises(ValueError, match=message):
         check()
 
 
@@ -359,8 +389,8 @@ def test_oracle_comparison_refuses_a_tolerance_outside_zero_to_infinity(tol):
 
 def test_float_values_match_golden_reprs():
     # repr of both float routes over n <= 12, five alphas and five t values,
-    # recorded when AlphaPolynomial still stored Fractions: the integer
-    # representation must reproduce every value bit for bit
+    # recorded when the exact coefficients were still stored as Fractions:
+    # the integer representation must reproduce every value bit for bit
     rows = json.loads((Path(__file__).parent / "data" / "transition_floats.json").read_text())
     assert len(rows) == 13 * 5 * 5
     mismatches = []
