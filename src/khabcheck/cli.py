@@ -284,8 +284,7 @@ def _chain_records(check, params, tol, cfg, args, n, alpha):
         return []  # the combined run owns index 0 elsewhere
     q = args.q
     density = (extremal_density_fn(alpha, n) if q == "extremal" else
-               DensityFunction(lambda t: 0.0, "zero density",
-                               power_at_zero=0.0, power_at_infinity=-10.0))
+               DensityFunction(lambda t: 0.0, power_at_zero=0.0, power_at_infinity=-10.0))
     report = verify_conjecture_chain(n, alpha, density, cfg=cfg, premise_tol=tol)
     params = {**params, "q": q, "polyIndex": report.poly_index}
     if not report.applicable:

@@ -98,8 +98,12 @@ def scaled_value(c: Sequence[int], z: Fraction) -> int:
     return acc
 
 
-def row_value(row: Sequence[int], den: int, x: Fraction) -> Fraction:
-    """Exact value of ``row / den`` (ascending coefficients) at a rational x."""
+def row_value(row: Sequence[int], den: int, x: RationalLike) -> Fraction:
+    """Exact value of ``row / den`` (ascending coefficients) at a rational x.
+
+    x is admitted through ``rational``: a float is a TypeError.
+    """
+    x = rational(x)
     return Fraction(scaled_value(row, x), den * x.denominator ** max(len(row) - 1, 0))
 
 
@@ -170,4 +174,4 @@ class ZPolynomial:
 
     def evaluate(self, alpha: RationalLike, z: RationalLike) -> Fraction:
         """Exact evaluation: integer Horner in alpha per row, then in z."""
-        return row_value(*_specialized(self.rows, self.den, rational(alpha)), rational(z))
+        return row_value(*_specialized(self.rows, self.den, rational(alpha)), z)

@@ -36,10 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
-from .exact import (RationalLike, ZPolynomial, lowest_terms, positive_rational, rational,
-                    row_value, scaled_value, simplest_between)
+from .exact import (RationalLike, ZPolynomial, lowest_terms, positive_rational, row_value,
+                    scaled_value, simplest_between)
 from .transition import transition_poly
 
 #: an integer polynomial as coefficients in ascending powers of z
@@ -56,7 +54,6 @@ _THRESHOLD_BRACKET = (Fraction(1, 2), Fraction(4))
 class Status(enum.Enum):
     NONNEGATIVE = "Nonnegative"
     NEGATIVE = "Negative"
-    INCONCLUSIVE = "Inconclusive"
 
 
 @dataclass(frozen=True)
@@ -180,6 +177,10 @@ def _witness_candidates(c: IntPoly) -> list[float]:
     where needed off c(z) = z^deg * rev(c)(1/z), whose Horner sums stay
     below sum |c|.
     """
+    # NumPy loads here, at rung 4, so a process that never reaches it never
+    # pays for importing it
+    import numpy as np
+
     # drop low bits so that every coefficient converts to a finite float
     shift = max(0, max(abs(x) for x in c).bit_length() - 1000)
     f = np.array([float(x >> shift) for x in reversed(c)])
@@ -340,17 +341,6 @@ class ScanCell:
 @dataclass(frozen=True)
 class ScanReport:
     cells: tuple[ScanCell, ...]
-
-    @property
-    def all_nonnegative(self) -> bool:
-        return all(c.verdict.status is Status.NONNEGATIVE for c in self.cells)
-
-    def cell(self, poly_index: int, alpha: RationalLike) -> ScanCell:
-        a = rational(alpha)
-        for c in self.cells:
-            if c.poly_index == poly_index and c.alpha == a:
-                return c
-        raise KeyError((poly_index, a))
 
 
 def region_scan(n_values: Iterable[int], alpha_grid: Iterable[RationalLike]) -> ScanReport:

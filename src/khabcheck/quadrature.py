@@ -38,7 +38,6 @@ imported on the first adaptive pass, not with this module, so importing
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -53,25 +52,23 @@ from .transition import log_weight, transition_evaluator, transition_poly
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tolerances and budgets for one logical integral (possibly two panels)."""
+    """Tolerances for one logical integral (possibly two panels)."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
-    max_subdivisions: int = 2000
 
     def __post_init__(self) -> None:
-        # QUADPACK takes the budget as a C int, so admit it as an integer here
-        object.__setattr__(self, "max_subdivisions", operator.index(self.max_subdivisions))
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
 DEFAULT_CONFIG = QuadConfig()
 
 #: the graded pass's forced split point, isolating the singular end at 0
 _SINGULARITY_SPLIT = 1e-3
+
+#: QUADPACK's subdivision budget for one adaptive pass
+_SUBDIVISION_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -104,7 +101,6 @@ class DensityFunction:
     """
 
     evaluator: Callable[[float], float]
-    description: str
     power_at_zero: Optional[float] = None
     power_at_infinity: Optional[float] = None
 
@@ -131,7 +127,6 @@ def extremal_density_fn(alpha: RationalLike, n: int) -> DensityFunction:
 
     return DensityFunction(
         evaluator=evaluator,
-        description=f"extremal density, alpha={a}, n={n}",
         power_at_zero=power,
         power_at_infinity=power,
     )
@@ -157,14 +152,9 @@ def _panel(f: Callable[[float], float], cfg: QuadConfig,
     # never pays for importing it
     from scipy.integrate import quad as _scipy_quad
 
-    pts = list(points) if points else None
-    # a forced split needs at least one subinterval per piece; a budget below
-    # that is honoured by reporting non-convergence rather than crashing
-    limit = cfg.max_subdivisions if pts is None else max(cfg.max_subdivisions,
-                                                         len(pts) + 1)
     out = _scipy_quad(f, 0.0, 1.0,
                       epsabs=0.5 * cfg.abs_tol, epsrel=0.5 * cfg.rel_tol,
-                      limit=limit, points=pts,
+                      limit=_SUBDIVISION_LIMIT, points=list(points) if points else None,
                       full_output=True)
     value, err, info = out[0], out[1], out[2]
     clean = len(out) == 3  # a fourth element is QUADPACK's warning message
@@ -524,12 +514,11 @@ class ChainReport:
 
 
 def default_chain_grid() -> tuple[float, ...]:
-    """The documented default premise grid: 25 log-spaced t in [1e-3, 1e3]."""
+    """The premise grid: 25 log-spaced t in [1e-3, 1e3]."""
     return log_spaced(1e-3, 1e3, 25)
 
 
 def verify_conjecture_chain(n: int, alpha: RationalLike, q: DensityFunction,
-                            t_grid: Optional[Sequence[float]] = None,
                             cfg: QuadConfig = DEFAULT_CONFIG,
                             premise_tol: float = 1e-6,
                             equality_rel_tol: float = 1e-5) -> ChainReport:
@@ -538,9 +527,10 @@ def verify_conjecture_chain(n: int, alpha: RationalLike, q: DensityFunction,
     Gate: the multiply-and-integrate step is only valid when P_{n-1} is
     nonnegative on (0, oo); otherwise the report comes back inapplicable
     and no integrals are attempted.  When applicable, the report carries
-    (a) the premise integral against t^alpha on the sampled grid -- "for
-    all t" is not decidable numerically, so the grid is explicit data --
-    and (b) the conclusion integral against its exact pi-multiple target.
+    (a) the premise integral against t^alpha at each t of
+    ``default_chain_grid()`` -- "for all t" is not decidable numerically,
+    so the grid is explicit data -- and (b) the conclusion integral
+    against its exact pi-multiple target.
     ``premise_tol`` bounds each premise violation absolutely for targets up
     to 1 and relative to the target t^alpha above 1.
     """
@@ -556,14 +546,11 @@ def verify_conjecture_chain(n: int, alpha: RationalLike, q: DensityFunction,
                            positivity=verdict, applicable=False,
                            premise_tol=premise_tol, equality_rel_tol=equality_rel_tol)
 
-    grid = tuple(t_grid) if t_grid is not None else default_chain_grid()
-    if not grid or not all(t > 0 and math.isfinite(t) for t in grid):
-        raise ValueError("t grid must be non-empty, positive and finite")
     af = float(a)
 
     premise = _premise_sweep(poly_index, q, cfg)
     entries = []
-    for t in sorted(grid):
+    for t in default_chain_grid():
         inner = premise(t)
         entries.append(PremiseEntry(
             t=t, lhs=t * inner.value, target=t ** af,

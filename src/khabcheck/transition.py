@@ -155,17 +155,6 @@ def log_weight(t: float, alpha: float) -> float:
     return -b * math.log(t) + math.log1p(t ** b)
 
 
-def log_weight_prime_seed() -> MixedSum:
-    """First t-derivative of the log weight as a one-term mixed sum.
-
-    Differentiating ln(1 + t^(-2a)) and clearing negative powers of the base
-    gives exactly  -2a * t^(-1) * (1 + t^(2a))^(-1),  i.e. the term
-    (p, q, k) = (-1, 0, 1) with coefficient -2*alpha: the key (1, -1, 0)
-    with alpha-row (0, -2).
-    """
-    return MixedSum((((1, -1, 0), (0, -2)),))
-
-
 @lru_cache(maxsize=None)
 def log_weight_derivatives(count: int) -> tuple[MixedSum, ...]:
     """Exact mixed sums for the first ``count`` t-derivatives of the log weight.
@@ -176,7 +165,11 @@ def log_weight_derivatives(count: int) -> tuple[MixedSum, ...]:
     if count < 1:
         raise ValueError("count must be >= 1")
     if count == 1:
-        return (log_weight_prime_seed(),)
+        # differentiating ln(1 + t^(-2a)) and clearing negative powers of the
+        # base gives exactly  -2a * t^(-1) * (1 + t^(2a))^(-1),  i.e. the term
+        # (p, q, k) = (-1, 0, 1) with coefficient -2*alpha: the key (1, -1, 0)
+        # with alpha-row (0, -2)
+        return (MixedSum((((1, -1, 0), (0, -2)),)),)
     for k in range(1, count):  # fill the cache upward
         prev = log_weight_derivatives(k)
     return prev + (prev[-1].derivative(),)
@@ -292,13 +285,12 @@ class AsymptoticReport:
         return self.large_t_ok and self.small_t_ok
 
 
-def asymptotic_check(
-    n: int,
-    alpha: RationalLike,
-    omega: RationalLike,
-    large_ts: Sequence[float] = (1e3, 1e6, 1e9),
-    small_ts: Sequence[float] = (1e-3, 1e-6, 1e-9),
-) -> AsymptoticReport:
+#: asymptotic_check's samples: large t ascending, small t descending toward 0
+_LARGE_TS = (1e3, 1e6, 1e9)
+_SMALL_TS = (1e-3, 1e-6, 1e-9)
+
+
+def asymptotic_check(n: int, alpha: RationalLike, omega: RationalLike) -> AsymptoticReport:
     """Check the two-sided decay of Phi_n by direct sampling.
 
     Large t:  t^(1+2*alpha) * |Phi_n| converges to 4 a^2 * |lead(P_n)(a)|,
@@ -309,8 +301,8 @@ def asymptotic_check(
     up to float slack.  The bound holds only for large t: over
     t in [0.1, 1e3] it is exceeded for 26 of the 180 pairs n = 1..20,
     a in {1/8, 1/4, 1/2, 3/4, 1, 3/2, 2, 3, 4}, worst at n = 20, a = 4 with
-    ~660x the limit near t = 1.18.  So the default samples are t >= 1e3,
-    and the check says nothing about smaller t.
+    ~660x the limit near t = 1.18.  So the samples are t >= 1e3, and the
+    check says nothing about smaller t.
 
     Small t:  t^(1+omega) * |Phi_n| must fall toward zero: non-increasing as
     t decreases, and over the whole sampled range down by at least the
@@ -319,8 +311,6 @@ def asymptotic_check(
     polynomial's constant term is nonzero, and decays even faster when it
     vanishes, so that factor is a sound upper estimate either way.
     """
-    if not large_ts or not small_ts:
-        raise ValueError("sample grids must be non-empty")
     a = positive_rational(alpha)
     w = positive_rational(omega, "omega")
     phi = transition_evaluator(n, a)
@@ -329,8 +319,8 @@ def asymptotic_check(
     P = transition_poly(n)
     limit = 4.0 * af * af * abs(float(row_value(P.rows[-1], P.den, a)))
 
-    large = tuple((t, t ** (1.0 + 2.0 * af) * abs(phi(t))) for t in sorted(large_ts))
-    small = tuple((t, t ** (1.0 + wf) * abs(phi(t))) for t in sorted(small_ts, reverse=True))
+    large = tuple((t, t ** (1.0 + 2.0 * af) * abs(phi(t))) for t in _LARGE_TS)
+    small = tuple((t, t ** (1.0 + wf) * abs(phi(t))) for t in _SMALL_TS)
 
     large_ok = all(
         math.isfinite(v) and v <= limit * (1.0 + 1e-6) for _, v in large
@@ -375,11 +365,6 @@ class PhiFamily:
             max_n=max_n,
             polys=tuple(transition_poly(n) for n in range(max_n + 1)),
         )
-
-    def evaluator(self, n: int) -> Callable[[float], float]:
-        if not 0 <= n <= self.max_n:
-            raise ValueError(f"index {n} outside 0..{self.max_n}")
-        return transition_evaluator(n, self.alpha)
 
     def validate(self, t_samples: Sequence[float] = (0.1, 0.5, 1.0, 2.0, 10.0),
                  rel_tol: float = 1e-10) -> bool:

@@ -17,6 +17,7 @@ from khabcheck.constants import (
     verify_moment_identity,
     verify_reciprocity,
 )
+from khabcheck.exact import row_value
 from khabcheck.positivity import (
     coeffs_nonneg_on_pos,
     poly_nonneg_on_pos,
@@ -44,7 +45,7 @@ DENSITY = extremal_density_fn(F(1, 2), 2)
 
 def _density(a):
     q = extremal_density_fn(a, 2)
-    return q.description, q.power_at_zero, q(0.7)
+    return q.power_at_zero, q(0.7)
 
 
 #: each entry called with alpha (or omega) in one position and a comparable result
@@ -66,7 +67,7 @@ ENTRIES = {
     "integrate_weight_prime_moment": integrate_weight_prime_moment,
     "verify_reconstruction": lambda a: verify_reconstruction(1, a, 0.5),
     "verify_weighted_moment": lambda a: verify_weighted_moment(1, a),
-    "verify_conjecture_chain": lambda a: verify_conjecture_chain(1, a, DENSITY, t_grid=[0.7]),
+    "verify_conjecture_chain": lambda a: verify_conjecture_chain(1, a, DENSITY),
 }
 
 
@@ -93,7 +94,7 @@ def test_exact_evaluators_refuse_floats():
     with pytest.raises(TypeError):
         coeffs_nonneg_on_pos([1, 1], 2.0)
     with pytest.raises(TypeError):
-        region_scan([2], [F(1, 4)]).cell(2, 0.25)
+        row_value([1, 2], 1, 0.5)
     with pytest.raises(TypeError):
         MixedSum([((1, 0, 0), [0.5])])
     with pytest.raises(TypeError):

@@ -345,13 +345,14 @@ def test_alpha_threshold_rejects_a_tolerance_outside_zero_to_infinity(tol):
 
 def test_region_scan_grid():
     report = region_scan(range(4), (F(1, 4), F(1, 2), F(3, 4)))
-    assert not report.all_nonnegative
-    cell = report.cell(2, F(3, 4))
+    cells = {(c.poly_index, c.alpha): c for c in report.cells}
+    assert len(cells) == len(report.cells) == 12
+    cell = cells[2, F(3, 4)]
     assert cell.verdict.status is Status.NEGATIVE
     assert cell.conjecture_n == 3  # conjecture numbering is index + 1
-    assert report.cell(2, F(1, 2)).verdict.status is Status.NONNEGATIVE
+    assert cells[2, F(1, 2)].verdict.status is Status.NONNEGATIVE
     below = region_scan(range(4), (F(1, 4), F(1, 2)))
-    assert below.all_nonnegative
+    assert all(c.verdict.status is Status.NONNEGATIVE for c in below.cells)
 
 
 def test_region_scan_is_deterministic():

@@ -1,9 +1,9 @@
 """Certified quadrature of the reduction argument's integral identities."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,18 +44,6 @@ def test_config_defaults_and_validation():
         QuadConfig(abs_tol=0.0)
     with pytest.raises(ValueError):
         QuadConfig(rel_tol=-1e-9)
-    with pytest.raises(ValueError):
-        QuadConfig(max_subdivisions=0)
-
-
-def test_subdivision_budget_is_admitted_as_an_integer():
-    # a float budget would reach QUADPACK and fail there, at the first integral
-    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-        QuadConfig(max_subdivisions=2.5)
-    with pytest.raises(TypeError):
-        QuadConfig(max_subdivisions=2.0)
-    budget = QuadConfig(max_subdivisions=np.int64(7)).max_subdivisions
-    assert budget == 7 and type(budget) is int
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
@@ -83,6 +71,25 @@ def test_result_addition_accumulates_error_and_convergence():
     assert c.evaluations == 210
 
 
+def _stall_flattening(monkeypatch):
+    """Make every flattened pass (a ``_panel`` call without ``points``) report
+    non-convergence, so a positive endpoint power falls back to the graded
+    pass; no natural input is known to reach that fallback in the chain
+    premise.  Returns the (points, result) of every pass, in call order."""
+    panel = quadrature._panel
+    passes = []
+
+    def stalled(f, cfg, points=None):
+        result = panel(f, cfg, points)
+        if not points:
+            result = replace(result, converged=False)
+        passes.append((points, result))
+        return result
+
+    monkeypatch.setattr(quadrature, "_panel", stalled)
+    return passes
+
+
 def _counted(f):
     calls = []
 
@@ -93,14 +100,15 @@ def _counted(f):
     return counted, calls
 
 
-@pytest.mark.parametrize("integral", [
-    lambda f: integrate_unit_interval(f, power_at_zero=-0.5),       # flattened pass
-    lambda f: integrate_unit_interval(f),                           # graded pass
-    lambda f: integrate_unit_interval(f, QuadConfig(max_subdivisions=1),
-                                      power_at_zero=3.0),           # fallback: both
-    lambda f: integrate_half_line(f, power_at_zero=-0.5, decay_power=0.5),
+@pytest.mark.parametrize("integral, stalled", [
+    (lambda f: integrate_unit_interval(f, power_at_zero=-0.5), False),  # flattened pass
+    (lambda f: integrate_unit_interval(f), False),                      # graded pass
+    (lambda f: integrate_unit_interval(f, power_at_zero=3.0), True),    # fallback: both
+    (lambda f: integrate_half_line(f, power_at_zero=-0.5, decay_power=0.5), False),
 ], ids=["flattened", "graded", "fallback", "half-line"])
-def test_evaluations_count_every_integrand_call(integral):
+def test_evaluations_count_every_integrand_call(monkeypatch, integral, stalled):
+    if stalled:
+        _stall_flattening(monkeypatch)
     f, calls = _counted(lambda t: t ** -0.5 * math.sin(40.0 * t) / (1.0 + t))
     r = integral(f)
     assert r.evaluations == len(calls) > 0
@@ -112,18 +120,6 @@ def test_converged_respects_tolerances():
     assert r.error_estimate <= max(DEFAULT_CONFIG.abs_tol,
                                    DEFAULT_CONFIG.rel_tol * abs(r.value))
     assert r.value == pytest.approx(1.0 / 3.0, rel=1e-14)
-
-
-def test_subdivision_budget_is_forwarded():
-    # a highly oscillatory integrand cannot settle in a couple of panels
-    f = lambda t: math.sin(1000.0 * t)
-    starved = integrate_unit_interval(f, QuadConfig(max_subdivisions=1))
-    assert not starved.converged
-    healthy = integrate_unit_interval(f)
-    assert healthy.converged
-    assert healthy.subdivisions_used > starved.subdivisions_used
-    assert healthy.value == pytest.approx((1.0 - math.cos(1000.0)) / 1000.0,
-                                          abs=1e-12)
 
 
 # -- endpoint handling ----------------------------------------------------------
@@ -206,6 +202,15 @@ def test_reconstruction_identity(n, alpha, y):
     check = verify_reconstruction(n, alpha, y)
     assert check.quad.converged
     assert abs(check.residual) < 1e-8
+
+
+@pytest.mark.xfail(strict=True, reason="at small y the flattened pass never samples "
+                   "the integrand's peak near u ~ y and reports convergence on ~0")
+@pytest.mark.parametrize("n, alpha, y", [(1, F(2), 1e-4), (1, F(4), 1e-2),
+                                         (6, F(1, 2), 1e-8)])
+def test_converged_reconstruction_is_within_tolerance(n, alpha, y):
+    check = verify_reconstruction(n, alpha, y)
+    assert not check.quad.converged or abs(check.residual) <= 1e-6
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])
@@ -300,11 +305,8 @@ def test_log_spaced_rejects_nonfinite_bounds(lo, hi):
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-def test_chain_rejects_nonfinite_grid_points(t):
+def test_premise_integral_rejects_nonfinite_t(t):
     alpha = F(1, 4)
-    with pytest.raises(ValueError, match="t grid"):
-        verify_conjecture_chain(2, alpha, extremal_density_fn(alpha, 2),
-                                t_grid=[1.0, t])
     with pytest.raises(ValueError, match="^t must be positive and finite$"):
         integrate_01_kernel(2, extremal_density_fn(alpha, 2), t)
 
@@ -341,10 +343,9 @@ def test_chain_holds_for_extremal_density(n, alpha):
 def test_chain_premise_fails_for_doubled_density():
     alpha, n = F(1, 2), 1
     base = extremal_density_fn(alpha, n)
-    doubled = DensityFunction(lambda t: 2.0 * base(t), "doubled",
+    doubled = DensityFunction(lambda t: 2.0 * base(t),
                               base.power_at_zero, base.power_at_infinity)
-    report = verify_conjecture_chain(n, alpha, doubled,
-                                     t_grid=(0.1, 1.0, 10.0))
+    report = verify_conjecture_chain(n, alpha, doubled)
     assert report.applicable
     assert not report.premise_satisfied
     assert all(e.violation > 0 for e in report.premise)
@@ -354,10 +355,7 @@ def test_chain_premise_fails_for_doubled_density():
 
 def test_chain_zero_density_satisfies_inequalities_but_not_equality():
     # the decay hint is a (vacuous) upper envelope for the zero density
-    report = verify_conjecture_chain(1, F(1, 2),
-                                     DensityFunction(lambda t: 0.0, "zero",
-                                                     0.0, -2.0),
-                                     t_grid=(0.5, 1.0, 2.0))
+    report = verify_conjecture_chain(1, F(1, 2), DensityFunction(lambda t: 0.0, 0.0, -2.0))
     assert report.applicable
     assert report.premise_satisfied      # 0 <= t^alpha everywhere
     assert report.conclusion_satisfied   # 0 <= pi-multiple target
@@ -430,16 +428,24 @@ def test_fallback_counts_the_subdivisions_of_both_passes():
     assert check.quad.subdivisions_used == 14 + 5
 
 
-def test_nonconverged_flattened_panel_is_retried_only_for_positive_powers():
-    flat_budget = QuadConfig(max_subdivisions=1)
+def test_nonconverged_flattened_panel_is_retried_only_for_positive_powers(monkeypatch):
+    passes = _stall_flattening(monkeypatch)
     # positive power: the graded pass replaces the failed flattened one
     positive = integrate_unit_interval(lambda x: x ** 3 * math.sin(40 * x),
-                                       flat_budget, power_at_zero=3.0)
-    assert positive.subdivisions_used == 1 + 2  # failed flattened + graded, split at 1e-3
+                                       power_at_zero=3.0)
+    (no_points, flat), (split, graded) = passes
+    assert no_points is None and split == [1e-3]
+    assert positive == replace(graded,
+                               subdivisions_used=flat.subdivisions_used
+                               + graded.subdivisions_used,
+                               evaluations=flat.evaluations + graded.evaluations)
+    assert positive.converged
     # negative power: the flattened result stands, converged or not
+    passes.clear()
     negative = integrate_unit_interval(lambda x: x ** -0.5 * math.sin(40 * x),
-                                       flat_budget, power_at_zero=-0.5)
-    assert negative.subdivisions_used == 1
+                                       power_at_zero=-0.5)
+    [(no_points, flat)] = passes
+    assert no_points is None and negative == flat
     assert not negative.converged
 
 
@@ -457,8 +463,10 @@ def test_chain_kernel_work_does_not_scale_with_the_grid(monkeypatch, n, alpha, c
         return kernel_eval(k, x)
 
     monkeypatch.setattr(quadrature, "kernel_eval", counting_kernel_eval)
-    report = verify_conjecture_chain(n, alpha, extremal_density_fn(alpha, n),
-                                     t_grid=log_spaced(1e-3, 1e3, count))
+    # the default grid, or one twice as fine
+    monkeypatch.setattr(quadrature, "default_chain_grid",
+                        lambda: log_spaced(1e-3, 1e3, count))
+    report = verify_conjecture_chain(n, alpha, extremal_density_fn(alpha, n))
     assert report.applicable and len(report.premise) == count
     # one evaluation per distinct node, shared by every t of the grid
     assert len(calls) == len(set(calls)) <= 1000
@@ -469,36 +477,41 @@ def _bits(r: QuadResult) -> tuple:
             r.subdivisions_used, r.evaluations)
 
 
-def _tableless_premise(n, q, t, cfg):
+def _tableless_premise(n, q, t):
     """The premise integral as written, each node computed afresh."""
     def integrand(x):
         if x <= 0.0 or x > 1.0:
             return 0.0
         return kernel_eval(n - 1, x) * q.evaluator(t * x)
 
-    return integrate_unit_interval(integrand, cfg, q.power_at_zero)
+    return integrate_unit_interval(integrand, power_at_zero=q.power_at_zero)
 
 
-@pytest.mark.parametrize("n, alpha, hints, cfg", [
-    (2, F(1, 4), True, DEFAULT_CONFIG),                     # endpoint power -3/4
-    (1, F(7, 2), True, DEFAULT_CONFIG),                     # endpoint power 5/2
-    (1, F(7, 2), True, QuadConfig(max_subdivisions=2)),     # graded fallback
-    (3, F(1, 3), False, DEFAULT_CONFIG),                    # graded pass only
+@pytest.mark.parametrize("n, alpha, hints, stalled", [
+    (2, F(1, 4), True, False),     # endpoint power -3/4
+    (1, F(7, 2), True, False),     # endpoint power 5/2
+    (1, F(7, 2), True, True),      # graded fallback
+    (3, F(1, 3), False, False),    # graded pass only
 ], ids=["negative-power", "positive-power", "fallback", "hintless"])
-def test_chain_premise_equals_one_shot_integrals_bit_for_bit(n, alpha, hints, cfg):
+def test_chain_premise_equals_one_shot_integrals_bit_for_bit(monkeypatch, n, alpha, hints,
+                                                             stalled):
+    passes = _stall_flattening(monkeypatch) if stalled else []
     q = extremal_density_fn(alpha, n)
     if not hints:
-        q = DensityFunction(q.evaluator, "extremal, no hints")
-    report = verify_conjecture_chain(n, alpha, q, cfg=cfg)
+        q = DensityFunction(q.evaluator)
+    report = verify_conjecture_chain(n, alpha, q)
     assert report.applicable and len(report.premise) == 25
     for entry in report.premise:
-        assert _bits(entry.quad) == _bits(integrate_01_kernel(n, q, entry.t, cfg)) \
-            == _bits(_tableless_premise(n, q, entry.t, cfg))
+        assert _bits(entry.quad) == _bits(integrate_01_kernel(n, q, entry.t)) \
+            == _bits(_tableless_premise(n, q, entry.t))
+    if stalled:  # each integral ran both passes, flattened first: 25 premise
+        # points on three routes, and the conclusion's head and tail
+        assert [points for points, _ in passes] == [None, [1e-3]] * (3 * 25 + 2)
 
 
 # -- the reconstruction's node table ------------------------------------------------
 
-def _tableless_reconstruction(n, alpha, y, cfg):
+def _tableless_reconstruction(n, alpha, y):
     """The reconstruction integral as written, each node computed afresh."""
     phi = transition_evaluator(n, alpha)
 
@@ -507,25 +520,27 @@ def _tableless_reconstruction(n, alpha, y, cfg):
             return 0.0
         return phi(y / u) * kernel_eval(n, u) * y / (u * u)
 
-    return integrate_unit_interval(integrand, cfg, 2.0 * float(alpha) - 1.0)
+    return integrate_unit_interval(integrand, power_at_zero=2.0 * float(alpha) - 1.0)
 
 
-@pytest.mark.parametrize("n, alpha, cfg", [
-    (2, F(1, 4), DEFAULT_CONFIG),                     # endpoint power -1/2
-    (1, F(7, 2), DEFAULT_CONFIG),                     # endpoint power 6
-    (1, F(7, 2), QuadConfig(max_subdivisions=2)),     # graded fallback
-    (3, F(1, 2), DEFAULT_CONFIG),                     # no power: graded pass only
+@pytest.mark.parametrize("n, alpha, stalled", [
+    (2, F(1, 4), False),     # endpoint power -1/2
+    (1, F(7, 2), False),     # endpoint power 6
+    (1, F(7, 2), True),      # graded fallback
+    (3, F(1, 2), False),     # no power: graded pass only
 ], ids=["negative-power", "positive-power", "fallback", "graded"])
-def test_reconstruction_sweep_equals_one_shot_integrals_bit_for_bit(n, alpha, cfg):
-    sweep = reconstruction_sweep(n, alpha, cfg)
+def test_reconstruction_sweep_equals_one_shot_integrals_bit_for_bit(monkeypatch, n, alpha,
+                                                                    stalled):
+    passes = _stall_flattening(monkeypatch) if stalled else []
+    sweep = reconstruction_sweep(n, alpha)
     for y in (1e-3, 0.5, 1.0, 2.0, 1e3):
         swept = sweep(y)
-        one_shot = verify_reconstruction(n, alpha, y, cfg)
+        one_shot = verify_reconstruction(n, alpha, y)
         assert _bits(swept.quad) == _bits(one_shot.quad) \
-            == _bits(_tableless_reconstruction(n, alpha, y, cfg))
+            == _bits(_tableless_reconstruction(n, alpha, y))
         assert (swept.value, swept.target) == (one_shot.value, one_shot.target)
-        if cfg.max_subdivisions == 2:  # both passes ran, two subdivisions each
-            assert swept.quad.subdivisions_used == 4
+    if stalled:  # each of the 15 integrals ran both passes, flattened first
+        assert [points for points, _ in passes] == [None, [1e-3]] * 15
 
 
 @pytest.mark.parametrize("alpha", [F(1, 4), F(1, 2), F(7, 2)])

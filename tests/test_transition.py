@@ -120,6 +120,40 @@ def test_recurrence_step_matches_its_row_formula():
             assert left == right, (n, j)
 
 
+def _rising(x, k):
+    """The rising factorial (x)_k = x (x+1) ... (x+k-1)."""
+    out = 1
+    for i in range(k):
+        out *= x + i
+    return out
+
+
+def test_recurrence_bracket_is_an_identity():
+    # through the row formula, c_j^(n-1) reaches L_n(s) = sum_j c_j (1+s)_j (1-s)_(n-j)
+    # as (1+s)_j (1-s)_(n-1-j) / n times this bracket; of degree <= 2 in each of
+    # n, j, a and s, it is an identity once it holds on {0, 1, 2}^4
+    # (Alon, "Combinatorial Nullstellensatz", 1999)
+    grid = range(3)
+    for n in grid:
+        for j in grid:
+            for a in grid:
+                for s in grid:
+                    bracket = ((n + 2 * a * (n - j)) * (1 + s + j)
+                               + (n - 2 * a * (j + 1)) * (n - j - s))
+                    assert bracket == (n + 1) * (n + 2 * a * s), (n, j, a, s)
+
+
+@pytest.mark.parametrize("alpha, sigma", [(F(1, 3), F(2, 5)), (F(7, 4), F(-3, 7)),
+                                          (F(5, 2), F(11, 3))])
+def test_rising_factorial_sum_of_each_row_is_closed_form(alpha, sigma):
+    # L_n(s) = sum_j c_j(a) (1+s)_j (1-s)_(n-j) = (n+1) (1+2as)_n
+    for n in range(41):
+        row, den = transition_poly(n).specialize(alpha)
+        total = sum(F(c, den) * _rising(1 + sigma, j) * _rising(1 - sigma, n - j)
+                    for j, c in enumerate(row))
+        assert total == (n + 1) * _rising(1 + 2 * alpha * sigma, n), n
+
+
 def test_transition_poly_fills_the_cache_upward():
     transition_poly.cache_clear()
     top = transition_poly(25)
@@ -338,12 +372,9 @@ EMPTY = "^sample grids must be non-empty$"
 @pytest.mark.parametrize("check, message", [
     (lambda: oracle_equiv_check(1, [], [1.0]), EMPTY),
     (lambda: oracle_equiv_check(1, [F(1, 2)], []), EMPTY),
-    (lambda: asymptotic_check(1, F(1, 2), F(1), large_ts=()), EMPTY),
-    (lambda: asymptotic_check(1, F(1, 2), F(1), small_ts=()), EMPTY),
     # no index to check: refused before the invalid t sample is read
     (lambda: oracle_equiv_check(-1, [F(1, 2)], [-5.0]), "^n_max must be >= 0$"),
-], ids=["oracle-alphas", "oracle-ts", "asymptotic-large", "asymptotic-small",
-        "oracle-negative-n"])
+], ids=["oracle-alphas", "oracle-ts", "oracle-negative-n"])
 def test_empty_sample_grids_are_refused(check, message):
     with pytest.raises(ValueError, match=message):
         check()
@@ -354,10 +385,8 @@ def test_family_builder_and_validation():
     assert fam.max_n == 4
     assert len(fam.polys) == 5
     assert fam.validate((0.1, 1.0, 10.0), rel_tol=1e-10)
-    phi2 = fam.evaluator(2)
+    phi2 = transition_evaluator(2, fam.alpha)
     assert phi2(1.0) == pytest.approx(transition_eval(2, F(1, 2), 1.0))
-    with pytest.raises(ValueError):
-        fam.evaluator(5)
 
 
 def test_oracle_comparison_fails_points_whose_deviation_is_not_finite():
