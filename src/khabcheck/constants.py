@@ -18,13 +18,17 @@ equals B(alpha, n+1) / alpha.  Everything here is exact, on an alpha
 admitted by ``exact.positive_rational``, so a float alpha is refused rather
 than turned into a binary fraction.  With alpha = p/q, each product runs
 over the integers, as one numerator and one denominator, and forms a
-single ``Fraction`` at the end.  The density that attains equality,
+single ``Fraction`` at the end.  The telescoped moments come from one
+generator that subtracts one term per n, so ``verify_moment_identity``
+walks them once.  The density that attains equality,
 alpha * t**(alpha-1) / B(alpha, n), is ``quadrature.extremal_density_fn``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count, islice
+from typing import Iterator
 
 from .exact import RationalLike, positive_rational
 
@@ -81,24 +85,35 @@ def kernel_power_moment(alpha: RationalLike, n: int, mode: str = "product") -> F
     if mode == "product":
         return beta_int(a, n + 1) / a
     if mode == "sum":
-        value = 1 / (a * a)
-        for m in range(1, n + 1):
-            value -= beta_int(a, m + 1) / m
-        return value
+        return next(islice(_telescoped(a), n, None))
     raise ValueError(f"unknown mode {mode!r}; expected 'product' or 'sum'")
 
 
+def _telescoped(a: Fraction) -> Iterator[Fraction]:
+    """The telescoped moments 1/a**2 - sum_{m=1..n} B(a, m+1)/m for
+    n = 0, 1, 2, ..., each one subtraction from the one before."""
+    value = 1 / (a * a)
+    yield value
+    for m in count(1):
+        value -= beta_int(a, m + 1) / m
+        yield value
+
+
 def verify_moment_identity(alpha: RationalLike, n_max: int) -> list[bool]:
-    """Check product-mode == sum-mode exactly for every n in 0..n_max."""
+    """Check product-mode == sum-mode exactly for every n in 0..n_max.
+
+    One pass: the telescoped sum is walked once, not restarted for each n.
+    """
     a = positive_rational(alpha)
-    return [
-        kernel_power_moment(a, n, "product") == kernel_power_moment(a, n, "sum")
-        for n in range(n_max + 1)
-    ]
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    return [kernel_power_moment(a, n, "product") == telescoped
+            for n, telescoped in zip(range(n_max + 1), _telescoped(a))]
 
 
 def verify_reciprocity(alpha: RationalLike, n_max: int) -> list[bool]:
     """Check beta_int * rhs_constant == 1 exactly, n = 1..n_max."""
     a = positive_rational(alpha)
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     return [beta_int(a, n) * rhs_constant(a, n) == 1 for n in range(1, n_max + 1)]
-

@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .exact import RationalLike, ZPolynomial, positive_rational, row_value
-from .termalgebra import MixedSum, mixed_diff, mixed_eval
+from .termalgebra import MixedSum, mixed_diff, mixed_evaluator
 
 # ---------------------------------------------------------------------------
 # recurrence path
@@ -236,6 +236,7 @@ def oracle_equiv_check(
     The comparison metric is |fast - oracle| <= rel_tol * (1 + |fast|); every
     offending grid point is returned as data rather than raised.  A point
     whose deviation is NaN or infinite fails, with ``max_deviation`` inf.
+    Every t must be positive and finite, checked before any oracle is built.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -244,6 +245,9 @@ def oracle_equiv_check(
     if not 0 <= rel_tol < math.inf:
         raise ValueError("rel_tol must be nonnegative and finite")
     alphas = sorted(positive_rational(a) for a in alpha_samples)
+    ts = sorted(t_samples)
+    if not all(0.0 < t < math.inf for t in ts):
+        raise ValueError("t samples must be positive and finite")
     worst = 0.0
     failures = []
     checked = 0
@@ -251,12 +255,10 @@ def oracle_equiv_check(
         oracle = transition_oracle(n)
         for alpha in alphas:
             fast = transition_evaluator(n, alpha)
-            af = float(alpha)
-            for t in sorted(t_samples):
-                if t <= 0:
-                    raise ValueError("t samples must be positive")
+            slow = mixed_evaluator(oracle, float(alpha))
+            for t in ts:
                 a_val = fast(t)
-                b_val = mixed_eval(oracle, af, t)
+                b_val = slow(t)
                 dev = abs(a_val - b_val) / (1.0 + abs(a_val))
                 if not math.isfinite(dev):
                     dev = math.inf

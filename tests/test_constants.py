@@ -3,12 +3,14 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from khabcheck.constants import (
+    _telescoped,
     beta_int,
     kernel_power_moment,
     rhs_constant,
@@ -142,6 +144,31 @@ def test_integer_products_equal_fraction_loops(alpha, n):
     for m in range(1, n + 1):
         telescoped -= _beta_by_fractions(alpha, m + 1) / m
     assert kernel_power_moment(alpha, n, "sum") == telescoped
+
+
+@pytest.mark.parametrize("alpha", [F(1, 2), F(23, 97), F(7, 3), F(1, 10**6)])
+def test_telescoped_values_equal_the_restarted_sums(alpha):
+    values = list(islice(_telescoped(alpha), 31))
+    for n, value in enumerate(values):
+        restarted = 1 / (alpha * alpha) - sum(
+            (beta_int(alpha, m + 1) / m for m in range(1, n + 1)), F(0))
+        assert value == restarted == kernel_power_moment(alpha, n, "sum")
+    assert verify_moment_identity(alpha, 30) == [True] * 31
+
+
+def test_identity_checks_refuse_an_empty_index_range():
+    # all([]) is True, so an empty list would read as a pass
+    with pytest.raises(ValueError, match="^n_max must be >= 0$"):
+        verify_moment_identity(F(1, 2), -1)
+    with pytest.raises(ValueError, match="^n_max must be >= 1$"):
+        verify_reciprocity(F(1, 2), 0)
+    # alpha is admitted first
+    with pytest.raises(TypeError):
+        verify_moment_identity(0.5, -1)
+    with pytest.raises(TypeError):
+        verify_reciprocity(0.5, 0)
+    assert verify_moment_identity(F(1, 2), 0) == [True]
+    assert verify_reciprocity(F(1, 2), 1) == [True]
 
 
 def test_extremal_density_frozen_values():

@@ -2,13 +2,14 @@
 
 import math
 import random
+import struct
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from khabcheck.termalgebra import MixedSum, mixed_diff, mixed_eval
+from khabcheck.termalgebra import MixedSum, mixed_diff, mixed_eval, mixed_evaluator
 
 
 def small_sums():
@@ -151,3 +152,85 @@ def test_overflowing_terms_of_both_signs_sum_to_nan():
     # +inf and -inf terms have no sum; the result is NaN, not a ValueError
     s = term(0, 5, 0, 1) - term(0, 6, 0, 1)
     assert math.isnan(mixed_eval(s, 0.5, 1e300))
+
+
+# -- canonical form kept without rebuilding -----------------------------------
+
+def _rebuilt(s):
+    """The sum the generic constructor makes of ``s``'s own rows and den."""
+    return MixedSum(s.rows, s.den)
+
+
+def _same(s):
+    # equal as data, with tuple rows of ints, as the constructor leaves them
+    r = _rebuilt(s)
+    return ((s.rows, s.den) == (r.rows, r.den)
+            and all(type(row) is tuple and all(type(x) is int for x in row)
+                    for _, row in s.rows))
+
+
+@given(small_sums(), small_sums(),
+       st.fractions(max_denominator=12).filter(lambda f: abs(f) <= 10),
+       st.integers(-5, 5))
+@settings(max_examples=150)
+def test_operations_return_what_the_constructor_rebuilds(s, u, factor, m):
+    for out in (s.scale(factor), s.scale(0), s.shift_power(m), s.derivative(),
+                s + u, s - u, -s):
+        assert _same(out)
+
+
+def test_shift_power_refuses_a_float():
+    with pytest.raises(TypeError):
+        term(1, 0, 0, 1).shift_power(1.5)
+
+
+# -- float view: built once per (sum, alpha) ----------------------------------
+
+def _mixed_eval_reference(s, alpha, t):
+    """mixed_eval as it was before the float view was split from t."""
+    if t <= 0.0:
+        raise ValueError("t must be positive")
+    beta = 2.0 * alpha
+    log_t = math.log(t)
+    bl = beta * log_t
+    if bl > 0.0:
+        log_base = bl + math.log1p(math.exp(-bl))
+    else:
+        log_base = math.log1p(math.exp(bl))
+    values = []
+    for (k, p, q), row in s.rows:
+        cf = 0.0
+        for x in reversed(row):
+            cf = cf * alpha + x / s.den
+        if cf == 0.0:
+            continue
+        log_mag = math.log(abs(cf)) + (p + q * beta) * log_t - k * log_base
+        sign = 1.0 if cf > 0.0 else -1.0
+        values.append(sign * math.inf if log_mag > 709.0 else sign * math.exp(log_mag))
+    try:
+        return math.fsum(values)
+    except ValueError:
+        return math.nan
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+TS = (1e-300, 1e-9, 0.3, 1.0, 2.5, 1e9, 1e300, math.inf, math.nan)
+
+
+@given(small_sums(), st.floats(0.01, 60.0))
+@example(term(0, 5, 0, -1), 0.5)  # -inf at t = 1e300
+@example(term(0, 5, 0, 1) - term(0, 6, 0, 1), 0.5)  # inf - inf: NaN at t = 1e300
+@settings(max_examples=150)
+def test_evaluator_matches_the_one_point_reference_bit_for_bit(s, alpha):
+    f = mixed_evaluator(s, alpha)
+    for t in TS:
+        want = _bits(_mixed_eval_reference(s, alpha, t))
+        assert _bits(f(t)) == want
+        assert _bits(mixed_eval(s, alpha, t)) == want
+    for t in (0.0, -1.0, -math.inf):
+        with pytest.raises(ValueError, match="^t must be positive$"):
+            f(t)
+

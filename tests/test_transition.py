@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from khabcheck.exact import ZPolynomial, row_value
-from khabcheck.termalgebra import mixed_eval
+from khabcheck.termalgebra import MixedSum, mixed_eval
 from khabcheck.transition import (
     PhiFamily,
     asymptotic_check,
@@ -308,6 +308,38 @@ def test_oracle_base_case_structure():
             1.0 / (1.0 + t) ** 2, rel=1e-14)
 
 
+def _generic_oracle(n_max):
+    """Phi_0..Phi_n_max by -d/dt[(-1)^(n+1)/n! t^(n+1) w^(n+1)], every step
+    rebuilt through the generic MixedSum constructor, as a reference."""
+
+    def derivative(s):
+        out = []
+        for (k, p, q), row in s.rows:
+            out.append(((k, p - 1, q), [p * x + 2 * q * y for x, y in zip((*row, 0), (0, *row))]))
+            out.append(((k + 1, p - 1, q + 1), [0, *(-2 * k * x for x in row)]))
+        return MixedSum(out, s.den)
+
+    deriv = MixedSum((((1, -1, 0), (0, -2)),))  # w'
+    oracles = []
+    for n in range(n_max + 1):
+        f = -F((-1) ** (n + 1), math.factorial(n))
+        scaled = MixedSum(((key, [x * f.numerator for x in row]) for key, row in deriv.rows),
+                          deriv.den * f.denominator)
+        shifted = MixedSum((((k, p + n + 1, q), row) for (k, p, q), row in scaled.rows),
+                           scaled.den)
+        oracles.append(derivative(shifted))
+        deriv = derivative(deriv)
+    return oracles
+
+
+def test_oracle_equals_the_generic_constructor_chain():
+    transition_oracle.cache_clear()
+    log_weight_derivatives.cache_clear()
+    for n, want in enumerate(_generic_oracle(30)):
+        got = transition_oracle(n)
+        assert (got.rows, got.den) == (want.rows, want.den)
+
+
 def test_oracle_agrees_with_polynomial_route():
     report = oracle_equiv_check(
         n_max=5,
@@ -378,6 +410,17 @@ EMPTY = "^sample grids must be non-empty$"
 def test_empty_sample_grids_are_refused(check, message):
     with pytest.raises(ValueError, match=message):
         check()
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_oracle_comparison_admits_every_t_before_building_an_oracle(bad):
+    # one message for every t that is not positive and finite, raised before
+    # the first oracle is built, wherever the bad t sits in the grid
+    transition_oracle.cache_clear()
+    for ts in ([bad, 1.0], [0.5, 2.0, bad]):
+        with pytest.raises(ValueError, match="^t samples must be positive and finite$"):
+            oracle_equiv_check(3, [F(1, 4)], ts)
+    assert transition_oracle.cache_info().currsize == 0
 
 
 def test_family_builder_and_validation():
