@@ -48,7 +48,6 @@ from .quadrature import (
     QuadConfig,
     QuadResult,
     extremal_density_fn,
-    integrate_01_kernel,
     integrate_log_moment,
     integrate_weight_prime_moment,
     verify_conjecture_chain,
@@ -70,7 +69,6 @@ __all__ = [
     "PositivityVerdict", "ScanReport", "Status",
     "alpha_threshold", "poly_nonneg_on_pos", "region_scan",
     "ChainReport", "DensityFunction", "QuadConfig", "QuadResult",
-    "extremal_density_fn", "integrate_01_kernel", "integrate_log_moment",
-    "integrate_weight_prime_moment",
+    "extremal_density_fn", "integrate_log_moment", "integrate_weight_prime_moment",
     "verify_conjecture_chain", "verify_reconstruction", "verify_weighted_moment",
 ]

@@ -47,13 +47,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
-from .constants import beta_int, kernel_power_moment, rhs_constant
+from .constants import beta_int, moment_routes, rhs_constant
 from .exact import positive_rational
 from .kernel import kernel_eval
 from .positivity import Status, alpha_threshold, region_scan
 from .quadrature import (
     QuadConfig,
-    QuadResult,
     ResidualCheck,
     extremal_density_fn,
     integrate_log_moment,
@@ -206,37 +205,36 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _moment_identity(alpha: Fraction, n: int) -> tuple:
-    product = kernel_power_moment(alpha, n, "product")
-    telescoped = kernel_power_moment(alpha, n, "sum")
-    return (PASS if product == telescoped else FAIL, float(product), float(telescoped),
-            float(telescoped - product))
+def _moment_identity(alpha: Fraction, n_max: int):
+    """The product moment as target, the telescoped one as value, n = 0..n_max."""
+    return enumerate(moment_routes(alpha, n_max))
 
 
-def _reciprocity(alpha: Fraction, n: int) -> tuple:
-    prod = beta_int(alpha, n) * rhs_constant(alpha, n)
-    return PASS if prod == 1 else FAIL, 1.0, float(prod), float(prod - 1)
+def _reciprocity(alpha: Fraction, n_max: int):
+    """1 as target, B(alpha, n) times the pi-coefficient as value, n = 1..n_max."""
+    return ((n, (1, beta_int(alpha, n) * rhs_constant(alpha, n)))
+            for n in range(1, n_max + 1))
 
 
-# identity: (check name, first index, (alpha, n) -> (status, target, value, residual))
-_IDENTITIES = (("kernel-moment-identity", 0, _moment_identity),
-               ("beta-product-reciprocity", 1, _reciprocity))
+# identity: (check name, (alpha, n_max) -> (n, (exact target, exact value)) per record)
+_IDENTITIES = (("kernel-moment-identity", _moment_identity),
+               ("beta-product-reciprocity", _reciprocity))
 
 
 def _cmd_identities(args: argparse.Namespace) -> tuple[list[dict], dict]:
     records = []
     for alpha in sorted(args.alpha):
-        for check, first, identity in _IDENTITIES:
-            for n in range(first, args.n_max + 1):
+        for check, identity in _IDENTITIES:
+            for n, (target, value) in identity(alpha, args.n_max):
                 params = {"alpha": str(alpha), "n": n}
                 try:
-                    status, target, value, residual = identity(alpha, n)
+                    record = _record(check, params, PASS if value == target else FAIL,
+                                     target=float(target), value=float(value),
+                                     residual=float(value - target))
                 except ArithmeticError as exc:
                     # an exact value too large for a float fails that record only
-                    records.append(_failed(check, params, exc))
-                    continue
-                records.append(_record(check, params, status,
-                                       target=target, value=value, residual=residual))
+                    record = _failed(check, params, exc)
+                records.append(record)
     config = {"command": "identities", "alpha": [str(a) for a in args.alpha],
               "nMax": args.n_max}
     return records, config
@@ -273,10 +271,6 @@ def _reconstruction_records(check, params, tol, cfg, args, n, alpha):
     return records
 
 
-def _against(result: QuadResult, target: float) -> ResidualCheck:
-    return ResidualCheck(value=result.value, target=target, quad=result)
-
-
 def _chain_records(check, params, tol, cfg, args, n, alpha):
     """Premise and conclusion records, or one inconclusive record when the
     positivity gate of the reduction does not hold."""
@@ -308,9 +302,9 @@ def _chain_records(check, params, tol, cfg, args, n, alpha):
 # that wrappers swapped into this module at run time see every call.
 _SUITES = {
     "logmoment": ("log-weight-moment", 1e-8, ("alpha",), _scored(
-        lambda cfg, alpha: _against(integrate_log_moment(alpha, cfg), math.pi / float(alpha)))),
+        lambda cfg, alpha: integrate_log_moment(alpha, cfg))),
     "weight-prime": ("weight-derivative-moment", 1e-8, ("alpha",), _scored(
-        lambda cfg, alpha: _against(integrate_weight_prime_moment(alpha, cfg), -math.pi))),
+        lambda cfg, alpha: integrate_weight_prime_moment(alpha, cfg))),
     "reconstruction": ("reconstruction", 1e-6, ("n", "alpha"), _reconstruction_records),
     "weighted-moment": ("weighted-transition-moment", 1e-6, ("n", "alpha"), _scored(
         lambda cfg, n, alpha: verify_weighted_moment(n, alpha, cfg))),

@@ -18,16 +18,17 @@ equals B(alpha, n+1) / alpha.  Everything here is exact, on an alpha
 admitted by ``exact.positive_rational``, so a float alpha is refused rather
 than turned into a binary fraction.  With alpha = p/q, each product runs
 over the integers, as one numerator and one denominator, and forms a
-single ``Fraction`` at the end.  The telescoped moments come from one
-generator that subtracts one term per n, so ``verify_moment_identity``
-walks them once.  The density that attains equality,
+single ``Fraction`` at the end.  ``moment_routes`` yields the moment by
+both routes, the closed form and the telescoped sum, for n = 0..n_max in
+one walk; ``verify_moment_identity`` and the CLI's ``identities`` both
+read it.  The density that attains equality,
 alpha * t**(alpha-1) / B(alpha, n), is ``quadrature.extremal_density_fn``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count
 from typing import Iterator
 
 from .exact import RationalLike, positive_rational
@@ -67,26 +68,13 @@ def rhs_constant(alpha: RationalLike, n: int) -> Fraction:
     return Fraction(num, den)
 
 
-def kernel_power_moment(alpha: RationalLike, n: int, mode: str = "product") -> Fraction:
-    """Exact value of integral_0^1 K_n(x) x**(alpha-1) dx, for n >= 0.
-
-    Two independent routes are kept deliberately separate:
-
-    * ``mode="product"`` uses the closed form B(alpha, n+1)/alpha.
-    * ``mode="sum"`` uses the telescoped form
-      1/alpha**2 - sum_{m=1..n} B(alpha, m+1)/m,
-      which integrates the family's step-down relation term by term.
-
-    Agreement of the two modes is one of the identity checks.
-    """
+def kernel_power_moment(alpha: RationalLike, n: int) -> Fraction:
+    """Exact value of integral_0^1 K_n(x) x**(alpha-1) dx, for n >= 0, by the
+    closed form B(alpha, n+1)/alpha (the product route)."""
     a = positive_rational(alpha)
     if n < 0:
         raise ValueError("n must be >= 0")
-    if mode == "product":
-        return beta_int(a, n + 1) / a
-    if mode == "sum":
-        return next(islice(_telescoped(a), n, None))
-    raise ValueError(f"unknown mode {mode!r}; expected 'product' or 'sum'")
+    return beta_int(a, n + 1) / a
 
 
 def _telescoped(a: Fraction) -> Iterator[Fraction]:
@@ -99,16 +87,26 @@ def _telescoped(a: Fraction) -> Iterator[Fraction]:
         yield value
 
 
-def verify_moment_identity(alpha: RationalLike, n_max: int) -> list[bool]:
-    """Check product-mode == sum-mode exactly for every n in 0..n_max.
+def moment_routes(alpha: RationalLike, n_max: int) -> Iterator[tuple[Fraction, Fraction]]:
+    """The kernel power moment by both routes, (product, telescoped), for
+    n = 0..n_max.
 
-    One pass: the telescoped sum is walked once, not restarted for each n.
+    The two routes are kept deliberately separate: the product route is
+    ``kernel_power_moment``'s closed form, the telescoped route
+    1/alpha**2 - sum_{m=1..n} B(alpha, m+1)/m integrates the family's
+    step-down relation term by term.  Their agreement is one of the
+    identity checks.  The telescoped sum is walked once, not restarted for
+    each n; alpha and n_max are admitted before the walk starts.
     """
     a = positive_rational(alpha)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return [kernel_power_moment(a, n, "product") == telescoped
-            for n, telescoped in zip(range(n_max + 1), _telescoped(a))]
+    return zip((kernel_power_moment(a, n) for n in range(n_max + 1)), _telescoped(a))
+
+
+def verify_moment_identity(alpha: RationalLike, n_max: int) -> list[bool]:
+    """Check product route == telescoped route exactly for every n in 0..n_max."""
+    return [product == telescoped for product, telescoped in moment_routes(alpha, n_max)]
 
 
 def verify_reciprocity(alpha: RationalLike, n_max: int) -> list[bool]:

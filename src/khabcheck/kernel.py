@@ -29,6 +29,7 @@ correct digit:
 from __future__ import annotations
 
 import math
+import operator
 
 #: bound on the truncation error of the tail series
 DEFAULT_TOL = 1e-14
@@ -38,7 +39,12 @@ _SERIES_SWITCH = 0.9
 
 
 def kernel_eval(n: int, x: float) -> float:
-    """Evaluate the n-th kernel at x in (0, 1], to within ``DEFAULT_TOL`` of truth."""
+    """Evaluate the n-th kernel at x in (0, 1], to within ``DEFAULT_TOL`` of truth.
+
+    n is admitted through ``operator.index``: a float index is a TypeError
+    on both sides of the series switch.
+    """
+    n = operator.index(n)
     if n < 0:
         raise ValueError("kernel index n must be >= 0")
     if not 0.0 < x <= 1.0:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -348,8 +349,10 @@ def region_scan(n_values: Iterable[int], alpha_grid: Iterable[RationalLike]) -> 
 
     Cells are computed independently and assembled in sorted (n, alpha)
     order, so the report is deterministic regardless of evaluation order.
+    Indices are admitted through ``operator.index``, so a float is a
+    TypeError rather than truncated to a neighbouring index.
     """
-    ns = sorted(set(int(n) for n in n_values))
+    ns = sorted(set(map(operator.index, n_values)))
     alphas = sorted(set(positive_rational(a) for a in alpha_grid))
     if not ns or not alphas:
         raise ValueError("scan grids must be non-empty")

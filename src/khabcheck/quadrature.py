@@ -70,6 +70,10 @@ _SINGULARITY_SPLIT = 1e-3
 #: QUADPACK's subdivision budget for one adaptive pass
 _SUBDIVISION_LIMIT = 2000
 
+#: the chain conclusion's tolerance, relative to its target: within it the
+#: extremal density must meet equality, and any density the inequality
+_EQUALITY_REL_TOL = 1e-5
+
 
 @dataclass(frozen=True)
 class QuadResult:
@@ -103,9 +107,6 @@ class DensityFunction:
     evaluator: Callable[[float], float]
     power_at_zero: Optional[float] = None
     power_at_infinity: Optional[float] = None
-
-    def __call__(self, t: float) -> float:
-        return self.evaluator(t)
 
 
 def extremal_density_fn(alpha: RationalLike, n: int) -> DensityFunction:
@@ -275,24 +276,15 @@ class ResidualCheck:
         return self.value - self.target
 
 
-def integrate_01_kernel(n: int, q: DensityFunction, t: float,
-                        cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
-    """The premise integral  int_0^1 K_{n-1}(x) q(t x) dx  for conjecture index n.
-
-    The kernel's logarithmic blow-up at 0 combines with q's endpoint power;
-    with q ~ x^(a-1) (the extremal shape) the hinted substitution is exactly
-    x = u^(1/a).
-    """
-    if n < 1:
-        raise ValueError("conjecture index n must be >= 1")
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ValueError("t must be positive and finite")
-    return _premise_sweep(n - 1, q, cfg)(t)
-
-
 def _premise_sweep(k_index: int, q: DensityFunction,
                    cfg: QuadConfig) -> Callable[[float], QuadResult]:
-    """t -> int_0^1 K_k(x) q(t x) dx, every t reading K_k from one node table."""
+    """t -> int_0^1 K_k(x) q(t x) dx, every t reading K_k from one node table.
+
+    The premise integral of conjecture index k + 1.  The kernel's
+    logarithmic blow-up at 0 combines with q's endpoint power; with
+    q ~ x^(a-1) (the extremal shape) the hinted substitution is exactly
+    x = u^(1/a).
+    """
     density = q.evaluator
     power = q.power_at_zero
     kernel = partial(kernel_eval, k_index)
@@ -319,8 +311,9 @@ def _premise_sweep(k_index: int, q: DensityFunction,
     return premise
 
 
-def integrate_log_moment(alpha: RationalLike, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
-    """int_0^oo t^(alpha-1) ln(1 + t^(-2 alpha)) dt  (analytic value: pi/alpha).
+def integrate_log_moment(alpha: RationalLike,
+                         cfg: QuadConfig = DEFAULT_CONFIG) -> ResidualCheck:
+    """int_0^oo t^(alpha-1) ln(1 + t^(-2 alpha)) dt against its target pi/alpha.
 
     With z = t^(2 alpha), t^(alpha-1) dt = z^(-1/2) dz / (2 alpha), so the
     integral is (1/(2 alpha)) int_0^oo z^(-1/2) ln(1 + 1/z) dz = pi/alpha: the
@@ -332,12 +325,13 @@ def integrate_log_moment(alpha: RationalLike, cfg: QuadConfig = DEFAULT_CONFIG) 
     def f(t: float) -> float:
         return t ** (af - 1.0) * log_weight(t, af)
 
-    return integrate_half_line(f, cfg, power_at_zero=af - 1.0, decay_power=af)
+    result = integrate_half_line(f, cfg, power_at_zero=af - 1.0, decay_power=af)
+    return ResidualCheck(value=result.value, target=math.pi / af, quad=result)
 
 
 def integrate_weight_prime_moment(alpha: RationalLike,
-                                  cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
-    """int_0^oo t^alpha * w'(t) dt  where w is the log weight (value: -pi).
+                                  cfg: QuadConfig = DEFAULT_CONFIG) -> ResidualCheck:
+    """int_0^oo t^alpha * w'(t) dt, w the log weight, against its target -pi.
 
     The first derivative collapses to -2a * t^(a-1) / (1 + t^(2a)), giving
     an integrand with the same endpoint structure as the log moment.  With
@@ -354,7 +348,8 @@ def integrate_weight_prime_moment(alpha: RationalLike,
             return -two_a * t ** (af - 1.0 - two_a) / (1.0 + t ** (-two_a))
         return -two_a * t ** (af - 1.0) / (1.0 + t ** two_a)
 
-    return integrate_half_line(f, cfg, power_at_zero=af - 1.0, decay_power=af)
+    result = integrate_half_line(f, cfg, power_at_zero=af - 1.0, decay_power=af)
+    return ResidualCheck(value=result.value, target=-math.pi, quad=result)
 
 
 def reconstruction_sweep(n: int, alpha: RationalLike,
@@ -481,7 +476,6 @@ class ChainReport:
     rhs_pi_coefficient: Optional[Fraction] = None
     rhs_value: Optional[float] = None
     premise_tol: float = 1e-6
-    equality_rel_tol: float = 1e-5
 
     @property
     def premise_max_violation(self) -> float:
@@ -501,16 +495,16 @@ class ChainReport:
         """Conclusion inequality LHS <= RHS, up to the equality tolerance."""
         if not self.applicable or self.conclusion is None:
             return False
-        slack = self.equality_rel_tol * abs(self.rhs_value)
+        slack = _EQUALITY_REL_TOL * abs(self.rhs_value)
         return self.conclusion.value <= self.rhs_value + slack
 
     @property
     def equality_within_tol(self) -> bool:
-        """Both sides agree to equality_rel_tol (expected for the extremal q)."""
+        """Both sides agree to ``_EQUALITY_REL_TOL`` (expected for the extremal q)."""
         if not self.applicable or self.conclusion is None:
             return False
         return abs(self.conclusion.value - self.rhs_value) <= \
-            self.equality_rel_tol * abs(self.rhs_value)
+            _EQUALITY_REL_TOL * abs(self.rhs_value)
 
 
 def default_chain_grid() -> tuple[float, ...]:
@@ -520,8 +514,7 @@ def default_chain_grid() -> tuple[float, ...]:
 
 def verify_conjecture_chain(n: int, alpha: RationalLike, q: DensityFunction,
                             cfg: QuadConfig = DEFAULT_CONFIG,
-                            premise_tol: float = 1e-6,
-                            equality_rel_tol: float = 1e-5) -> ChainReport:
+                            premise_tol: float = 1e-6) -> ChainReport:
     """Run the reduction chain for conjecture index n at a rational alpha.
 
     Gate: the multiply-and-integrate step is only valid when P_{n-1} is
@@ -537,14 +530,13 @@ def verify_conjecture_chain(n: int, alpha: RationalLike, q: DensityFunction,
     a = positive_rational(alpha)
     if n < 1:
         raise ValueError("conjecture index n must be >= 1")
-    if not (0 <= premise_tol < math.inf and 0 <= equality_rel_tol < math.inf):
-        raise ValueError("tolerances must be nonnegative and finite")
+    if not 0 <= premise_tol < math.inf:
+        raise ValueError("premise_tol must be nonnegative and finite")
     poly_index = n - 1
     verdict = poly_nonneg_on_pos(transition_poly(poly_index), a)
     if verdict.status is not Status.NONNEGATIVE:
         return ChainReport(conjecture_n=n, poly_index=poly_index, alpha=a,
-                           positivity=verdict, applicable=False,
-                           premise_tol=premise_tol, equality_rel_tol=equality_rel_tol)
+                           positivity=verdict, applicable=False, premise_tol=premise_tol)
 
     af = float(a)
 
@@ -557,8 +549,10 @@ def verify_conjecture_chain(n: int, alpha: RationalLike, q: DensityFunction,
             quad=inner,
         ))
 
+    density = q.evaluator
+
     def conclusion_integrand(t: float) -> float:
-        return q(t) * log_weight(t, af)
+        return density(t) * log_weight(t, af)
 
     power_at_zero = q.power_at_zero
     decay_power = None
@@ -578,5 +572,4 @@ def verify_conjecture_chain(n: int, alpha: RationalLike, q: DensityFunction,
         rhs_pi_coefficient=coeff,
         rhs_value=math.pi * float(coeff),
         premise_tol=premise_tol,
-        equality_rel_tol=equality_rel_tol,
     )

@@ -20,11 +20,13 @@ exactly, in canonical form, without a general CAS.
 ``exact.ZPolynomial``: each sorted key ``(k, p, q)`` maps to the integer
 alpha-coefficients of its term, equal keys merge, zero terms are dropped and
 the whole is in lowest terms, so two sums representing the same function as
-a formal linear combination compare equal.  Its operations (``+``, ``-``,
-``scale``, ``shift_power``, ``derivative``) are integer row operations, and
-a single term is built from its row, e.g. ``MixedSum((((1, -1, 0), (0, -2)),))``
-for -2*alpha * t**(-1) * (1 + t**beta)**(-1).  Only the constructor, ``+``
-and ``derivative`` merge keys; ``lowest_terms`` admits each entry once.
+a formal linear combination compare equal.  Its operations (``scale``,
+``shift_power``, ``derivative``: all the derivative oracle needs) are
+integer row operations, and a single term is built from its row, e.g.
+``MixedSum((((1, -1, 0), (0, -2)),))`` for
+-2*alpha * t**(-1) * (1 + t**beta)**(-1); a sum of sums is the constructor
+given their rows over a common denominator.  Only the constructor and
+``derivative`` merge keys; ``lowest_terms`` admits each entry once.
 ``shift_power`` keeps a canonical sum canonical as it stands, and ``scale``
 only multiplies and reduces, so neither rebuilds.
 
@@ -79,18 +81,6 @@ class MixedSum:
         s = object.__new__(cls)
         s._set(rows, den)
         return s
-
-    def __add__(self, other: MixedSum) -> MixedSum:
-        den = math.lcm(self.den, other.den)
-        sa, sb = den // self.den, den // other.den
-        return MixedSum([(key, [x * sa for x in row]) for key, row in self.rows]
-                        + [(key, [x * sb for x in row]) for key, row in other.rows], den)
-
-    def __neg__(self) -> MixedSum:
-        return self.scale(-1)
-
-    def __sub__(self, other: MixedSum) -> MixedSum:
-        return self + (-other)
 
     def scale(self, factor: Fraction | int) -> MixedSum:
         # the keys stay as they are; a nonzero factor ends no row in a zero,

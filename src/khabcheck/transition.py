@@ -344,6 +344,11 @@ def asymptotic_check(n: int, alpha: RationalLike, omega: RationalLike) -> Asympt
 # ---------------------------------------------------------------------------
 
 
+#: the t samples and relative tolerance of ``PhiFamily.validate``'s oracle comparison
+_VALIDATE_TS = (0.1, 0.5, 1.0, 2.0, 10.0)
+_VALIDATE_REL_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class PhiFamily:
     """The first maxN+1 transition functions at a fixed rational alpha.
@@ -368,12 +373,13 @@ class PhiFamily:
             polys=tuple(transition_poly(n) for n in range(max_n + 1)),
         )
 
-    def validate(self, t_samples: Sequence[float] = (0.1, 0.5, 1.0, 2.0, 10.0),
-                 rel_tol: float = 1e-10) -> bool:
-        """Re-assert the family's structural invariants at runtime."""
+    def validate(self) -> bool:
+        """Re-assert the family's structural invariants at runtime: P_0 = 1,
+        deg P_n = n, and agreement with the derivative oracle at
+        ``_VALIDATE_TS`` within ``_VALIDATE_REL_TOL``."""
         if self.polys[0] != ZPolynomial(((1,),)):
             return False
         if any(p.degree != n for n, p in enumerate(self.polys)):
             return False
-        report = oracle_equiv_check(self.max_n, [self.alpha], list(t_samples), rel_tol)
+        report = oracle_equiv_check(self.max_n, [self.alpha], _VALIDATE_TS, _VALIDATE_REL_TOL)
         return report.passed

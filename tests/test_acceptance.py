@@ -130,7 +130,7 @@ def test_criterion_7_extremal_chain():
         for alpha in (F(1, 4), F(1, 2)):
             report = verify_conjecture_chain(
                 n, alpha, extremal_density_fn(alpha, n),
-                premise_tol=1e-6, equality_rel_tol=1e-5)
+                premise_tol=1e-6)
             ok = ok and report.applicable and report.premise_satisfied
             ok = ok and report.premise_max_deviation <= 1e-6
             ok = ok and report.equality_within_tol

@@ -13,6 +13,7 @@ import pytest
 from khabcheck.constants import (
     beta_int,
     kernel_power_moment,
+    moment_routes,
     rhs_constant,
     verify_moment_identity,
     verify_reciprocity,
@@ -45,14 +46,15 @@ DENSITY = extremal_density_fn(F(1, 2), 2)
 
 def _density(a):
     q = extremal_density_fn(a, 2)
-    return q.power_at_zero, q(0.7)
+    return q.power_at_zero, q.evaluator(0.7)
 
 
 #: each entry called with alpha (or omega) in one position and a comparable result
 ENTRIES = {
     "beta_int": lambda a: beta_int(a, 3),
     "rhs_constant": lambda a: rhs_constant(a, 3),
-    "kernel_power_moment": lambda a: kernel_power_moment(a, 2, "sum"),
+    "kernel_power_moment": lambda a: kernel_power_moment(a, 2),
+    "moment_routes": lambda a: list(moment_routes(a, 2)),
     "verify_moment_identity": lambda a: verify_moment_identity(a, 2),
     "verify_reciprocity": lambda a: verify_reciprocity(a, 2),
     "transition_evaluator": lambda a: transition_evaluator(2, a)(0.7),

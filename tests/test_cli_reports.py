@@ -32,6 +32,9 @@ def run(capsys, *argv):
      "integrals --suite all --alpha 1/4,3 --format csv --no-timestamp"),
     ("report_integrals_sweep.json", "integrals --suite all --alpha 1/30,5/8,7/4 --no-timestamp"),
     ("report_identities.json", "identities --alpha 1/2,2/3 --n-max 6 --no-timestamp"),
+    # both moment routes read in one walk per alpha, to n = 60
+    ("report_identities_n60.csv",
+     "identities --alpha 1/3,2/7,1000/4099 --n-max 60 --format csv --no-timestamp"),
     ("report_scan_region.json", "scan --n 0..4 --alpha-grid 1/4:2:1/4 --no-timestamp"),
     ("report_scan_threshold.json", "scan --n 1..6 --threshold --no-timestamp"),
     ("report_scan_region_21x40.csv",

@@ -13,6 +13,7 @@ from khabcheck.constants import (
     _telescoped,
     beta_int,
     kernel_power_moment,
+    moment_routes,
     rhs_constant,
     verify_moment_identity,
     verify_reciprocity,
@@ -71,11 +72,12 @@ def test_reciprocity(alpha):
         assert rhs_constant(alpha, n) * beta_int(alpha, n) == 1
 
 
-def test_kernel_power_moment_modes_agree_exactly():
+def test_moment_routes_agree_exactly():
     for alpha in (F(1, 3), F(1, 2), F(7, 4)):
-        for n in range(0, 13):
-            product = kernel_power_moment(alpha, n, mode="product")
-            telescoped = kernel_power_moment(alpha, n, mode="sum")
+        routes = list(moment_routes(alpha, 12))
+        assert len(routes) == 13
+        for n, (product, telescoped) in enumerate(routes):
+            assert product == kernel_power_moment(alpha, n)
             assert product == telescoped
 
 
@@ -139,11 +141,12 @@ def test_integer_products_equal_fraction_loops(alpha, n):
     if n >= 1:
         assert beta_int(alpha, n) == _beta_by_fractions(alpha, n)
         assert rhs_constant(alpha, n) == _rhs_by_fractions(alpha, n)
-    assert kernel_power_moment(alpha, n, "product") == _beta_by_fractions(alpha, n + 1) / alpha
+    product = _beta_by_fractions(alpha, n + 1) / alpha
+    assert kernel_power_moment(alpha, n) == product
     telescoped = 1 / (alpha * alpha)
     for m in range(1, n + 1):
         telescoped -= _beta_by_fractions(alpha, m + 1) / m
-    assert kernel_power_moment(alpha, n, "sum") == telescoped
+    assert list(moment_routes(alpha, n))[n] == (product, telescoped)
 
 
 @pytest.mark.parametrize("alpha", [F(1, 2), F(23, 97), F(7, 3), F(1, 10**6)])
@@ -152,7 +155,8 @@ def test_telescoped_values_equal_the_restarted_sums(alpha):
     for n, value in enumerate(values):
         restarted = 1 / (alpha * alpha) - sum(
             (beta_int(alpha, m + 1) / m for m in range(1, n + 1)), F(0))
-        assert value == restarted == kernel_power_moment(alpha, n, "sum")
+        assert value == restarted
+    assert [telescoped for _, telescoped in moment_routes(alpha, 30)] == values
     assert verify_moment_identity(alpha, 30) == [True] * 31
 
 
@@ -160,11 +164,15 @@ def test_identity_checks_refuse_an_empty_index_range():
     # all([]) is True, so an empty list would read as a pass
     with pytest.raises(ValueError, match="^n_max must be >= 0$"):
         verify_moment_identity(F(1, 2), -1)
+    with pytest.raises(ValueError, match="^n_max must be >= 0$"):
+        moment_routes(F(1, 2), -1)  # refused when called, before any walk
     with pytest.raises(ValueError, match="^n_max must be >= 1$"):
         verify_reciprocity(F(1, 2), 0)
     # alpha is admitted first
     with pytest.raises(TypeError):
         verify_moment_identity(0.5, -1)
+    with pytest.raises(TypeError):
+        moment_routes(0.5, -1)
     with pytest.raises(TypeError):
         verify_reciprocity(0.5, 0)
     assert verify_moment_identity(F(1, 2), 0) == [True]
@@ -172,16 +180,18 @@ def test_identity_checks_refuse_an_empty_index_range():
 
 
 def test_extremal_density_frozen_values():
-    assert extremal_density_fn(F(1, 2), 1)(1.0) == pytest.approx(0.25, abs=1e-15)
-    assert extremal_density_fn(F(1, 2), 2)(4.0) == pytest.approx(3.0 / 16.0, abs=1e-15)
+    assert extremal_density_fn(F(1, 2), 1).evaluator(1.0) == pytest.approx(0.25, abs=1e-15)
+    assert extremal_density_fn(F(1, 2), 2).evaluator(4.0) == pytest.approx(3.0 / 16.0,
+                                                                           abs=1e-15)
     # a * t^(a-1) / B(a, n) with a = 1, n = 2 gives the constant 2
-    assert extremal_density_fn(F(1), 2)(123.0) == pytest.approx(2.0)
+    assert extremal_density_fn(F(1), 2).evaluator(123.0) == pytest.approx(2.0)
 
 
 def test_extremal_density_scales_like_power():
     a, n = F(1, 3), 3
     for t in (0.1, 1.0, 7.0):
-        ratio = extremal_density_fn(a, n)(2.0 * t) / extremal_density_fn(a, n)(t)
+        q = extremal_density_fn(a, n).evaluator
+        ratio = q(2.0 * t) / q(t)
         assert ratio == pytest.approx(2.0 ** (float(a) - 1.0), rel=1e-12)
 
 
@@ -196,5 +206,3 @@ def test_argument_validation():
         rhs_constant(F(1, 2), 0)
     with pytest.raises(ValueError):
         kernel_power_moment(F(1, 2), -1)
-    with pytest.raises(ValueError):
-        kernel_power_moment(F(1, 2), 1, mode="telescope")

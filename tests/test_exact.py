@@ -34,6 +34,14 @@ def mixed_sums(max_terms=4):
     return st.builds(MixedSum, rows, st.integers(1, 20))
 
 
+def plus(*sums):
+    """The sum of mixed sums: the constructor given all their rows over a
+    common denominator, where it merges equal keys."""
+    den = math.lcm(*(s.den for s in sums))
+    return MixedSum([(key, [x * (den // s.den) for x in row])
+                     for s in sums for key, row in s.rows], den)
+
+
 # -- rational parsing ------------------------------------------------------
 
 def test_rational_parses_strings_and_ints():
@@ -131,8 +139,9 @@ def test_alpha_poly_round_trips_through_num_and_den(P):
 
 @given(mixed_sums())
 def test_zero_difference_has_unit_denominator(S):
-    assert (S - S).rows == ()
-    assert (S - S).den == 1
+    zero = plus(S, S.scale(-1))
+    assert zero.rows == ()
+    assert zero.den == 1
 
 
 def test_integer_input_is_reduced_to_lowest_terms():
@@ -186,19 +195,19 @@ def test_specialize_matches_fraction_horner(P, a):
 
 # -- the alpha-coefficient rows under the term algebra's operations ---------
 #
-# A MixedSum keeps one alpha-row per key: + and - add rows, ``scale``
-# multiplies them by a rational, and ``derivative`` multiplies them by the
-# alpha-polynomials p + 2q*alpha and -2k*alpha.
+# A MixedSum keeps one alpha-row per key: the constructor adds the rows of
+# equal keys, ``scale`` multiplies them by a rational, and ``derivative``
+# multiplies them by the alpha-polynomials p + 2q*alpha and -2k*alpha.
 
 @given(mixed_sums(), mixed_sums())
 def test_alpha_addition_commutes(S, U):
-    assert S + U == U + S
+    assert plus(S, U) == plus(U, S)
 
 
 @given(mixed_sums(), mixed_sums(), small_fractions)
 @settings(max_examples=50)
 def test_alpha_multiplication_distributes(S, U, f):
-    assert (S + U).scale(f) == S.scale(f) + U.scale(f)
+    assert plus(S, U).scale(f) == plus(S.scale(f), U.scale(f))
 
 
 @given(mixed_sums(), mixed_sums(), small_fractions)
@@ -213,7 +222,7 @@ def test_alpha_evaluation_is_a_ring_homomorphism(S, U, a):
     total = defaultdict(F)
     for key, c in [*values.items(), *other.items()]:
         total[key] += c
-    assert at(S + U) == {key: c for key, c in total.items() if c}
+    assert at(plus(S, U)) == {key: c for key, c in total.items() if c}
 
     product = defaultdict(F)
     for (k, p, q), c in values.items():

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -64,6 +65,16 @@ def test_domain_validation():
         kernel_eval(0, 1.0 + 1e-9)
     with pytest.raises(ValueError):
         kernel_eval(-1, 0.5)
+
+
+@pytest.mark.parametrize("x", [0.5, 0.95], ids=["closed-form", "tail-series"])
+def test_index_is_admitted_as_an_integer(x):
+    # a float index is refused on both sides of the series switch; a NumPy
+    # integer is admitted as the int it stands for
+    with pytest.raises(TypeError):
+        kernel_eval(1.5, x)
+    value = kernel_eval(np.int64(2), x)
+    assert type(value) is float and value == kernel_eval(2, x)
 
 
 def test_default_tolerance_is_strict():

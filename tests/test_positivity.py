@@ -6,6 +6,7 @@ import random
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -353,6 +354,15 @@ def test_region_scan_grid():
     assert cells[2, F(1, 2)].verdict.status is Status.NONNEGATIVE
     below = region_scan(range(4), (F(1, 4), F(1, 2)))
     assert all(c.verdict.status is Status.NONNEGATIVE for c in below.cells)
+
+
+def test_region_scan_admits_indices_as_integers():
+    # a float index is refused, not truncated to a neighbouring index
+    with pytest.raises(TypeError):
+        region_scan([1.5, 2.9], [F(1, 4)])
+    cells = region_scan(np.arange(3), [F(1, 4)]).cells
+    assert [type(c.poly_index) for c in cells] == [int] * 3
+    assert cells == region_scan(range(3), [F(1, 4)]).cells
 
 
 def test_region_scan_is_deterministic():

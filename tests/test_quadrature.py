@@ -19,7 +19,6 @@ from khabcheck.quadrature import (
     QuadResult,
     default_chain_grid,
     extremal_density_fn,
-    integrate_01_kernel,
     integrate_half_line,
     integrate_log_moment,
     integrate_unit_interval,
@@ -53,9 +52,8 @@ def test_tolerances_must_be_finite(tol):
         with pytest.raises(ValueError, match="^tolerances must be positive and finite$"):
             QuadConfig(**{field: tol})
     alpha = F(1, 4)
-    for field in ("premise_tol", "equality_rel_tol"):
-        with pytest.raises(ValueError, match="^tolerances must be nonnegative and finite$"):
-            verify_conjecture_chain(2, alpha, extremal_density_fn(alpha, 2), **{field: tol})
+    with pytest.raises(ValueError, match="^premise_tol must be nonnegative and finite$"):
+        verify_conjecture_chain(2, alpha, extremal_density_fn(alpha, 2), premise_tol=tol)
 
 
 def test_result_addition_accumulates_error_and_convergence():
@@ -171,15 +169,19 @@ def test_tolerance_monotonicity():
 @pytest.mark.parametrize("alpha", [F(1, 4), F(1, 2), F(1), F(2)])
 def test_log_moment_is_pi_over_alpha(alpha):
     r = integrate_log_moment(alpha)
-    assert r.converged
-    assert abs(r.value - math.pi / float(alpha)) < 1e-10
+    assert r.quad.converged
+    assert r.target == math.pi / float(alpha)
+    assert r.value == r.quad.value
+    assert abs(r.residual) < 1e-10
 
 
 @pytest.mark.parametrize("alpha", [F(1, 2), F(1)])
 def test_weight_prime_moment_is_minus_pi(alpha):
     r = integrate_weight_prime_moment(alpha)
-    assert r.converged
-    assert abs(r.value + math.pi) < 1e-10
+    assert r.quad.converged
+    assert r.target == -math.pi
+    assert r.value == r.quad.value
+    assert abs(r.residual) < 1e-10
 
 
 def test_kernel_weighted_density_integral():
@@ -187,7 +189,8 @@ def test_kernel_weighted_density_integral():
     # t * int_0^1 A_0(x) q(tx) dx = t^a / a^2 / B(a, n) * a ... checked
     # against the premise driver at t = 1 instead: the grid entry target
     q = extremal_density_fn(F(1, 2), 1)
-    inner = integrate_01_kernel(1, q, 1.0)
+    (entry,) = [e for e in verify_conjecture_chain(1, F(1, 2), q).premise if e.t == 1.0]
+    inner = entry.quad
     assert inner.converged
     # t=1: lhs = B(1/2,1)^(-1) * a * (1/a^2) scaled ... frozen oracle value:
     assert 1.0 * inner.value == pytest.approx(1.0, rel=1e-10)
@@ -304,13 +307,6 @@ def test_log_spaced_rejects_nonfinite_bounds(lo, hi):
         log_spaced(lo, hi, 3)
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-def test_premise_integral_rejects_nonfinite_t(t):
-    alpha = F(1, 4)
-    with pytest.raises(ValueError, match="^t must be positive and finite$"):
-        integrate_01_kernel(2, extremal_density_fn(alpha, 2), t)
-
-
 @pytest.mark.parametrize("lhs, converged", [(0.5, False), (math.nan, True)])
 def test_premise_needs_converged_finite_integrals(lhs, converged):
     entry = PremiseEntry(t=1.0, lhs=lhs, target=1.0,
@@ -343,7 +339,7 @@ def test_chain_holds_for_extremal_density(n, alpha):
 def test_chain_premise_fails_for_doubled_density():
     alpha, n = F(1, 2), 1
     base = extremal_density_fn(alpha, n)
-    doubled = DensityFunction(lambda t: 2.0 * base(t),
+    doubled = DensityFunction(lambda t: 2.0 * base.evaluator(t),
                               base.power_at_zero, base.power_at_infinity)
     report = verify_conjecture_chain(n, alpha, doubled)
     assert report.applicable
@@ -502,11 +498,10 @@ def test_chain_premise_equals_one_shot_integrals_bit_for_bit(monkeypatch, n, alp
     report = verify_conjecture_chain(n, alpha, q)
     assert report.applicable and len(report.premise) == 25
     for entry in report.premise:
-        assert _bits(entry.quad) == _bits(integrate_01_kernel(n, q, entry.t)) \
-            == _bits(_tableless_premise(n, q, entry.t))
+        assert _bits(entry.quad) == _bits(_tableless_premise(n, q, entry.t))
     if stalled:  # each integral ran both passes, flattened first: 25 premise
-        # points on three routes, and the conclusion's head and tail
-        assert [points for points, _ in passes] == [None, [1e-3]] * (3 * 25 + 2)
+        # points on two routes, and the conclusion's head and tail
+        assert [points for points, _ in passes] == [None, [1e-3]] * (2 * 25 + 2)
 
 
 # -- the reconstruction's node table ------------------------------------------------
@@ -591,10 +586,10 @@ def test_density_fn_equals_one_shot_density_bit_for_bit(alpha, n, t):
     def one_shot(alpha, n, t):
         return float(alpha / constants.beta_int(alpha, n)) * t ** (float(alpha) - 1.0)
 
-    assert _outcome(extremal_density_fn(alpha, n), t) == _outcome(one_shot, alpha, n, t)
+    assert _outcome(extremal_density_fn(alpha, n).evaluator, t) == _outcome(one_shot, alpha, n, t)
 
 
 @pytest.mark.parametrize("t", [0.0, -1.0])
 def test_density_rejects_nonpositive_t_on_both_routes(t):
     with pytest.raises(ValueError, match="^t must be positive$"):
-        extremal_density_fn(F(1, 2), 2)(t)
+        extremal_density_fn(F(1, 2), 2).evaluator(t)

@@ -24,6 +24,18 @@ def term(k, p, q, *row, den=1):
     return MixedSum([((k, p, q), row)], den)
 
 
+def plus(*sums):
+    """The sum of mixed sums: the constructor given all their rows over a
+    common denominator, where it merges equal keys."""
+    den = math.lcm(*(s.den for s in sums))
+    return MixedSum([(key, [x * (den // s.den) for x in row])
+                     for s in sums for key, row in s.rows], den)
+
+
+def minus(s, u):
+    return plus(s, u.scale(-1))
+
+
 def test_single_term_structure():
     s = term(2, 1, 0, 3, den=2)  # 3/2 * t * (1+t^(2a))^(-2)
     assert (s.rows, s.den) == ((((2, 1, 0), (3,)),), 2)
@@ -38,15 +50,15 @@ def test_negative_exponents_q_and_k_are_refused():
 
 
 def test_terms_with_equal_keys_merge():
-    s = term(2, 0, 1, 1) + term(2, 0, 1, 2)
+    s = plus(term(2, 0, 1, 1), term(2, 0, 1, 2))
     assert (s.rows, s.den) == ((((2, 0, 1), (3,)),), 1)
     assert MixedSum([((2, 0, 1), [1]), ((2, 0, 1), [0, 1])]) == term(2, 0, 1, 1, 1)
 
 
 def test_cancellation_produces_empty_sum():
     s = term(1, 1, 1, 1)
-    assert (s - s).rows == ()
-    assert mixed_eval(s - s, 0.5, 2.0) == 0.0
+    assert minus(s, s).rows == ()
+    assert mixed_eval(minus(s, s), 0.5, 2.0) == 0.0
 
 
 # -- derivative rule, frozen by hand ----------------------------------------
@@ -79,8 +91,8 @@ def test_negated_derivative_of_inverse_power_pair():
     # -d/dt [ t^(-1) (1+t^(2a))^(-2) ]
     #   = t^(-2)(1+t^(2a))^(-2) + 4a t^(2a-2) (1+t^(2a))^(-3)
     s = term(2, -1, 0, 1)
-    d = -s.derivative()
-    assert d == term(2, -2, 0, 1) + term(3, -2, 1, 0, 4)
+    d = s.derivative().scale(-1)
+    assert d == plus(term(2, -2, 0, 1), term(3, -2, 1, 0, 4))
     # at a = 1/2, t = 1: 1/4 + 2 * (1/8) = 1/2
     assert mixed_eval(d, 0.5, 1.0) == pytest.approx(0.5, abs=1e-15)
 
@@ -94,8 +106,8 @@ def test_derivative_values():
 @given(small_sums(), small_sums())
 @settings(max_examples=60)
 def test_derivative_is_linear(s, u):
-    left = (s + u).derivative()
-    right = s.derivative() + u.derivative()
+    left = plus(s, u).derivative()
+    right = plus(s.derivative(), u.derivative())
     assert left == right
 
 
@@ -104,7 +116,7 @@ def test_derivative_is_linear(s, u):
 def test_derivative_commutes_with_power_shift(s, m):
     # d/dt [ t^m s(t) ] = m t^(m-1) s(t) + t^m s'(t)
     left = s.shift_power(m).derivative()
-    right = s.derivative().shift_power(m) + s.scale(F(m)).shift_power(m - 1)
+    right = plus(s.derivative().shift_power(m), s.scale(F(m)).shift_power(m - 1))
     assert left == right
 
 
@@ -126,7 +138,7 @@ def test_finite_differences_match_symbolic_derivative():
     rng = random.Random(20240817)
     w = term(1, 0, 0, 1)
     cases = [w, w.derivative(), term(2, 2, 1, 1, den=3),
-             term(3, -1, 0, -2) + term(1, 1, 2, 1)]
+             plus(term(3, -1, 0, -2), term(1, 1, 2, 1))]
     for s in cases:
         ds = s.derivative()
         for _ in range(25):
@@ -150,7 +162,7 @@ def test_extreme_arguments_do_not_overflow():
 
 def test_overflowing_terms_of_both_signs_sum_to_nan():
     # +inf and -inf terms have no sum; the result is NaN, not a ValueError
-    s = term(0, 5, 0, 1) - term(0, 6, 0, 1)
+    s = minus(term(0, 5, 0, 1), term(0, 6, 0, 1))
     assert math.isnan(mixed_eval(s, 0.5, 1e300))
 
 
@@ -169,13 +181,12 @@ def _same(s):
                     for _, row in s.rows))
 
 
-@given(small_sums(), small_sums(),
+@given(small_sums(),
        st.fractions(max_denominator=12).filter(lambda f: abs(f) <= 10),
        st.integers(-5, 5))
 @settings(max_examples=150)
-def test_operations_return_what_the_constructor_rebuilds(s, u, factor, m):
-    for out in (s.scale(factor), s.scale(0), s.shift_power(m), s.derivative(),
-                s + u, s - u, -s):
+def test_operations_return_what_the_constructor_rebuilds(s, factor, m):
+    for out in (s.scale(factor), s.scale(0), s.scale(-1), s.shift_power(m), s.derivative()):
         assert _same(out)
 
 
@@ -222,7 +233,7 @@ TS = (1e-300, 1e-9, 0.3, 1.0, 2.5, 1e9, 1e300, math.inf, math.nan)
 
 @given(small_sums(), st.floats(0.01, 60.0))
 @example(term(0, 5, 0, -1), 0.5)  # -inf at t = 1e300
-@example(term(0, 5, 0, 1) - term(0, 6, 0, 1), 0.5)  # inf - inf: NaN at t = 1e300
+@example(minus(term(0, 5, 0, 1), term(0, 6, 0, 1)), 0.5)  # inf - inf: NaN at t = 1e300
 @settings(max_examples=150)
 def test_evaluator_matches_the_one_point_reference_bit_for_bit(s, alpha):
     f = mixed_evaluator(s, alpha)

@@ -427,7 +427,7 @@ def test_family_builder_and_validation():
     fam = PhiFamily.build(F(1, 2), max_n=4)
     assert fam.max_n == 4
     assert len(fam.polys) == 5
-    assert fam.validate((0.1, 1.0, 10.0), rel_tol=1e-10)
+    assert fam.validate()
     phi2 = transition_evaluator(2, fam.alpha)
     assert phi2(1.0) == pytest.approx(transition_eval(2, F(1, 2), 1.0))
 
@@ -447,14 +447,13 @@ def test_oracle_comparison_keeps_its_finite_failures():
     report = oracle_equiv_check(20, [F(90, 97)], (0.1, 0.5, 1, 2, 10), 1e-10)
     assert len(report.failures) == 13
     assert report.max_deviation == pytest.approx(1.23e-8, rel=1e-2)
+    # validate() compares at these five t within 1e-10, and so fails here too
+    assert PhiFamily.build(F(90, 97), 20).validate() is False
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
 def test_oracle_comparison_refuses_a_tolerance_outside_zero_to_infinity(tol):
-    # no deviation exceeds a NaN rel_tol, so validate() would pass
-    fam = PhiFamily.build(F(90, 97), max_n=20)
-    with pytest.raises(ValueError, match="^rel_tol must be nonnegative and finite$"):
-        fam.validate(rel_tol=tol)
+    # no deviation exceeds a NaN rel_tol, so every comparison would pass
     with pytest.raises(ValueError, match="^rel_tol must be nonnegative and finite$"):
         oracle_equiv_check(2, [F(1, 2)], [1.0], rel_tol=tol)
 
