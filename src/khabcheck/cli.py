@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
-from .constants import beta_int, moment_routes, rhs_constant
+from .constants import moment_routes, reciprocity_routes
 from .exact import positive_rational
 from .kernel import kernel_eval
 from .positivity import Status, alpha_threshold, region_scan
@@ -74,8 +74,17 @@ def _parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _parts(text: str) -> list[str]:
+    """The nonblank items of a comma list; a list with none is refused, since
+    an empty grid would check nothing and pass."""
+    parts = [part for part in text.split(",") if part.strip()]
+    if not parts:
+        raise ValueError(f"empty list: {text!r}")
+    return parts
+
+
 def _parse_rational_list(text: str) -> list[Fraction]:
-    return [positive_rational(_parse_rational(part)) for part in text.split(",") if part.strip()]
+    return [positive_rational(_parse_rational(part)) for part in _parts(text)]
 
 
 def _parse_real(text: str) -> float:
@@ -90,7 +99,7 @@ def _parse_real(text: str) -> float:
 
 
 def _parse_real_list(text: str) -> list[float]:
-    return [_parse_real(part) for part in text.split(",") if part.strip()]
+    return [_parse_real(part) for part in _parts(text)]
 
 
 def _parse_check_tol(text: str) -> float:
@@ -117,7 +126,7 @@ def _parse_int_set(text: str) -> list[int]:
         if hi < lo:
             raise ValueError(f"empty range: {text!r}")
         return list(range(lo, hi + 1))
-    return sorted({_parse_index(part) for part in text.split(",") if part.strip()})
+    return sorted({_parse_index(part) for part in _parts(text)})
 
 
 def _parse_alpha_grid(text: str) -> list[Fraction]:
@@ -205,27 +214,16 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _moment_identity(alpha: Fraction, n_max: int):
-    """The product moment as target, the telescoped one as value, n = 0..n_max."""
-    return enumerate(moment_routes(alpha, n_max))
-
-
-def _reciprocity(alpha: Fraction, n_max: int):
-    """1 as target, B(alpha, n) times the pi-coefficient as value, n = 1..n_max."""
-    return ((n, (1, beta_int(alpha, n) * rhs_constant(alpha, n)))
-            for n in range(1, n_max + 1))
-
-
-# identity: (check name, (alpha, n_max) -> (n, (exact target, exact value)) per record)
-_IDENTITIES = (("kernel-moment-identity", _moment_identity),
-               ("beta-product-reciprocity", _reciprocity))
+# identity: (check name, (alpha, n_max) -> (n, exact target, exact value) per record)
+_IDENTITIES = (("kernel-moment-identity", moment_routes),
+               ("beta-product-reciprocity", reciprocity_routes))
 
 
 def _cmd_identities(args: argparse.Namespace) -> tuple[list[dict], dict]:
     records = []
     for alpha in sorted(args.alpha):
         for check, identity in _IDENTITIES:
-            for n, (target, value) in identity(alpha, args.n_max):
+            for n, target, value in identity(alpha, args.n_max):
                 params = {"alpha": str(alpha), "n": n}
                 try:
                     record = _record(check, params, PASS if value == target else FAIL,
@@ -452,10 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--n", type=_parse_int_set, required=True,
                         metavar="LO..HI|N[,N...]",
                         help="polynomial indices to scan")
-    p_scan.add_argument("--alpha-grid", type=_parse_alpha_grid, default=None,
-                        metavar="START:STOP:STEP|LIST")
-    p_scan.add_argument("--threshold", action="store_true",
-                        help="bracket the nonnegativity threshold per index")
+    mode = p_scan.add_mutually_exclusive_group()
+    mode.add_argument("--alpha-grid", type=_parse_alpha_grid, default=None,
+                      metavar="START:STOP:STEP|LIST")
+    mode.add_argument("--threshold", action="store_true",
+                      help="bracket the nonnegativity threshold per index")
     p_scan.add_argument("--tol", type=_parse_real, default=1e-6)
     _add_common(p_scan)
     p_scan.set_defaults(func=_cmd_scan)

@@ -16,36 +16,47 @@ inequality, and the power moment of the n-th kernel,
 
 equals B(alpha, n+1) / alpha.  Everything here is exact, on an alpha
 admitted by ``exact.positive_rational``, so a float alpha is refused rather
-than turned into a binary fraction.  With alpha = p/q, each product runs
-over the integers, as one numerator and one denominator, and forms a
-single ``Fraction`` at the end.  ``moment_routes`` yields the moment by
-both routes, the closed form and the telescoped sum, for n = 0..n_max in
-one walk; ``verify_moment_identity`` and the CLI's ``identities`` both
-read it.  The density that attains equality,
+than turned into a binary fraction.  ``_products`` walks B and the
+pi-coefficient as two running products, n = 1, 2, ...; ``beta_int`` and
+``rhs_constant`` are one step of it.  Each identity is one walk of it
+yielding (n, exact target, exact value), read by the ``verify_*`` checks
+and the CLI's ``identities``.  The density that attains equality,
 alpha * t**(alpha-1) / B(alpha, n), is ``quadrature.extremal_density_fn``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from typing import Iterator
 
 from .exact import RationalLike, positive_rational
 
 
+def _admitted(alpha: RationalLike, n: int, least: int, name: str = "n") -> Fraction:
+    """alpha admitted by ``positive_rational``, then n refused below least."""
+    a = positive_rational(alpha)
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return a
+
+
+def _products(a: Fraction) -> Iterator[tuple[Fraction, Fraction]]:
+    """(B(a, n), pi-coefficient(a, n)) for n = 1, 2, ..., each a running
+    product of its own, so that their reciprocity is a real check."""
+    p, q = a.numerator, a.denominator
+    beta, coeff = 1 / a, a
+    for k in count(1):
+        yield beta, coeff
+        # with a = p/q, B's factor k/(k+a) is kq/(kq+p), the coefficient's
+        # 1 + a/k is (kq+p)/(kq)
+        beta *= Fraction(k * q, k * q + p)
+        coeff *= Fraction(k * q + p, k * q)
+
+
 def beta_int(alpha: RationalLike, n: int) -> Fraction:
     """Exact B(alpha, n) = (1/alpha) * prod_{k=1..n-1} k/(k+alpha), n >= 1."""
-    a = positive_rational(alpha)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    p, q = a.numerator, a.denominator
-    # with a = p/q, each factor k/(k+a) is kq/(kq+p)
-    num, den = q, p
-    for k in range(1, n):
-        num *= k * q
-        den *= k * q + p
-    return Fraction(num, den)
+    return next(islice(_products(_admitted(alpha, n, 1)), n - 1, None))[0]
 
 
 def rhs_constant(alpha: RationalLike, n: int) -> Fraction:
@@ -56,62 +67,51 @@ def rhs_constant(alpha: RationalLike, n: int) -> Fraction:
     form is computed independently so the reciprocity law is a real check,
     not a tautology.
     """
-    a = positive_rational(alpha)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    p, q = a.numerator, a.denominator
-    # with a = p/q, each factor 1 + a/k is (kq+p)/(kq)
-    num, den = p, q
-    for k in range(1, n):
-        num *= k * q + p
-        den *= k * q
-    return Fraction(num, den)
+    return next(islice(_products(_admitted(alpha, n, 1)), n - 1, None))[1]
 
 
 def kernel_power_moment(alpha: RationalLike, n: int) -> Fraction:
     """Exact value of integral_0^1 K_n(x) x**(alpha-1) dx, for n >= 0, by the
     closed form B(alpha, n+1)/alpha (the product route)."""
-    a = positive_rational(alpha)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    a = _admitted(alpha, n, 0)
     return beta_int(a, n + 1) / a
 
 
-def _telescoped(a: Fraction) -> Iterator[Fraction]:
-    """The telescoped moments 1/a**2 - sum_{m=1..n} B(a, m+1)/m for
-    n = 0, 1, 2, ..., each one subtraction from the one before."""
-    value = 1 / (a * a)
-    yield value
-    for m in count(1):
-        value -= beta_int(a, m + 1) / m
-        yield value
+def _moment_walk(a: Fraction, n_max: int) -> Iterator[tuple[int, Fraction, Fraction]]:
+    telescoped = 1 / (a * a)
+    for n, (beta, _) in zip(range(n_max + 1), _products(a)):  # beta = B(a, n+1)
+        if n:
+            telescoped -= beta / n
+        yield n, beta / a, telescoped
 
 
-def moment_routes(alpha: RationalLike, n_max: int) -> Iterator[tuple[Fraction, Fraction]]:
-    """The kernel power moment by both routes, (product, telescoped), for
+def moment_routes(alpha: RationalLike, n_max: int) -> Iterator[tuple[int, Fraction, Fraction]]:
+    """The kernel power moment by both routes, (n, product, telescoped), for
     n = 0..n_max.
 
     The two routes are kept deliberately separate: the product route is
     ``kernel_power_moment``'s closed form, the telescoped route
     1/alpha**2 - sum_{m=1..n} B(alpha, m+1)/m integrates the family's
     step-down relation term by term.  Their agreement is one of the
-    identity checks.  The telescoped sum is walked once, not restarted for
-    each n; alpha and n_max are admitted before the walk starts.
+    identity checks.  Both read one walk of B, the sum updated as it goes;
+    alpha and n_max are admitted before the walk starts.
     """
-    a = positive_rational(alpha)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    return zip((kernel_power_moment(a, n) for n in range(n_max + 1)), _telescoped(a))
+    return _moment_walk(_admitted(alpha, n_max, 0, "n_max"), n_max)
+
+
+def reciprocity_routes(alpha: RationalLike, n_max: int) -> Iterator[tuple[int, int, Fraction]]:
+    """(n, 1, B(alpha, n) * pi-coefficient(alpha, n)) for n = 1..n_max, from
+    one walk of both products; empty for n_max = 0."""
+    steps = zip(range(1, n_max + 1), _products(_admitted(alpha, n_max, 0, "n_max")))
+    return ((n, 1, beta * coeff) for n, (beta, coeff) in steps)
 
 
 def verify_moment_identity(alpha: RationalLike, n_max: int) -> list[bool]:
     """Check product route == telescoped route exactly for every n in 0..n_max."""
-    return [product == telescoped for product, telescoped in moment_routes(alpha, n_max)]
+    return [target == value for _, target, value in moment_routes(alpha, n_max)]
 
 
 def verify_reciprocity(alpha: RationalLike, n_max: int) -> list[bool]:
     """Check beta_int * rhs_constant == 1 exactly, n = 1..n_max."""
-    a = positive_rational(alpha)
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    return [beta_int(a, n) * rhs_constant(a, n) == 1 for n in range(1, n_max + 1)]
+    a = _admitted(alpha, n_max, 1, "n_max")
+    return [target == value for _, target, value in reciprocity_routes(a, n_max)]

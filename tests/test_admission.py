@@ -14,6 +14,7 @@ from khabcheck.constants import (
     beta_int,
     kernel_power_moment,
     moment_routes,
+    reciprocity_routes,
     rhs_constant,
     verify_moment_identity,
     verify_reciprocity,
@@ -55,6 +56,7 @@ ENTRIES = {
     "rhs_constant": lambda a: rhs_constant(a, 3),
     "kernel_power_moment": lambda a: kernel_power_moment(a, 2),
     "moment_routes": lambda a: list(moment_routes(a, 2)),
+    "reciprocity_routes": lambda a: list(reciprocity_routes(a, 2)),
     "verify_moment_identity": lambda a: verify_moment_identity(a, 2),
     "verify_reciprocity": lambda a: verify_reciprocity(a, 2),
     "transition_evaluator": lambda a: transition_evaluator(2, a)(0.7),

@@ -50,6 +50,17 @@ def test_report_matches_golden_bytes(capsys, golden, argv):
     assert out == (DATA / golden).read_bytes().decode("utf-8")
 
 
+def test_tiny_alpha_identities_match_golden_bytes(capsys):
+    # at alpha = 1e-160 every kernel moment (~1e320) overflows a float: 41
+    # OverflowError fail records, kept next to the passing reciprocity records
+    tiny = "1/1" + "0" * 160
+    code, out, _ = run(capsys, "identities", "--alpha", f"{tiny},1/3", "--n-max", "40",
+                       "--format", "csv", "--no-timestamp")
+    assert code == 1
+    assert out == (DATA / "report_identities_tiny_alpha.csv").read_bytes().decode("utf-8")
+    assert out.count("OverflowError") == 41 and out.count(",pass\n") == 121
+
+
 # -- numeric failures -----------------------------------------------------------
 
 @pytest.mark.parametrize("alpha", ["1/64", "3/232"])
@@ -166,6 +177,16 @@ def test_identities_overflow_fails_only_its_records(capsys):
     assert [r for r in records if r["params"]["alpha"] == "1/2"] == json.loads(half)["records"]
 
 
+def test_identities_at_n_max_zero_is_the_n0_moment_record_only(capsys):
+    code, out, err = run(capsys, "identities", "--alpha", "1/2", "--n-max", "0",
+                         "--no-timestamp")
+    assert code == 0 and err == ""
+    records = json.loads(out)["records"]
+    assert [(r["check"], r["params"], r["status"]) for r in records] == [
+        ("kernel-moment-identity", {"alpha": "1/2", "n": 0}, "pass")]
+    assert records[0]["target"] == records[0]["value"] == 4.0
+
+
 # -- parse-time validation --------------------------------------------------------
 
 @pytest.mark.parametrize("argv, flag", [
@@ -185,6 +206,17 @@ def test_identities_overflow_fails_only_its_records(capsys):
     ("integrals --suite logmoment --alpha 1 --abs-tol inf", "--abs-tol"),
     ("integrals --suite logmoment --alpha 1 --rel-tol nan", "--rel-tol"),
     ("integrals --suite logmoment --alpha 1 --check-tol -1", "--check-tol"),
+    # an empty list would check nothing and pass
+    ("identities --alpha ,", "--alpha"),
+    ("integrals --suite all --alpha ,", "--alpha"),
+    ("integrals --suite reconstruction --alpha 1/2 --y ,", "--y"),
+    ("integrals --suite weighted-moment --alpha 1/2 --n ,", "--n"),
+    ("scan --threshold --n ,", "--n"),
+    ("scan --n 1 --alpha-grid ,", "--alpha-grid"),
+    ("plot-data --kernel --n ,", "--n"),
+    # a threshold search reads no grid, so a grid given with it is refused
+    ("scan --threshold --n 1 --alpha-grid 1/2", "--alpha-grid"),
+    ("scan --alpha-grid 1/2 --threshold --n 1", "--threshold"),
 ])
 def test_bad_inputs_are_usage_errors(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:

@@ -3,17 +3,17 @@
 import math
 import random
 from fractions import Fraction as F
-from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from khabcheck import constants
 from khabcheck.constants import (
-    _telescoped,
     beta_int,
     kernel_power_moment,
     moment_routes,
+    reciprocity_routes,
     rhs_constant,
     verify_moment_identity,
     verify_reciprocity,
@@ -76,7 +76,8 @@ def test_moment_routes_agree_exactly():
     for alpha in (F(1, 3), F(1, 2), F(7, 4)):
         routes = list(moment_routes(alpha, 12))
         assert len(routes) == 13
-        for n, (product, telescoped) in enumerate(routes):
+        for n, (m, product, telescoped) in enumerate(routes):
+            assert m == n
             assert product == kernel_power_moment(alpha, n)
             assert product == telescoped
 
@@ -146,18 +147,76 @@ def test_integer_products_equal_fraction_loops(alpha, n):
     telescoped = 1 / (alpha * alpha)
     for m in range(1, n + 1):
         telescoped -= _beta_by_fractions(alpha, m + 1) / m
-    assert list(moment_routes(alpha, n))[n] == (product, telescoped)
+    assert list(moment_routes(alpha, n))[n] == (n, product, telescoped)
 
 
 @pytest.mark.parametrize("alpha", [F(1, 2), F(23, 97), F(7, 3), F(1, 10**6)])
 def test_telescoped_values_equal_the_restarted_sums(alpha):
-    values = list(islice(_telescoped(alpha), 31))
+    values = [telescoped for _, _, telescoped in moment_routes(alpha, 30)]
+    assert len(values) == 31
     for n, value in enumerate(values):
         restarted = 1 / (alpha * alpha) - sum(
             (beta_int(alpha, m + 1) / m for m in range(1, n + 1)), F(0))
         assert value == restarted
-    assert [telescoped for _, telescoped in moment_routes(alpha, 30)] == values
     assert verify_moment_identity(alpha, 30) == [True] * 31
+
+
+# -- the walks against the products restarted from k = 1 for every n ----------------
+
+def _restarted_beta(a, n):
+    p, q = a.numerator, a.denominator
+    num, den = q, p
+    for k in range(1, n):
+        num *= k * q
+        den *= k * q + p
+    return F(num, den)
+
+
+def _restarted_coefficient(a, n):
+    p, q = a.numerator, a.denominator
+    num, den = p, q
+    for k in range(1, n):
+        num *= k * q + p
+        den *= k * q
+    return F(num, den)
+
+
+@pytest.mark.parametrize("alpha", [F(1, 10**160), F(1, 3), F(1000, 4099), F(5)])
+def test_walks_equal_the_restarted_products(alpha):
+    moments = list(moment_routes(alpha, 60))
+    reciprocity = list(reciprocity_routes(alpha, 60))
+    assert [n for n, _, _ in moments] == list(range(61))
+    assert [n for n, _, _ in reciprocity] == list(range(1, 61))
+    telescoped = 1 / (alpha * alpha)
+    for n, product, value in moments:
+        if n:
+            telescoped -= _restarted_beta(alpha, n + 1) / n
+        assert product == _restarted_beta(alpha, n + 1) / alpha
+        assert value == telescoped
+    for n, target, value in reciprocity:
+        assert target == 1
+        assert value == _restarted_beta(alpha, n) * _restarted_coefficient(alpha, n)
+    for n in range(1, 61):
+        assert beta_int(alpha, n) == _restarted_beta(alpha, n)
+        assert rhs_constant(alpha, n) == _restarted_coefficient(alpha, n)
+
+
+def test_walks_read_no_one_point_product(monkeypatch):
+    def refused(alpha, n):
+        raise AssertionError("a walk restarted a product")
+
+    monkeypatch.setattr(constants, "beta_int", refused)
+    monkeypatch.setattr(constants, "rhs_constant", refused)
+    alpha = F(2, 7)
+    assert len(list(moment_routes(alpha, 20))) == 21
+    assert len(list(reciprocity_routes(alpha, 20))) == 20
+    assert verify_moment_identity(alpha, 20) == [True] * 21
+    assert verify_reciprocity(alpha, 20) == [True] * 20
+
+
+def test_reciprocity_routes_at_n_max_zero_is_empty():
+    assert list(reciprocity_routes(F(1, 2), 0)) == []
+    assert list(reciprocity_routes(F(1, 2), 1)) == [(1, 1, 1)]
 
 
 def test_identity_checks_refuse_an_empty_index_range():
@@ -166,6 +225,8 @@ def test_identity_checks_refuse_an_empty_index_range():
         verify_moment_identity(F(1, 2), -1)
     with pytest.raises(ValueError, match="^n_max must be >= 0$"):
         moment_routes(F(1, 2), -1)  # refused when called, before any walk
+    with pytest.raises(ValueError, match="^n_max must be >= 0$"):
+        reciprocity_routes(F(1, 2), -1)  # refused when called, before any walk
     with pytest.raises(ValueError, match="^n_max must be >= 1$"):
         verify_reciprocity(F(1, 2), 0)
     # alpha is admitted first
@@ -173,6 +234,8 @@ def test_identity_checks_refuse_an_empty_index_range():
         verify_moment_identity(0.5, -1)
     with pytest.raises(TypeError):
         moment_routes(0.5, -1)
+    with pytest.raises(TypeError):
+        reciprocity_routes(0.5, -1)
     with pytest.raises(TypeError):
         verify_reciprocity(0.5, 0)
     assert verify_moment_identity(F(1, 2), 0) == [True]
