@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime as _dt
+import functools
 import io
 import itertools
 import json
@@ -67,6 +68,19 @@ from .transition import transition_evaluator
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d*[1-9]\d*)?$")
 
 
+def _argument_type(parse):
+    """``parse`` as an argparse ``type``: its ValueError becomes an
+    ArgumentTypeError with the same message, which argparse prints as it
+    stands instead of "invalid <function name> value"."""
+    @functools.wraps(parse)
+    def admit(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return admit
+
+
 def _parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
@@ -83,10 +97,12 @@ def _parts(text: str) -> list[str]:
     return parts
 
 
+@_argument_type
 def _parse_rational_list(text: str) -> list[Fraction]:
     return [positive_rational(_parse_rational(part)) for part in _parts(text)]
 
 
+@_argument_type
 def _parse_real(text: str) -> float:
     """A positive finite real, written as a rational or a decimal."""
     try:
@@ -98,10 +114,12 @@ def _parse_real(text: str) -> float:
     return value
 
 
+@_argument_type
 def _parse_real_list(text: str) -> list[float]:
     return [_parse_real(part) for part in _parts(text)]
 
 
+@_argument_type
 def _parse_check_tol(text: str) -> float:
     """A pass tolerance: finite and >= 0, where 0 demands exact agreement."""
     value = float(text)
@@ -110,6 +128,7 @@ def _parse_check_tol(text: str) -> float:
     return value
 
 
+@_argument_type
 def _parse_index(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -117,6 +136,7 @@ def _parse_index(text: str) -> int:
     return value
 
 
+@_argument_type
 def _parse_int_set(text: str) -> list[int]:
     """Index lists: "0..3" (inclusive range), "1,2,5", or "4"; no negatives."""
     text = text.strip()
@@ -129,6 +149,7 @@ def _parse_int_set(text: str) -> list[int]:
     return sorted({_parse_index(part) for part in _parts(text)})
 
 
+@_argument_type
 def _parse_alpha_grid(text: str) -> list[Fraction]:
     """Either "start:stop:step" with rational endpoints, or a comma list."""
     if ":" in text:

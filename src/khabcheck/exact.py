@@ -21,14 +21,17 @@ evaluated; it carries no arithmetic.  The term algebra's ``MixedSum``
 
 A ``ZPolynomial`` is immutable (hashable, safe to share across threads)
 and canonical: lowest terms, trailing zero coefficients stripped, so
-equal values compare equal structurally.
+equal values compare equal structurally.  Immutability and comparison by
+value come from ``Value``, the small ``__slots__`` base that every
+validated value type of the package shares; the plain result records are
+``typing.NamedTuple``s.  Neither needs ``dataclasses``, so importing the
+package never loads it (or the ``inspect`` it pulls in).
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Sequence, Union
@@ -141,8 +144,49 @@ def _specialized(rows: Sequence[Sequence[int]], den: int, a: Fraction) -> tuple[
     return row, den
 
 
-@dataclass(frozen=True, init=False)
-class ZPolynomial:
+class Value:
+    """Base of the validated value types: immutable, and compared, hashed and
+    shown by the fields a subclass names in its ``__slots__``.
+
+    The subclass's ``__init__`` admits its arguments and sets every field
+    once with ``_set``; assigning or deleting a field afterwards raises
+    AttributeError.  An instance equals only an instance of its own class.
+    A copy or a pickle calls the constructor again with the fields in slot
+    order, so the validation runs on every path that makes an instance.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class ZPolynomial(Value):
     """A polynomial in ``z`` with coefficients in Q[alpha].
 
     ``rows[j][i] / den`` multiplies ``alpha**i * z**j``: ints over one
@@ -150,6 +194,7 @@ class ZPolynomial:
     trailing empty row (the zero polynomial is ``()`` over 1, degree -1).
     """
 
+    __slots__ = ("rows", "den")
     rows: tuple[tuple[int, ...], ...]
     den: int
 
@@ -157,8 +202,7 @@ class ZPolynomial:
         rows, den = lowest_terms(rows, den)
         while rows and not rows[-1]:
             rows.pop()
-        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
-        object.__setattr__(self, "den", den)
+        self._set(tuple(map(tuple, rows)), den)
 
     @property
     def degree(self) -> int:

@@ -33,12 +33,11 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .exact import (RationalLike, ZPolynomial, lowest_terms, positive_rational, row_value,
-                    scaled_value, simplest_between)
+from .exact import (RationalLike, Value, ZPolynomial, lowest_terms, positive_rational,
+                    row_value, scaled_value, simplest_between)
 from .transition import transition_poly
 
 #: an integer polynomial as coefficients in ascending powers of z
@@ -57,8 +56,7 @@ class Status(enum.Enum):
     NEGATIVE = "Negative"
 
 
-@dataclass(frozen=True)
-class PositivityVerdict:
+class PositivityVerdict(Value):
     """Outcome of a sign decision on (0, oo).
 
     A Negative verdict always carries a positive rational ``witness`` whose
@@ -66,19 +64,23 @@ class PositivityVerdict:
     names the ``certificate`` that establishes it.
     """
 
+    __slots__ = ("status", "certificate", "witness", "witness_value")
     status: Status
-    certificate: Optional[str] = None
-    witness: Optional[Fraction] = None
-    witness_value: Optional[Fraction] = None
+    certificate: Optional[str]
+    witness: Optional[Fraction]
+    witness_value: Optional[Fraction]
 
-    def __post_init__(self) -> None:
-        if self.status is Status.NEGATIVE:
-            if self.witness is None or self.witness_value is None:
+    def __init__(self, status: Status, certificate: Optional[str] = None,
+                 witness: Optional[Fraction] = None,
+                 witness_value: Optional[Fraction] = None) -> None:
+        if status is Status.NEGATIVE:
+            if witness is None or witness_value is None:
                 raise ValueError("Negative verdict requires a witness")
-            if self.witness <= 0 or self.witness_value >= 0:
+            if witness <= 0 or witness_value >= 0:
                 raise ValueError("witness must be positive with negative value")
-        if self.status is Status.NONNEGATIVE and not self.certificate:
+        if status is Status.NONNEGATIVE and not certificate:
             raise ValueError("Nonnegative verdict requires a certificate")
+        self._set(status, certificate, witness, witness_value)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +325,7 @@ def alpha_threshold(n: int, tol: float = 1e-6) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class ScanCell:
+class ScanCell(NamedTuple):
     """One verdict in a region scan, labelled with both index conventions.
 
     ``poly_index`` is the subscript of the polynomial/transition function
@@ -339,8 +340,7 @@ class ScanCell:
     verdict: PositivityVerdict
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     cells: tuple[ScanCell, ...]
 
 

@@ -38,28 +38,28 @@ imported on the first adaptive pass, not with this module, so importing
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .constants import beta_int, rhs_constant
-from .exact import RationalLike, positive_rational
+from .exact import RationalLike, Value, positive_rational
 from .kernel import kernel_eval
 from .positivity import PositivityVerdict, Status, poly_nonneg_on_pos
 from .transition import log_weight, transition_evaluator, transition_poly
 
 
-@dataclass(frozen=True)
-class QuadConfig:
+class QuadConfig(Value):
     """Tolerances for one logical integral (possibly two panels)."""
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
+    __slots__ = ("abs_tol", "rel_tol")
+    abs_tol: float
+    rel_tol: float
 
-    def __post_init__(self) -> None:
-        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+    def __init__(self, abs_tol: float = 1e-10, rel_tol: float = 1e-9) -> None:
+        if not (0 < abs_tol < math.inf and 0 < rel_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
+        self._set(abs_tol, rel_tol)
 
 
 DEFAULT_CONFIG = QuadConfig()
@@ -75,8 +75,7 @@ _SUBDIVISION_LIMIT = 2000
 _EQUALITY_REL_TOL = 1e-5
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     value: float
     error_estimate: float
     converged: bool
@@ -94,8 +93,7 @@ class QuadResult:
         )
 
 
-@dataclass(frozen=True)
-class DensityFunction:
+class DensityFunction(NamedTuple):
     """A caller-supplied density q(t) >= 0 on the half-line.
 
     ``power_at_zero`` / ``power_at_infinity`` are optional exponent hints:
@@ -233,8 +231,8 @@ def integrate_unit_interval(f: Callable[[float], float], cfg: QuadConfig = DEFAU
             return first
         spent, evaluated = first.subdivisions_used, first.evaluations
     graded = _panel(f, cfg, points=[_SINGULARITY_SPLIT])
-    return replace(graded, subdivisions_used=graded.subdivisions_used + spent,
-                   evaluations=graded.evaluations + evaluated)
+    return graded._replace(subdivisions_used=graded.subdivisions_used + spent,
+                           evaluations=graded.evaluations + evaluated)
 
 
 def integrate_half_line(f: Callable[[float], float], cfg: QuadConfig = DEFAULT_CONFIG,
@@ -263,8 +261,7 @@ def integrate_half_line(f: Callable[[float], float], cfg: QuadConfig = DEFAULT_C
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResidualCheck:
+class ResidualCheck(NamedTuple):
     """A quadrature value confronted with its analytic target."""
 
     value: float
@@ -431,8 +428,7 @@ def verify_weighted_moment(n: int, alpha: RationalLike,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PremiseEntry:
+class PremiseEntry(NamedTuple):
     """Premise integral at one grid point t, against the target t^alpha."""
 
     t: float
@@ -457,8 +453,7 @@ class PremiseEntry:
         return abs(self.lhs - self.target)
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     """Everything the reduction chain produced for one (n, alpha, q).
 
     The premise holds when every entry's violation is at most

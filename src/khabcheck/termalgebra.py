@@ -39,16 +39,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Callable, Iterable
 
-from .exact import lowest_terms, rational
+from .exact import Value, lowest_terms, rational
 
 
-@dataclass(frozen=True, init=False)
-class MixedSum:
+class MixedSum(Value):
     """A finite linear combination of terms, kept canonical.
 
     ``rows`` pairs each sorted key ``(k, p, q)`` with a row whose ``row[i] / den``
@@ -57,6 +55,7 @@ class MixedSum:
     floats are rejected.
     """
 
+    __slots__ = ("rows", "den")
     rows: tuple[tuple[tuple[int, int, int], tuple[int, ...]], ...]
     den: int
 
@@ -69,10 +68,6 @@ class MixedSum:
                 raise ValueError("exponents q and k must be nonnegative")
             _merge(merged, key, row)
         self._set(*_canonical_rows(merged, den))
-
-    def _set(self, rows: tuple, den: int) -> None:
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "den", den)
 
     @classmethod
     def _canonical(cls, rows: tuple, den: int) -> MixedSum:

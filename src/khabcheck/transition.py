@@ -29,10 +29,9 @@ that it does NOT agree with the other two (see that function's docstring).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .exact import RationalLike, ZPolynomial, positive_rational, row_value
 from .termalgebra import MixedSum, mixed_diff, mixed_evaluator
@@ -212,8 +211,7 @@ def transition_via_base_derivatives(n: int) -> MixedSum:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleAgreement:
+class OracleAgreement(NamedTuple):
     """Grid comparison of the recurrence path against the derivative oracle."""
 
     max_deviation: float
@@ -269,8 +267,7 @@ def oracle_equiv_check(
     return OracleAgreement(max_deviation=worst, checked=checked, failures=tuple(failures))
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(NamedTuple):
     """Sampled evidence for the decay of Phi_n at both ends of the half-line."""
 
     n: int
@@ -349,8 +346,7 @@ _VALIDATE_TS = (0.1, 0.5, 1.0, 2.0, 10.0)
 _VALIDATE_REL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class PhiFamily:
+class PhiFamily(NamedTuple):
     """The first maxN+1 transition functions at a fixed rational alpha.
 
     Bundles the exact polynomials; ``validate`` checks them against the
@@ -360,7 +356,10 @@ class PhiFamily:
 
     alpha: Fraction
     max_n: int
-    polys: tuple[ZPolynomial, ...] = field(repr=False)
+    polys: tuple[ZPolynomial, ...]
+
+    def __repr__(self) -> str:  # the polynomials are left out, as too long to show
+        return f"PhiFamily(alpha={self.alpha!r}, max_n={self.max_n!r})"
 
     @staticmethod
     def build(alpha: RationalLike, max_n: int) -> PhiFamily:

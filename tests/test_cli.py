@@ -217,13 +217,38 @@ def test_float_alpha_is_rejected_at_parse_time(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["identities", "--alpha", "0.5"])
     assert exc.value.code == 2
-    assert "rational" in capsys.readouterr().err
+    assert "argument --alpha: not an exact rational: '0.5'" in capsys.readouterr().err
 
 
 def test_zero_alpha_is_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["identities", "--alpha", "0"])
     assert exc.value.code == 2
+    assert "argument --alpha: alpha must be positive" in capsys.readouterr().err
+
+
+# each argument parser's own refusal reaches the user, not argparse's
+# "invalid <parser name> value"
+@pytest.mark.parametrize("argv, message", [
+    ("identities --alpha ,", "argument --alpha: empty list: ','"),
+    ("identities --alpha 1/2 --n-max -1", "argument --n-max: must be >= 0: '-1'"),
+    ("scan --n 3..1 --threshold", "argument --n: empty range: '3..1'"),
+    ("scan --n 1 --alpha-grid 1/2:1",
+     "argument --alpha-grid: grid must be start:stop:step, got '1/2:1'"),
+    ("scan --n 1 --threshold --tol 0", "argument --tol: must be positive and finite: '0'"),
+    ("integrals --suite reconstruction --alpha 1/2 --y 1/0",
+     "argument --y: not a finite real: '1/0'"),
+    ("integrals --suite logmoment --alpha 1 --check-tol -1",
+     "argument --check-tol: must be nonnegative and finite: '-1'"),
+], ids=["empty-list", "negative-index", "empty-range", "grid-shape", "zero-tol",
+        "infinite-y", "negative-check-tol"])
+def test_usage_errors_print_the_parsers_message(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "invalid" not in err
 
 
 def test_version_flag(capsys):

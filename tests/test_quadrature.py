@@ -1,7 +1,6 @@
 """Certified quadrature of the reduction argument's integral identities."""
 
 import math
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -80,7 +79,7 @@ def _stall_flattening(monkeypatch):
     def stalled(f, cfg, points=None):
         result = panel(f, cfg, points)
         if not points:
-            result = replace(result, converged=False)
+            result = result._replace(converged=False)
         passes.append((points, result))
         return result
 
@@ -431,10 +430,10 @@ def test_nonconverged_flattened_panel_is_retried_only_for_positive_powers(monkey
                                        power_at_zero=3.0)
     (no_points, flat), (split, graded) = passes
     assert no_points is None and split == [1e-3]
-    assert positive == replace(graded,
-                               subdivisions_used=flat.subdivisions_used
-                               + graded.subdivisions_used,
-                               evaluations=flat.evaluations + graded.evaluations)
+    assert type(positive) is QuadResult
+    assert positive == graded._replace(subdivisions_used=flat.subdivisions_used
+                                       + graded.subdivisions_used,
+                                       evaluations=flat.evaluations + graded.evaluations)
     assert positive.converged
     # negative power: the flattened result stands, converged or not
     passes.clear()
