@@ -11,20 +11,17 @@ target.
 __version__ = "0.1.0"
 
 from .exact import ZPolynomial, positive_rational, rational
-from .termalgebra import MixedSum, mixed_diff, mixed_eval
+from .termalgebra import MixedSum, mixed_eval
 from .kernel import kernel_eval
 from .constants import (
     beta_int,
-    kernel_power_moment,
     rhs_constant,
     verify_moment_identity,
     verify_reciprocity,
 )
 from .transition import (
-    AsymptoticReport,
     OracleAgreement,
     PhiFamily,
-    asymptotic_check,
     log_weight,
     log_weight_derivatives,
     oracle_equiv_check,
@@ -58,12 +55,11 @@ from .quadrature import (
 __all__ = [
     "__version__",
     "ZPolynomial", "positive_rational", "rational",
-    "MixedSum", "mixed_diff", "mixed_eval",
+    "MixedSum", "mixed_eval",
     "kernel_eval",
-    "beta_int", "kernel_power_moment", "rhs_constant", "verify_moment_identity",
-    "verify_reciprocity",
-    "AsymptoticReport", "OracleAgreement", "PhiFamily", "asymptotic_check",
-    "log_weight", "log_weight_derivatives", "oracle_equiv_check",
+    "beta_int", "rhs_constant", "verify_moment_identity", "verify_reciprocity",
+    "OracleAgreement", "PhiFamily", "log_weight", "log_weight_derivatives",
+    "oracle_equiv_check",
     "transition_eval", "transition_evaluator", "transition_oracle",
     "transition_poly", "transition_via_base_derivatives",
     "PositivityVerdict", "ScanReport", "Status",

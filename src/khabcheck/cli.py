@@ -160,7 +160,7 @@ def _parse_alpha_grid(text: str) -> list[Fraction]:
         if step <= 0 or stop < start:
             raise ValueError(f"bad grid bounds: {text!r}")
         grid = []
-        value = start
+        value = positive_rational(start)  # the grid's smallest point
         while value <= stop:
             grid.append(value)
             value += step

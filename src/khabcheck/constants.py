@@ -14,13 +14,14 @@ inequality, and the power moment of the n-th kernel,
 
     integral_0^1 K_n(x) * x**(alpha-1) dx,
 
-equals B(alpha, n+1) / alpha.  Everything here is exact, on an alpha
-admitted by ``exact.positive_rational``, so a float alpha is refused rather
-than turned into a binary fraction.  ``_products`` walks B and the
-pi-coefficient as two running products, n = 1, 2, ...; ``beta_int`` and
-``rhs_constant`` are one step of it.  Each identity is one walk of it
-yielding (n, exact target, exact value), read by the ``verify_*`` checks
-and the CLI's ``identities``.  The density that attains equality,
+equals B(alpha, n+1) / alpha, the product route of ``moment_routes``.
+Everything here is exact, on an alpha admitted by
+``exact.positive_rational``, so a float alpha is refused rather than turned
+into a binary fraction.  ``_products`` walks B and the pi-coefficient as
+two running products, n = 1, 2, ...; ``beta_int`` and ``rhs_constant`` are
+one step of it.  Each identity is one walk of it yielding (n, exact target,
+exact value), read by the ``verify_*`` checks and the CLI's
+``identities``.  The density that attains equality,
 alpha * t**(alpha-1) / B(alpha, n), is ``quadrature.extremal_density_fn``.
 """
 
@@ -70,13 +71,6 @@ def rhs_constant(alpha: RationalLike, n: int) -> Fraction:
     return next(islice(_products(_admitted(alpha, n, 1)), n - 1, None))[1]
 
 
-def kernel_power_moment(alpha: RationalLike, n: int) -> Fraction:
-    """Exact value of integral_0^1 K_n(x) x**(alpha-1) dx, for n >= 0, by the
-    closed form B(alpha, n+1)/alpha (the product route)."""
-    a = _admitted(alpha, n, 0)
-    return beta_int(a, n + 1) / a
-
-
 def _moment_walk(a: Fraction, n_max: int) -> Iterator[tuple[int, Fraction, Fraction]]:
     telescoped = 1 / (a * a)
     for n, (beta, _) in zip(range(n_max + 1), _products(a)):  # beta = B(a, n+1)
@@ -90,7 +84,7 @@ def moment_routes(alpha: RationalLike, n_max: int) -> Iterator[tuple[int, Fracti
     n = 0..n_max.
 
     The two routes are kept deliberately separate: the product route is
-    ``kernel_power_moment``'s closed form, the telescoped route
+    the closed form B(alpha, n+1)/alpha, the telescoped route
     1/alpha**2 - sum_{m=1..n} B(alpha, m+1)/m integrates the family's
     step-down relation term by term.  Their agreement is one of the
     identity checks.  Both read one walk of B, the sum updated as it goes;

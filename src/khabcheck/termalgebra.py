@@ -123,15 +123,6 @@ def _canonical_rows(merged: dict, den: int) -> tuple[tuple, int]:
     return tuple((key, tuple(row)) for key, row in zip(keys, rows) if row), den
 
 
-def mixed_diff(s: MixedSum, order: int = 1) -> MixedSum:
-    """Differentiate a mixed sum ``order`` times with respect to t."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    for _ in range(order):
-        s = s.derivative()
-    return s
-
-
 def mixed_eval(s: MixedSum, alpha: float, t: float) -> float:
     """Numerically evaluate a mixed sum at float (alpha, t), t > 0: the
     one-point case of ``mixed_evaluator``."""

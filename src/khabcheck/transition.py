@@ -33,8 +33,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
-from .exact import RationalLike, ZPolynomial, positive_rational, row_value
-from .termalgebra import MixedSum, mixed_diff, mixed_evaluator
+from .exact import RationalLike, ZPolynomial, positive_rational
+from .termalgebra import MixedSum, mixed_evaluator
 
 # ---------------------------------------------------------------------------
 # recurrence path
@@ -203,11 +203,14 @@ def transition_via_base_derivatives(n: int) -> MixedSum:
     """
     if n < 0:
         raise ValueError("index must be >= 0")
-    return mixed_diff(transition_oracle(0), n).scale(Fraction((-1) ** n, math.factorial(n)))
+    s = transition_oracle(0)
+    for _ in range(n):
+        s = s.derivative()
+    return s.scale(Fraction((-1) ** n, math.factorial(n)))
 
 
 # ---------------------------------------------------------------------------
-# cross-validation and asymptotics
+# cross-validation of the two paths
 # ---------------------------------------------------------------------------
 
 
@@ -265,75 +268,6 @@ def oracle_equiv_check(
                 if dev > rel_tol:
                     failures.append((n, alpha, t, a_val, b_val))
     return OracleAgreement(max_deviation=worst, checked=checked, failures=tuple(failures))
-
-
-class AsymptoticReport(NamedTuple):
-    """Sampled evidence for the decay of Phi_n at both ends of the half-line."""
-
-    n: int
-    alpha: Fraction
-    omega: Fraction
-    large_t: tuple[tuple[float, float], ...]  # (t, t^(1+2a) * |Phi|)
-    large_t_limit: float                      # 4 a^2 * lead(P_n)(a)
-    small_t: tuple[tuple[float, float], ...]  # (t, t^(1+w) * |Phi|)
-    large_t_ok: bool
-    small_t_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.large_t_ok and self.small_t_ok
-
-
-#: asymptotic_check's samples: large t ascending, small t descending toward 0
-_LARGE_TS = (1e3, 1e6, 1e9)
-_SMALL_TS = (1e-3, 1e-6, 1e-9)
-
-
-def asymptotic_check(n: int, alpha: RationalLike, omega: RationalLike) -> AsymptoticReport:
-    """Check the two-sided decay of Phi_n by direct sampling.
-
-    Large t:  t^(1+2*alpha) * |Phi_n| converges to 4 a^2 * |lead(P_n)(a)|,
-    and each sample is asserted to respect the bound
-
-        t^(1+2a) * |Phi_n(t)|  <=  4 a^2 * |lead(P_n)(a)|
-
-    up to float slack.  The bound holds only for large t: over
-    t in [0.1, 1e3] it is exceeded for 26 of the 180 pairs n = 1..20,
-    a in {1/8, 1/4, 1/2, 3/4, 1, 3/2, 2, 3, 4}, worst at n = 20, a = 4 with
-    ~660x the limit near t = 1.18.  So the samples are t >= 1e3, and the
-    check says nothing about smaller t.
-
-    Small t:  t^(1+omega) * |Phi_n| must fall toward zero: non-increasing as
-    t decreases, and over the whole sampled range down by at least the
-    theoretical factor (t_last/t_first)^(2a+omega) up to a 10x slack --
-    near zero the scaled quantity behaves like t^(2a+omega) when the
-    polynomial's constant term is nonzero, and decays even faster when it
-    vanishes, so that factor is a sound upper estimate either way.
-    """
-    a = positive_rational(alpha)
-    w = positive_rational(omega, "omega")
-    phi = transition_evaluator(n, a)
-    af = float(a)
-    wf = float(w)
-    P = transition_poly(n)
-    limit = 4.0 * af * af * abs(float(row_value(P.rows[-1], P.den, a)))
-
-    large = tuple((t, t ** (1.0 + 2.0 * af) * abs(phi(t))) for t in _LARGE_TS)
-    small = tuple((t, t ** (1.0 + wf) * abs(phi(t))) for t in _SMALL_TS)
-
-    large_ok = all(
-        math.isfinite(v) and v <= limit * (1.0 + 1e-6) for _, v in large
-    )
-    small_vals = [v for _, v in small]
-    decay_factor = (small[-1][0] / small[0][0]) ** (2.0 * af + wf) * 10.0
-    small_ok = all(
-        small_vals[i + 1] <= small_vals[i] for i in range(len(small_vals) - 1)
-    ) and (small_vals[-1] == 0.0 or small_vals[-1] <= decay_factor * small_vals[0])
-    return AsymptoticReport(
-        n=n, alpha=a, omega=w,
-        large_t=large, large_t_limit=limit, small_t=small,
-        large_t_ok=large_ok, small_t_ok=small_ok,
-    )
 
 
 # ---------------------------------------------------------------------------

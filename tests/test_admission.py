@@ -12,7 +12,6 @@ import pytest
 
 from khabcheck.constants import (
     beta_int,
-    kernel_power_moment,
     moment_routes,
     reciprocity_routes,
     rhs_constant,
@@ -36,7 +35,6 @@ from khabcheck.quadrature import (
 from khabcheck.termalgebra import MixedSum
 from khabcheck.transition import (
     PhiFamily,
-    asymptotic_check,
     oracle_equiv_check,
     transition_evaluator,
     transition_poly,
@@ -50,11 +48,10 @@ def _density(a):
     return q.power_at_zero, q.evaluator(0.7)
 
 
-#: each entry called with alpha (or omega) in one position and a comparable result
+#: each entry called with alpha in one position and a comparable result
 ENTRIES = {
     "beta_int": lambda a: beta_int(a, 3),
     "rhs_constant": lambda a: rhs_constant(a, 3),
-    "kernel_power_moment": lambda a: kernel_power_moment(a, 2),
     "moment_routes": lambda a: list(moment_routes(a, 2)),
     "reciprocity_routes": lambda a: list(reciprocity_routes(a, 2)),
     "verify_moment_identity": lambda a: verify_moment_identity(a, 2),
@@ -62,8 +59,6 @@ ENTRIES = {
     "transition_evaluator": lambda a: transition_evaluator(2, a)(0.7),
     "PhiFamily.build": lambda a: PhiFamily.build(a, 2),
     "oracle_equiv_check": lambda a: oracle_equiv_check(1, [F(1, 4), a], [0.7]),
-    "asymptotic_check.alpha": lambda a: asymptotic_check(1, a, F(1)),
-    "asymptotic_check.omega": lambda w: asymptotic_check(1, F(1, 4), w),
     "poly_nonneg_on_pos": lambda a: poly_nonneg_on_pos(transition_poly(2), a),
     "region_scan": lambda a: region_scan([2], [F(1, 4), a]),
     "extremal_density_fn": _density,

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from khabcheck.cli import main
+from khabcheck.cli import _SUITES, main
 
 
 def run(capsys, *argv):
@@ -240,8 +240,10 @@ def test_zero_alpha_is_rejected(capsys):
      "argument --y: not a finite real: '1/0'"),
     ("integrals --suite logmoment --alpha 1 --check-tol -1",
      "argument --check-tol: must be nonnegative and finite: '-1'"),
+    ("scan --n 1 --alpha-grid 0:1:1/2", "argument --alpha-grid: alpha must be positive"),
+    ("scan --n 1 --alpha-grid=-1/2:1:1/2", "argument --alpha-grid: alpha must be positive"),
 ], ids=["empty-list", "negative-index", "empty-range", "grid-shape", "zero-tol",
-        "infinite-y", "negative-check-tol"])
+        "infinite-y", "negative-check-tol", "zero-grid-start", "negative-grid-start"])
 def test_usage_errors_print_the_parsers_message(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv.split())
@@ -257,3 +259,37 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     from khabcheck import __version__
     assert capsys.readouterr().out.strip() == __version__
+
+
+# -- parameter extremes ---------------------------------------------------------
+
+#: each scored check's default pass tolerance; the exact identities demand 0
+DEFAULT_TOL = {check: tol for check, tol, _, _ in _SUITES.values()}
+DEFAULT_TOL["chain-premise"] = DEFAULT_TOL["chain-conclusion"] = DEFAULT_TOL["conjecture-chain"]
+
+EXTREME_ALPHAS = [F(2) ** k for k in range(-8, 15)] + [F(1, 10**150), F(10**150)]
+
+
+@pytest.mark.parametrize("alpha", EXTREME_ALPHAS,
+                         ids=[f"2^{k}" for k in range(-8, 15)] + ["10^-150", "10^150"])
+def test_every_command_completes_and_explains_its_failures(capsys, alpha):
+    # a numeric failure is a fail record with its reason, never an escaped
+    # exception, a usage error or a silent non-finite pass
+    a = str(alpha)
+    for argv in (f"identities --alpha {a} --n-max 4",
+                 f"integrals --suite all --alpha {a} --n 1..2 --y 1/2",
+                 f"scan --n 0..4 --alpha-grid {a}",
+                 f"plot-data --transition --alpha {a} --n 0..2 --points 3"):
+        code, out, _ = run(capsys, *argv.split())
+        assert code in (0, 1), argv
+        if argv.startswith("plot-data"):
+            continue
+        for r in json.loads(out)["records"]:
+            if r["status"] == "fail":
+                tol = DEFAULT_TOL.get(r["check"], 0.0)
+                assert "error" in r["params"] or not abs(r["residual"]) <= tol, (argv, r)
+            elif r["status"] == "pass":
+                # a scan verdict carries only its value
+                fields = (("value",) if r["check"] == "positivity-verdict"
+                          else ("target", "value", "residual"))
+                assert all(r[k] is not None and math.isfinite(r[k]) for k in fields), (argv, r)

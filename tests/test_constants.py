@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from khabcheck import constants
 from khabcheck.constants import (
     beta_int,
-    kernel_power_moment,
     moment_routes,
     reciprocity_routes,
     rhs_constant,
@@ -78,15 +77,20 @@ def test_moment_routes_agree_exactly():
         assert len(routes) == 13
         for n, (m, product, telescoped) in enumerate(routes):
             assert m == n
-            assert product == kernel_power_moment(alpha, n)
+            assert product == beta_int(alpha, n + 1) / alpha
             assert product == telescoped
+
+
+def _product_moment(alpha, n):
+    """The kernel power moment B(alpha, n+1)/alpha, as ``moment_routes`` yields it."""
+    return list(moment_routes(alpha, n))[n][1]
 
 
 def test_kernel_power_moment_frozen_values():
     # integral of -log(x) * x^(a-1) over (0,1) is 1/a^2
-    assert kernel_power_moment(F(1, 2), 0) == 4
-    assert kernel_power_moment(F(1), 0) == 1
-    assert kernel_power_moment(F(1, 2), 1) == F(8, 3)
+    assert _product_moment(F(1, 2), 0) == 4
+    assert _product_moment(F(1), 0) == 1
+    assert _product_moment(F(1, 2), 1) == F(8, 3)
 
 
 def test_verify_moment_identity_randomized():
@@ -110,8 +114,7 @@ def test_moment_matches_quadrature():
             power_at_zero=a - 1.0,
         )
         assert res.converged
-        assert res.value == pytest.approx(float(kernel_power_moment(alpha, n)),
-                                          rel=1e-9)
+        assert res.value == pytest.approx(float(_product_moment(alpha, n)), rel=1e-9)
 
 
 # -- integer products against step-by-step Fraction loops -------------------------
@@ -143,7 +146,6 @@ def test_integer_products_equal_fraction_loops(alpha, n):
         assert beta_int(alpha, n) == _beta_by_fractions(alpha, n)
         assert rhs_constant(alpha, n) == _rhs_by_fractions(alpha, n)
     product = _beta_by_fractions(alpha, n + 1) / alpha
-    assert kernel_power_moment(alpha, n) == product
     telescoped = 1 / (alpha * alpha)
     for m in range(1, n + 1):
         telescoped -= _beta_by_fractions(alpha, m + 1) / m
@@ -268,4 +270,4 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         rhs_constant(F(1, 2), 0)
     with pytest.raises(ValueError):
-        kernel_power_moment(F(1, 2), -1)
+        moment_routes(F(1, 2), -1)

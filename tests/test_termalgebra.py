@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from khabcheck.termalgebra import MixedSum, mixed_diff, mixed_eval, mixed_evaluator
+from khabcheck.termalgebra import MixedSum, mixed_eval, mixed_evaluator
 
 
 def small_sums():
@@ -124,14 +124,6 @@ def test_scale_by_a_fraction():
     # 2(3a + 1) * t^(1+2a) * (1+t^(2a))^(-1), times -5/4: -(5/2)(3a + 1)
     s = term(1, 1, 1, 2, 6).scale(F(-5, 4))
     assert (s.rows, s.den) == ((((1, 1, 1), (-5, -15)),), 2)
-
-
-def test_mixed_diff_orders():
-    s = term(1, 0, 0, 1)
-    assert mixed_diff(s, 0) == s
-    assert mixed_diff(s, 2) == s.derivative().derivative()
-    with pytest.raises(ValueError):
-        mixed_diff(s, -1)
 
 
 def test_finite_differences_match_symbolic_derivative():

@@ -15,7 +15,6 @@ from khabcheck.exact import ZPolynomial, row_value
 from khabcheck.termalgebra import MixedSum, mixed_eval
 from khabcheck.transition import (
     PhiFamily,
-    asymptotic_check,
     log_weight,
     log_weight_derivatives,
     oracle_equiv_check,
@@ -56,17 +55,17 @@ def test_half_alpha_collapses_to_monomial(n):
 
 
 def test_leading_and_constant_coefficients_closed_form():
-    # lead = prod (1 + 2a/k) and const = prod (1 - 2a/k) over k = 1..n; both
-    # have alpha-degree n <= 10, so their values at ALPHAS decide equality
-    for n in range(1, 11):
+    # lead(P_n) = (1+2a)_n / n! and P_n(0) = (1-2a)_n / n! in Q[alpha]: they fix
+    # Phi_n's decay t^(1+2a) Phi_n -> 4 a^2 (1+2a)_n / n! as t -> infinity, and
+    # its leading term 4 a^2 t^(2a-1) (1-2a)_n / n! as t -> 0
+    lead = const = [1]
+    for n in range(1, 41):
+        # (1 +- 2a)_n = prod_{k=1..n} (k +- 2a), as integer alpha-rows
+        lead, const = _times_linear(lead, n, 2), _times_linear(const, n, -2)
         P = transition_poly(n)
-        for a in ALPHAS:
-            lead = const = F(1)
-            for k in range(1, n + 1):
-                lead *= 1 + 2 * a / k
-                const *= 1 - 2 * a / k
-            assert row_value(P.rows[-1], P.den, a) == lead
-            assert row_value(P.rows[0], P.den, a) == const
+        f = math.factorial(n)
+        assert [f * x for x in P.rows[-1]] == [P.den * x for x in lead], n
+        assert [f * x for x in P.rows[0]] == [P.den * x for x in const], n
 
 
 def _recurrence_at(a, n_max):
@@ -382,20 +381,6 @@ def test_alternative_shortcut_disagrees_beyond_base_case():
     assert true_value == pytest.approx(4.0 / 27.0, rel=1e-14)
     assert shortcut == pytest.approx(2.0 / 27.0, rel=1e-12)
     assert abs(shortcut - true_value) > 1e-2
-
-
-# -- asymptotic sanity ---------------------------------------------------------
-
-def test_asymptotic_report_small_and_large_t():
-    rep = asymptotic_check(0, F(1, 2), omega=F(1, 10))
-    assert rep.passed
-    assert rep.large_t_ok and rep.small_t_ok
-    rep2 = asymptotic_check(2, F(1, 4), omega=F(1))
-    assert rep2.passed
-    # the scaled large-t samples approach 4 a^2 |leading coefficient|
-    P = transition_poly(2)
-    lead = row_value(P.rows[-1], P.den, F(1, 4))
-    assert rep2.large_t_limit == pytest.approx(4 * 0.25 ** 2 * float(lead))
 
 
 EMPTY = "^sample grids must be non-empty$"

@@ -13,10 +13,9 @@ from inspect import Parameter, signature
 
 import pytest
 
-from khabcheck import (AsymptoticReport, ChainReport, DensityFunction, MixedSum,
-                       OracleAgreement, PhiFamily, PositivityVerdict, QuadConfig,
-                       QuadResult, ScanReport, Status, ZPolynomial, asymptotic_check,
-                       oracle_equiv_check, region_scan)
+from khabcheck import (ChainReport, DensityFunction, MixedSum, OracleAgreement,
+                       PhiFamily, PositivityVerdict, QuadConfig, QuadResult, ScanReport,
+                       Status, ZPolynomial, oracle_equiv_check, region_scan)
 
 EMPTY = Parameter.empty
 NONNEG = PositivityVerdict(Status.NONNEGATIVE, "all-coefficients-nonnegative")
@@ -34,7 +33,6 @@ def instances():
         ScanReport: region_scan([1], [F(1, 2)]),
         ChainReport: ChainReport(1, 0, F(1, 2), NONNEG, False),
         OracleAgreement: oracle_equiv_check(1, [F(1, 2)], [1.0]),
-        AsymptoticReport: asymptotic_check(1, F(1, 2), F(1)),
         PhiFamily: PhiFamily.build(F(1, 2), 2),
     }
 
@@ -69,9 +67,6 @@ SIGNATURES = {
                   ("conclusion", None), ("rhs_pi_coefficient", None),
                   ("rhs_value", None), ("premise_tol", 1e-6)],
     OracleAgreement: [("max_deviation", EMPTY), ("checked", EMPTY), ("failures", EMPTY)],
-    AsymptoticReport: [("n", EMPTY), ("alpha", EMPTY), ("omega", EMPTY),
-                       ("large_t", EMPTY), ("large_t_limit", EMPTY), ("small_t", EMPTY),
-                       ("large_t_ok", EMPTY), ("small_t_ok", EMPTY)],
     PhiFamily: [("alpha", EMPTY), ("max_n", EMPTY), ("polys", EMPTY)],
 }
 
