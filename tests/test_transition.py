@@ -383,7 +383,27 @@ def test_alternative_shortcut_disagrees_beyond_base_case():
     assert abs(shortcut - true_value) > 1e-2
 
 
-EMPTY = "^sample grids must be non-empty$"
+# -- asymptotic sanity ---------------------------------------------------------
+
+def test_asymptotic_report_small_and_large_t():
+    # sampled decay of Phi_n at both ends of the half-line, read off the
+    # stable evaluator: t^(1+2a) |Phi_n| rises to 4 a^2 lead(P_n)(a) as
+    # t -> infinity, and t^(1+w) |Phi_n| falls like t^(2a+w) as t -> 0
+    for n, a, w in ((0, F(1, 2), F(1, 10)), (2, F(1, 4), F(1))):
+        phi = transition_evaluator(n, a)
+        af, wf = float(a), float(w)
+        P = transition_poly(n)
+        limit = 4 * af * af * float(row_value(P.rows[-1], P.den, a))
+        large = [t ** (1 + 2 * af) * abs(phi(t)) for t in (1e3, 1e6, 1e9)]
+        assert large == sorted(large), n
+        assert all(v <= limit * (1 + 1e-6) for v in large), n
+        assert large[-1] == pytest.approx(limit, rel=1e-3), n
+        small = [t ** (1 + wf) * abs(phi(t)) for t in (1e-3, 1e-6, 1e-9)]
+        assert small == sorted(small, reverse=True), n
+        assert small[-1] <= 10 * 1e-6 ** (2 * af + wf) * small[0], n
+
+
+EMPTY ="^sample grids must be non-empty$"
 
 
 @pytest.mark.parametrize("check, message", [
