@@ -235,7 +235,8 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-# identity: (check name, (alpha, n_max) -> (n, exact target, exact value) per record)
+# identity: (check name, (alpha, n_max) -> (n, target, value, den) per record, the
+# exact target and value being integers over the shared denominator den)
 _IDENTITIES = (("kernel-moment-identity", moment_routes),
                ("beta-product-reciprocity", reciprocity_routes))
 
@@ -244,12 +245,14 @@ def _cmd_identities(args: argparse.Namespace) -> tuple[list[dict], dict]:
     records = []
     for alpha in sorted(args.alpha):
         for check, identity in _IDENTITIES:
-            for n, target, value in identity(alpha, args.n_max):
+            for n, target, value, den in identity(alpha, args.n_max):
                 params = {"alpha": str(alpha), "n": n}
                 try:
+                    # int / int rounds correctly, as float(Fraction) does, and
+                    # raises the same OverflowError beyond the float range
                     record = _record(check, params, PASS if value == target else FAIL,
-                                     target=float(target), value=float(value),
-                                     residual=float(value - target))
+                                     target=target / den, value=value / den,
+                                     residual=(value - target) / den)
                 except ArithmeticError as exc:
                     # an exact value too large for a float fails that record only
                     record = _failed(check, params, exc)
@@ -259,8 +262,13 @@ def _cmd_identities(args: argparse.Namespace) -> tuple[list[dict], dict]:
     return records, config
 
 
-def _scored_record(check: str, params: dict, tol: float, c: ResidualCheck) -> dict:
-    return _record(check, params, PASS if c.quad.converged and abs(c.residual) <= tol else FAIL,
+def _scored_record(check: str, params: dict, tol: float, cfg: QuadConfig,
+                   c: ResidualCheck) -> dict:
+    """Pass a converged integral whose residual is within ``tol``, or within
+    the relative accuracy ``cfg.rel_tol`` the integral was asked for: no
+    float can meet an absolute ``tol`` below one ulp of a large target."""
+    ok = c.quad.converged and abs(c.residual) <= max(tol, cfg.rel_tol * abs(c.target))
+    return _record(check, params, PASS if ok else FAIL,
                    target=c.target, value=c.value, residual=c.residual)
 
 
@@ -270,7 +278,7 @@ def _scored(measure):
     ``measure(cfg, **point)`` returns a ``ResidualCheck``.
     """
     def records(check, params, tol, cfg, args, **point):
-        return [_scored_record(check, params, tol, measure(cfg, **point))]
+        return [_scored_record(check, params, tol, cfg, measure(cfg, **point))]
     return records
 
 
@@ -284,7 +292,7 @@ def _reconstruction_records(check, params, tol, cfg, args, n, alpha):
         try:
             if sweep is None:  # a sweep that cannot be built fails every y alike
                 sweep = reconstruction_sweep(n, alpha, cfg)
-            records.append(_scored_record(check, at, tol, sweep(y)))
+            records.append(_scored_record(check, at, tol, cfg, sweep(y)))
         except (ArithmeticError, ValueError) as exc:
             records.append(_failed(check, at, exc))
     return records
@@ -463,7 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--rel-tol", type=_parse_real, default=1e-9)
     p_int.add_argument("--check-tol", type=_parse_check_tol, default=None,
                        help="override the per-suite pass tolerance (the chain "
-                            "premise's is relative to t^alpha where that exceeds 1)")
+                            "premise's is relative to t^alpha where that exceeds 1); "
+                            "any other integral also passes within --rel-tol of its "
+                            "target")
     _add_common(p_int)
     p_int.set_defaults(func=_cmd_integrals)
 

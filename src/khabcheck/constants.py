@@ -17,11 +17,14 @@ inequality, and the power moment of the n-th kernel,
 equals B(alpha, n+1) / alpha, the product route of ``moment_routes``.
 Everything here is exact, on an alpha admitted by
 ``exact.positive_rational``, so a float alpha is refused rather than turned
-into a binary fraction.  ``_products`` walks B and the pi-coefficient as
-two running products, n = 1, 2, ...; ``beta_int`` and ``rhs_constant`` are
-one step of it.  Each identity is one walk of it yielding (n, exact target,
-exact value), read by the ``verify_*`` checks and the CLI's
-``identities``.  The density that attains equality,
+into a binary fraction.  ``_products`` walks the numerators and
+denominators of B and of the pi-coefficient as four running integer
+products, n = 1, 2, ...; ``beta_int`` and ``rhs_constant`` are one step of
+it, as Fractions.  Each identity is one walk of it yielding (n, target,
+value, den): the exact target and value are two integers over one shared
+denominator, so an identity is an integer equality, and the float of
+either is one correctly rounded int division.  The ``verify_*`` checks and
+the CLI's ``identities`` read them.  The density that attains equality,
 alpha * t**(alpha-1) / B(alpha, n), is ``quadrature.extremal_density_fn``.
 """
 
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count, islice
+from math import gcd
 from typing import Iterator
 
 from .exact import RationalLike, positive_rational
@@ -42,22 +46,34 @@ def _admitted(alpha: RationalLike, n: int, least: int, name: str = "n") -> Fract
     return a
 
 
-def _products(a: Fraction) -> Iterator[tuple[Fraction, Fraction]]:
-    """(B(a, n), pi-coefficient(a, n)) for n = 1, 2, ..., each a running
-    product of its own, so that their reciprocity is a real check."""
+def _products(a: Fraction) -> Iterator[tuple[int, int, int, int]]:
+    """B(a, n) = b_num / b_den and pi-coefficient(a, n) = c_num / c_den for
+    n = 1, 2, ..., as four running integer products, so that their
+    reciprocity is a real check.
+
+    With a = p/q, B's factor k/(k+a) is kq/(kq+p) and the coefficient's
+    1 + a/k is (kq+p)/(kq); nothing is reduced on the way.
+    """
     p, q = a.numerator, a.denominator
-    beta, coeff = 1 / a, a
+    b_num, b_den, c_num, c_den = q, p, p, q  # 1/a and a
     for k in count(1):
-        yield beta, coeff
-        # with a = p/q, B's factor k/(k+a) is kq/(kq+p), the coefficient's
-        # 1 + a/k is (kq+p)/(kq)
-        beta *= Fraction(k * q, k * q + p)
-        coeff *= Fraction(k * q + p, k * q)
+        yield b_num, b_den, c_num, c_den
+        kq = k * q
+        b_num *= kq
+        b_den *= kq + p
+        c_num *= kq + p
+        c_den *= kq
+
+
+def _step(alpha: RationalLike, n: int) -> tuple[int, int, int, int]:
+    """``_products`` at n >= 1, after admitting alpha and n."""
+    return next(islice(_products(_admitted(alpha, n, 1)), n - 1, None))
 
 
 def beta_int(alpha: RationalLike, n: int) -> Fraction:
     """Exact B(alpha, n) = (1/alpha) * prod_{k=1..n-1} k/(k+alpha), n >= 1."""
-    return next(islice(_products(_admitted(alpha, n, 1)), n - 1, None))[0]
+    b_num, b_den, _, _ = _step(alpha, n)
+    return Fraction(b_num, b_den)
 
 
 def rhs_constant(alpha: RationalLike, n: int) -> Fraction:
@@ -68,44 +84,64 @@ def rhs_constant(alpha: RationalLike, n: int) -> Fraction:
     form is computed independently so the reciprocity law is a real check,
     not a tautology.
     """
-    return next(islice(_products(_admitted(alpha, n, 1)), n - 1, None))[1]
+    _, _, c_num, c_den = _step(alpha, n)
+    return Fraction(c_num, c_den)
 
 
-def _moment_walk(a: Fraction, n_max: int) -> Iterator[tuple[int, Fraction, Fraction]]:
-    telescoped = 1 / (a * a)
-    for n, (beta, _) in zip(range(n_max + 1), _products(a)):  # beta = B(a, n+1)
+def _moment_walk(a: Fraction, n_max: int) -> Iterator[tuple[int, int, int, int]]:
+    p, q = a.numerator, a.denominator
+    telescoped = q * q  # 1/a^2 over p^2
+    for n, (b_num, b_den, _, _) in zip(range(n_max + 1), _products(a)):  # B(a, n+1)
         if n:
-            telescoped -= beta / n
-        yield n, beta / a, telescoped
+            # the shared denominator gains the factor nq+p, and B(a, n+1)/n
+            # over it is p * b_num / n = p q^(n+1) (n-1)!, an integer
+            telescoped = telescoped * (n * q + p) - p * b_num // n
+        yield n, q * b_num, telescoped, p * b_den
 
 
-def moment_routes(alpha: RationalLike, n_max: int) -> Iterator[tuple[int, Fraction, Fraction]]:
-    """The kernel power moment by both routes, (n, product, telescoped), for
-    n = 0..n_max.
+def moment_routes(alpha: RationalLike, n_max: int) -> Iterator[tuple[int, int, int, int]]:
+    """The kernel power moment by both routes, (n, product, telescoped,
+    den), for n = 0..n_max: each route's value is its integer over the one
+    shared denominator den = p^2 * prod_{k=1..n} (kq+p), alpha = p/q.
 
     The two routes are kept deliberately separate: the product route is
-    the closed form B(alpha, n+1)/alpha, the telescoped route
-    1/alpha**2 - sum_{m=1..n} B(alpha, m+1)/m integrates the family's
-    step-down relation term by term.  Their agreement is one of the
-    identity checks.  Both read one walk of B, the sum updated as it goes;
+    the closed form B(alpha, n+1)/alpha, whose numerator is q^(n+2) n!; the
+    telescoped route 1/alpha**2 - sum_{m=1..n} B(alpha, m+1)/m integrates
+    the family's step-down relation term by term, as the integer walk
+    N_n = N_{n-1} (nq+p) - p q^(n+1) (n-1)! from N_0 = q^2.  Their
+    agreement is one of the identity checks, an integer equality that
+    takes no gcd.  Both read one walk of B, the sum updated as it goes;
     alpha and n_max are admitted before the walk starts.
     """
     return _moment_walk(_admitted(alpha, n_max, 0, "n_max"), n_max)
 
 
-def reciprocity_routes(alpha: RationalLike, n_max: int) -> Iterator[tuple[int, int, Fraction]]:
-    """(n, 1, B(alpha, n) * pi-coefficient(alpha, n)) for n = 1..n_max, from
-    one walk of both products; empty for n_max = 0."""
-    steps = zip(range(1, n_max + 1), _products(_admitted(alpha, n_max, 0, "n_max")))
-    return ((n, 1, beta * coeff) for n, (beta, coeff) in steps)
+def reciprocity_routes(alpha: RationalLike, n_max: int) -> Iterator[tuple[int, int, int, int]]:
+    """(n, den, B(alpha, n) * pi-coefficient(alpha, n) * den, den) for
+    n = 1..n_max, from one walk of both products; empty for n_max = 0.
+
+    The product is 1 exactly when the product of the two numerators equals
+    the product of the two denominators.  Each side is first divided by
+    the gcds of a numerator with the other factor's denominator, so where
+    the walks meet (B's numerator is the coefficient's denominator, and
+    the other way round) the two products are 1 and 1.
+    """
+    return _reciprocity_walk(_admitted(alpha, n_max, 0, "n_max"), n_max)
+
+
+def _reciprocity_walk(a: Fraction, n_max: int) -> Iterator[tuple[int, int, int, int]]:
+    for n, (b_num, b_den, c_num, c_den) in zip(range(1, n_max + 1), _products(a)):
+        g, h = gcd(b_num, c_den), gcd(c_num, b_den)
+        den = (b_den // h) * (c_den // g)
+        yield n, den, (b_num // g) * (c_num // h), den
 
 
 def verify_moment_identity(alpha: RationalLike, n_max: int) -> list[bool]:
     """Check product route == telescoped route exactly for every n in 0..n_max."""
-    return [target == value for _, target, value in moment_routes(alpha, n_max)]
+    return [target == value for _, target, value, _ in moment_routes(alpha, n_max)]
 
 
 def verify_reciprocity(alpha: RationalLike, n_max: int) -> list[bool]:
     """Check beta_int * rhs_constant == 1 exactly, n = 1..n_max."""
     a = _admitted(alpha, n_max, 1, "n_max")
-    return [target == value for _, target, value in reciprocity_routes(a, n_max)]
+    return [target == value for _, target, value, _ in reciprocity_routes(a, n_max)]

@@ -12,11 +12,19 @@ admits alpha through ``positive_rational``.
 Exact polynomials are held as integer rows over one positive denominator,
 and two functions own that form: ``lowest_terms`` makes rows canonical,
 and ``row_value`` evaluates one row exactly at a rational point (by the
-integer Horner of ``scaled_value``).  ``ZPolynomial`` is built on them: a
-polynomial in ``z`` with coefficients in Q[alpha], held as integer rows
-(row j lists the alpha coefficients of z^j) over one denominator.  It is
-built, specialized to one integer z-row at a rational alpha and
-evaluated; it carries no arithmetic.  The term algebra's ``MixedSum``
+integer Horner of ``scaled_value``).  Making rows canonical has one
+path in two steps: ``_admitted`` takes every entry and the denominator
+through ``operator.index`` and refuses a denominator <= 0, and
+``_reduced`` strips trailing zeros and divides by the common gcd.  Only
+the public doors admit (``lowest_terms``, the ``ZPolynomial`` and
+``MixedSum`` constructors, ``positivity.coeffs_nonneg_on_pos``); rows the
+package computed itself from admitted ints, such as a ``P_n`` from the
+recurrence or a specialized row, are only reduced, once.
+
+``ZPolynomial`` is built on them: a polynomial in ``z`` with coefficients
+in Q[alpha], held as integer rows (row j lists the alpha coefficients of
+z^j) over one denominator.  It is built, specialized to one integer z-row
+at a rational alpha and evaluated; it carries no arithmetic.  The term algebra's ``MixedSum``
 (``termalgebra``) is the package's other exact type, in the same form.
 
 A ``ZPolynomial`` is immutable (hashable, safe to share across threads)
@@ -53,11 +61,11 @@ def rational(value: Union[str, int, Fraction]) -> Fraction:
     return Fraction(value)
 
 
-def positive_rational(value: Union[str, int, Fraction], name: str = "alpha") -> Fraction:
+def positive_rational(value: Union[str, int, Fraction]) -> Fraction:
     """``rational(value)``, refused with a ValueError unless it is > 0."""
     a = rational(value)
     if a <= 0:
-        raise ValueError(f"{name} must be positive")
+        raise ValueError("alpha must be positive")
     return a
 
 
@@ -111,16 +119,30 @@ def row_value(row: Sequence[int], den: int, x: RationalLike) -> Fraction:
 
 
 def lowest_terms(rows: Iterable[Iterable[int]], den: int) -> tuple[list[list[int]], int]:
-    """Integer rows over one denominator, made canonical.
+    """Integer rows over one denominator, admitted and made canonical.
 
     Entries and ``den`` are admitted through ``operator.index`` (a float is
-    a TypeError) and ``den`` must be positive.  Each row loses its trailing
-    zeros, and rows and ``den`` are divided by their common gcd.
+    a TypeError) and ``den`` must be positive (``_admitted``).  Each row then
+    loses its trailing zeros, and rows and ``den`` are divided by their
+    common gcd (``_reduced``).
     """
+    return _reduced(*_admitted(rows, den))
+
+
+def _admitted(rows: Iterable[Iterable[int]], den: int) -> tuple[list[list[int]], int]:
+    """The admission half of ``lowest_terms``: every entry and ``den`` through
+    ``operator.index`` into fresh lists, and ``den`` refused unless positive."""
     rows = [list(map(operator.index, row)) for row in rows]
     den = operator.index(den)
     if den <= 0:
         raise ValueError("den must be a positive integer")
+    return rows, den
+
+
+def _reduced(rows: list[list[int]], den: int) -> tuple[list[list[int]], int]:
+    """``lowest_terms`` without the admission, for rows the package computed
+    itself from admitted ints: each row (a list, changed in place) loses its
+    trailing zeros, and rows and ``den`` are divided by their common gcd."""
     for row in rows:
         while row and not row[-1]:
             row.pop()
@@ -134,13 +156,17 @@ def lowest_terms(rows: Iterable[Iterable[int]], den: int) -> tuple[list[list[int
 def _specialized(rows: Sequence[Sequence[int]], den: int, a: Fraction) -> tuple[list[int], int]:
     """The z-row of ``rows / den`` at alpha = a = p/q, as ``lowest_terms`` leaves it.
 
-    Each alpha-row's ``scaled_value`` is scaled to q^d, d the largest
-    alpha-degree, so all share the denominator den * q^d.
+    Every alpha-row is valued over the one denominator den * q^d, d the
+    largest alpha-degree: a row's value is the sum of row[i] * p^i * q^(d-i),
+    a dot product with weights built once for all rows.
     """
-    q = a.denominator
+    p, q = a.numerator, a.denominator
     d = max(map(len, rows), default=1) - 1
-    values = [scaled_value(row, a) * q ** (d + 1 - len(row)) for row in rows]
-    (row,), den = lowest_terms((values,), den * q ** d)
+    weights = [q ** d]
+    for _ in range(d):
+        weights.append(weights[-1] // q * p)
+    values = [sum(map(operator.mul, row, weights)) for row in rows]
+    (row,), den = _reduced([values], den * weights[0])
     return row, den
 
 
@@ -199,10 +225,15 @@ class ZPolynomial(Value):
     den: int
 
     def __init__(self, rows: Iterable[Iterable[int]] = (), den: int = 1) -> None:
-        rows, den = lowest_terms(rows, den)
-        while rows and not rows[-1]:
-            rows.pop()
-        self._set(tuple(map(tuple, rows)), den)
+        self._set(*_polynomial_fields(*lowest_terms(rows, den)))
+
+    @classmethod
+    def _of_ints(cls, rows: list[list[int]], den: int) -> ZPolynomial:
+        """The polynomial of integer ``rows`` over ``den`` > 0 that the package
+        computed itself from admitted ints: reduced, not admitted again."""
+        p = object.__new__(cls)
+        p._set(*_polynomial_fields(*_reduced(rows, den)))
+        return p
 
     @property
     def degree(self) -> int:
@@ -219,3 +250,10 @@ class ZPolynomial(Value):
     def evaluate(self, alpha: RationalLike, z: RationalLike) -> Fraction:
         """Exact evaluation: integer Horner in alpha per row, then in z."""
         return row_value(*_specialized(self.rows, self.den, rational(alpha)), z)
+
+
+def _polynomial_fields(rows: list[list[int]], den: int) -> tuple[tuple, int]:
+    """A ``ZPolynomial``'s fields from reduced rows: trailing empty rows dropped."""
+    while rows and not rows[-1]:
+        rows.pop()
+    return tuple(map(tuple, rows)), den

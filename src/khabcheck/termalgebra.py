@@ -21,14 +21,17 @@ exactly, in canonical form, without a general CAS.
 alpha-coefficients of its term, equal keys merge, zero terms are dropped and
 the whole is in lowest terms, so two sums representing the same function as
 a formal linear combination compare equal.  Its operations (``scale``,
-``shift_power``, ``derivative``: all the derivative oracle needs) are
-integer row operations, and a single term is built from its row, e.g.
-``MixedSum((((1, -1, 0), (0, -2)),))`` for
+``derivative``) are integer row operations, and a single term is built
+from its row, e.g. ``MixedSum((((1, -1, 0), (0, -2)),))`` for
 -2*alpha * t**(-1) * (1 + t**beta)**(-1); a sum of sums is the constructor
-given their rows over a common denominator.  Only the constructor and
-``derivative`` merge keys; ``lowest_terms`` admits each entry once.
-``shift_power`` keeps a canonical sum canonical as it stands, and ``scale``
-only multiplies and reduces, so neither rebuilds.
+given their rows over a common denominator.  Only the constructor admits
+its entries (through ``exact``'s admission step); the operations start
+from admitted ints, so their rows go straight to ``exact``'s reduction,
+once per result.  ``derivative`` builds each output key's row in one
+pass from the (at most two) keys that feed it, and ``scale`` only
+multiplies and reduces, so neither rebuilds.  ``_shifted_sum`` is the one
+merge the derivative oracle needs: a combination of terms c * t**m * s
+of sums s, over one common denominator.
 
 ``mixed_evaluator(s, alpha)`` is the float view: each term's coefficient
 and exponents are reduced to floats once per (sum, alpha), and the closure
@@ -41,9 +44,9 @@ import math
 import operator
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
-from .exact import Value, lowest_terms, rational
+from .exact import Value, _admitted, _reduced, rational
 
 
 class MixedSum(Value):
@@ -61,12 +64,20 @@ class MixedSum(Value):
 
     def __init__(self, rows: Iterable[tuple[tuple[int, int, int], Iterable[int]]] = (),
                  den: int = 1) -> None:
-        merged: dict[tuple[int, int, int], Iterable[int]] = {}
+        keys, entries = [], []
         for key, row in rows:
             k, _, q = key = tuple(map(operator.index, key))
             if k < 0 or q < 0:
                 raise ValueError("exponents q and k must be nonnegative")
-            _merge(merged, key, row)
+            keys.append(key)
+            entries.append(row)
+        # admitted rows are fresh lists, so a key seen once keeps its row as is
+        entries, den = _admitted(entries, den)
+        merged: dict[tuple[int, int, int], list[int]] = {}
+        for key, row in zip(keys, entries):
+            acc = merged.get(key)
+            merged[key] = row if acc is None else [
+                x + y for x, y in zip_longest(acc, row, fillvalue=0)]
         self._set(*_canonical_rows(merged, den))
 
     @classmethod
@@ -82,44 +93,54 @@ class MixedSum(Value):
         # and a zero one empties every row
         f = rational(factor)
         num = f.numerator
-        rows, den = lowest_terms(([x * num for x in row] for _, row in self.rows),
-                                 self.den * f.denominator)
+        rows, den = _reduced([[x * num for x in row] for _, row in self.rows],
+                             self.den * f.denominator)
         return MixedSum._canonical(tuple(
             (key, tuple(row)) for (key, _), row in zip(self.rows, rows) if row), den)
 
-    def shift_power(self, m: int) -> MixedSum:
-        """Multiply the whole sum by t**m."""
-        # adding m to every p keeps the keys sorted and unique, and the rows
-        # and den are unchanged, so the result is canonical as it stands
-        m = operator.index(m)
-        return MixedSum._canonical(
-            tuple(((k, p + m, q), row) for (k, p, q), row in self.rows), self.den)
-
     def derivative(self) -> MixedSum:
-        """d/dt, applied term by term via the closed-form rule above."""
-        merged: dict[tuple[int, int, int], Iterable[int]] = {}
-        for (k, p, q), row in self.rows:
-            p1, two_q, k2 = p - 1, 2 * q, -2 * k
-            # power-of-t part: exponent p + q*beta differentiates to
-            # (p + 2*q*alpha) * t**(p-1+q*beta)
-            _merge(merged, (k, p1, q), [p * x + two_q * y for x, y in zip((*row, 0), (0, *row))])
-            # (1+t**beta)**(-k) part: -2*k*alpha * t**(p-1+(q+1)*beta) * (1+t**beta)**(-k-1)
-            _merge(merged, (k + 1, p1, q + 1), [0, *(k2 * x for x in row)])
-        return MixedSum._canonical(*_canonical_rows(merged, self.den))
+        """d/dt by the closed-form rule above, one output key at a time.
+
+        The key (k, p-1, q) collects (p + 2*q*alpha) * row(k, p, q) from the
+        power of t and -2*(k-1)*alpha * row(k-1, p, q-1) from the power of
+        the base; each row is built once and the whole is reduced once.
+        """
+        src = dict(self.rows)
+        keys = sorted({(k, p - 1, q) for k, p, q in src}
+                      | {(k + 1, p - 1, q + 1) for k, p, q in src})
+        rows = []
+        for k, p1, q in keys:
+            p = p1 + 1
+            r = src.get((k, p, q), ())
+            two_q, k2 = 2 * q, 2 - 2 * k
+            rows.append([p * x + two_q * y + k2 * z for x, y, z in zip_longest(
+                r, (0, *r), (0, *src.get((k - 1, p, q - 1), ())), fillvalue=0)])
+        rows, den = _reduced(rows, self.den)
+        return MixedSum._canonical(
+            tuple((key, tuple(row)) for key, row in zip(keys, rows) if row), den)
 
 
-def _merge(merged: dict, key: tuple[int, int, int], row: Iterable[int]) -> None:
-    """Add ``row`` to ``merged[key]``; a key seen for the first time keeps its row as is."""
-    acc = merged.get(key)
-    merged[key] = row if acc is None else [
-        x + y for x, y in zip_longest(acc, row, fillvalue=0)]
+def _shifted_sum(parts: Sequence[tuple[int, int, MixedSum]], den: int) -> MixedSum:
+    """(the sum of c * t**m * s over the (c, m, s) of ``parts``) / den, for
+    int c and m and den > 0: the rows of every part over one common
+    denominator, merged once and reduced without being admitted again."""
+    common = math.lcm(*(s.den for _, _, s in parts))
+    merged: dict[tuple[int, int, int], list[int]] = {}
+    for c, m, s in parts:
+        f = c * (common // s.den)
+        for (k, p, q), row in s.rows:
+            key = (k, p + m, q)
+            acc = merged.get(key)
+            merged[key] = [f * x for x in row] if acc is None else [
+                x + f * y for x, y in zip_longest(acc, row, fillvalue=0)]
+    return MixedSum._canonical(*_canonical_rows(merged, common * den))
 
 
 def _canonical_rows(merged: dict, den: int) -> tuple[tuple, int]:
-    """``merged``'s rows in key order, admitted and put in lowest terms over
-    one denominator by ``lowest_terms``, with the empty ones dropped."""
+    """``merged``'s rows in key order, put in lowest terms over one
+    denominator by ``_reduced``, with the empty ones dropped."""
     keys = sorted(merged)
-    rows, den = lowest_terms((merged[key] for key in keys), den)
+    rows, den = _reduced([merged[key] for key in keys], den)
     return tuple((key, tuple(row)) for key, row in zip(keys, rows) if row), den
 
 

@@ -17,7 +17,8 @@ Two fully independent constructions are maintained side by side:
 
         Phi_n = -d/dt [ (-t)^(n+1)/n! * w^(n+1)(t) ],
 
-    built entirely inside the closed term algebra of ``termalgebra``.
+    built entirely inside the closed term algebra of ``termalgebra``, by
+    the product rule from the cached chain of derivatives of w.
 
 Agreement of the two paths on sample grids is the core cross-validation of
 this package.  A third construction that *looks* equivalent at first
@@ -34,7 +35,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 from .exact import RationalLike, ZPolynomial, positive_rational
-from .termalgebra import MixedSum, mixed_evaluator
+from .termalgebra import MixedSum, _shifted_sum, mixed_evaluator
 
 # ---------------------------------------------------------------------------
 # recurrence path
@@ -88,7 +89,7 @@ def transition_poly(n: int) -> ZPolynomial:
     for k in range(n):  # fill the cache upward
         prev = transition_poly(k)
     rows, m = _recurrence_step(n, prev.rows)
-    return ZPolynomial(rows, m * prev.den)
+    return ZPolynomial._of_ints(rows, m * prev.den)
 
 
 def transition_eval(n: int, alpha: RationalLike, t: float) -> float:
@@ -182,14 +183,21 @@ def transition_oracle(n: int) -> MixedSum:
 
         Phi_n(t) = -d/dt [ (-1)^(n+1)/n! * t^(n+1) * w^(n+1)(t) ]
 
-    with no reference to the polynomial recurrence, so the two paths are
-    genuinely independent cross-checks of each other.
+    expanded by the product rule,
+
+        Phi_n(t) = (-1)^n/n! * [ (n+1) t^n w^(n+1)(t) + t^(n+1) w^(n+2)(t) ],
+
+    so it is one merge of two sums of the cached chain
+    ``log_weight_derivatives(n + 2)``.  It makes no reference to the
+    polynomial recurrence, so the two paths are genuinely independent
+    cross-checks of each other.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
-    deriv = log_weight_derivatives(n + 1)[n]  # w^(n+1)
-    sign = Fraction((-1) ** (n + 1), math.factorial(n))
-    return deriv.scale(-sign).shift_power(n + 1).derivative()
+    derivs = log_weight_derivatives(n + 2)  # derivs[n] is w^(n+1)
+    sign = (-1) ** n
+    return _shifted_sum(((sign * (n + 1), n, derivs[n]), (sign, n + 1, derivs[n + 1])),
+                        math.factorial(n))
 
 
 def transition_via_base_derivatives(n: int) -> MixedSum:

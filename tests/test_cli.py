@@ -6,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from khabcheck.cli import _SUITES, main
+from khabcheck.cli import _SUITES, _scored_record, main
+from khabcheck.quadrature import DEFAULT_CONFIG, QuadResult, ResidualCheck
 
 
 def run(capsys, *argv):
@@ -114,10 +115,11 @@ def test_csv_format(capsys):
 
 
 def test_failing_tolerance_gives_exit_one(capsys):
-    # an impossible check tolerance turns the verdicts into math failures
+    # an impossible check tolerance turns the verdicts into math failures; a
+    # scored integral also passes within rel_tol * |target|, so both are set
     code, out, _ = run(capsys, "integrals", "--suite", "reconstruction",
                        "--alpha", "1/4", "--n", "2", "--y", "2",
-                       "--check-tol", "0", "--no-timestamp")
+                       "--check-tol", "0", "--rel-tol", "1e-300", "--no-timestamp")
     assert code == 1
     doc = json.loads(out)
     assert doc["summary"]["fail"] >= 1
@@ -266,6 +268,17 @@ def test_version_flag(capsys):
 #: each scored check's default pass tolerance; the exact identities demand 0
 DEFAULT_TOL = {check: tol for check, tol, _, _ in _SUITES.values()}
 DEFAULT_TOL["chain-premise"] = DEFAULT_TOL["chain-conclusion"] = DEFAULT_TOL["conjecture-chain"]
+#: the checks scored by ``_scored_record``, which also allow the integral's
+#: requested relative accuracy: max(tol, rel_tol * |target|)
+RELATIVE_CHECKS = {"log-weight-moment", "weight-derivative-moment", "reconstruction",
+                   "weighted-transition-moment"}
+
+
+def _allowed_residual(r):
+    tol = DEFAULT_TOL.get(r["check"], 0.0)
+    if r["check"] in RELATIVE_CHECKS:
+        return max(tol, DEFAULT_CONFIG.rel_tol * abs(r["target"]))
+    return tol
 
 EXTREME_ALPHAS = [F(2) ** k for k in range(-8, 15)] + [F(1, 10**150), F(10**150)]
 
@@ -286,10 +299,44 @@ def test_every_command_completes_and_explains_its_failures(capsys, alpha):
             continue
         for r in json.loads(out)["records"]:
             if r["status"] == "fail":
-                tol = DEFAULT_TOL.get(r["check"], 0.0)
-                assert "error" in r["params"] or not abs(r["residual"]) <= tol, (argv, r)
+                assert ("error" in r["params"]
+                        or not abs(r["residual"]) <= _allowed_residual(r)), (argv, r)
             elif r["status"] == "pass":
                 # a scan verdict carries only its value
                 fields = (("value",) if r["check"] == "positivity-verdict"
                           else ("target", "value", "residual"))
                 assert all(r[k] is not None and math.isfinite(r[k]) for k in fields), (argv, r)
+
+
+def _check(target, residual):
+    return ResidualCheck(value=target + residual, target=target,
+                         quad=QuadResult(target + residual, 0.0, True, 1, 21))
+
+
+@pytest.mark.parametrize("target, residual, status", [
+    (500.0, 9e-7, "pass"),      # within the absolute tol 1e-6
+    (500.0, 2e-6, "fail"),      # 1e-9 * 500 is below tol: as strict as tol alone
+    (1e3, 1.5e-6, "fail"),      # |target| = tol / rel_tol: still tol alone
+    (1e4, 9e-6, "pass"),        # within 1e-9 * |target| = 1e-5
+    (-1e4, -9e-6, "pass"),
+    (1e4, 1.1e-5, "fail"),
+])
+def test_scored_records_allow_the_requested_relative_accuracy(target, residual, status):
+    r = _scored_record("c", {}, 1e-6, DEFAULT_CONFIG, _check(target, residual))
+    assert r["status"] == status
+
+
+def test_a_non_converged_integral_fails_within_any_tolerance():
+    c = _check(1e4, 0.0)._replace(quad=QuadResult(1e4, 0.0, False, 2000, 42000))
+    assert _scored_record("c", {}, 1e-6, DEFAULT_CONFIG, c)["status"] == "fail"
+
+
+def test_a_large_weighted_moment_passes_on_its_relative_residual(capsys):
+    # at alpha = 10^4, n = 4 the target is ~1.31e19, where one ulp is ~2,000
+    # and the quadrature meets it to ~5e-12 relative
+    code, out, err = run(capsys, "integrals", "--suite", "weighted-moment", "--alpha", "10000",
+                         "--n", "4", "--no-timestamp")
+    assert code == 0 and err == ""
+    (r,) = json.loads(out)["records"]
+    assert r["status"] == "pass"
+    assert abs(r["residual"]) > 1e-6 and abs(r["residual"]) <= 1e-9 * abs(r["target"])

@@ -61,6 +61,17 @@ def test_tiny_alpha_identities_match_golden_bytes(capsys):
     assert out.count("OverflowError") == 41 and out.count(",pass\n") == 121
 
 
+def test_tiny_alpha_identities_at_n200_match_golden_bytes(capsys):
+    # the integer walks at n <= 200: 201 overflowing kernel moments at
+    # alpha = 1e-160, and every other record passing
+    tiny = "1/1" + "0" * 160
+    code, out, _ = run(capsys, "identities", "--alpha", f"{tiny},1/3", "--n-max", "200",
+                       "--format", "csv", "--no-timestamp")
+    assert code == 1
+    assert out == (DATA / "report_identities_tiny_alpha_n200.csv").read_bytes().decode("utf-8")
+    assert out.count("OverflowError") == 201 and out.count(",pass\n") == 601
+
+
 # -- numeric failures -----------------------------------------------------------
 
 @pytest.mark.parametrize("alpha", ["1/64", "3/232"])

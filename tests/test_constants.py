@@ -75,15 +75,20 @@ def test_moment_routes_agree_exactly():
     for alpha in (F(1, 3), F(1, 2), F(7, 4)):
         routes = list(moment_routes(alpha, 12))
         assert len(routes) == 13
-        for n, (m, product, telescoped) in enumerate(routes):
+        p, q = alpha.numerator, alpha.denominator
+        for n, (m, product, telescoped, den) in enumerate(routes):
             assert m == n
-            assert product == beta_int(alpha, n + 1) / alpha
+            # alpha = p/q: q^(n+2) n! over the shared p^2 prod_{k<=n} (kq+p)
+            assert den == p * p * math.prod(k * q + p for k in range(1, n + 1))
+            assert product == q ** (n + 2) * math.factorial(n)
+            assert F(product, den) == beta_int(alpha, n + 1) / alpha
             assert product == telescoped
 
 
 def _product_moment(alpha, n):
     """The kernel power moment B(alpha, n+1)/alpha, as ``moment_routes`` yields it."""
-    return list(moment_routes(alpha, n))[n][1]
+    _, product, _, den = list(moment_routes(alpha, n))[n]
+    return F(product, den)
 
 
 def test_kernel_power_moment_frozen_values():
@@ -149,12 +154,14 @@ def test_integer_products_equal_fraction_loops(alpha, n):
     telescoped = 1 / (alpha * alpha)
     for m in range(1, n + 1):
         telescoped -= _beta_by_fractions(alpha, m + 1) / m
-    assert list(moment_routes(alpha, n))[n] == (n, product, telescoped)
+    m, product_num, telescoped_num, den = list(moment_routes(alpha, n))[n]
+    assert (m, F(product_num, den), F(telescoped_num, den)) == (n, product, telescoped)
 
 
-@pytest.mark.parametrize("alpha", [F(1, 2), F(23, 97), F(7, 3), F(1, 10**6)])
+@pytest.mark.parametrize("alpha", [F(1, 2), F(23, 97), F(7, 3), F(1, 10**6), F(1, 10**160),
+                                   F(5)])
 def test_telescoped_values_equal_the_restarted_sums(alpha):
-    values = [telescoped for _, _, telescoped in moment_routes(alpha, 30)]
+    values = [F(telescoped, den) for _, _, telescoped, den in moment_routes(alpha, 30)]
     assert len(values) == 31
     for n, value in enumerate(values):
         restarted = 1 / (alpha * alpha) - sum(
@@ -183,21 +190,21 @@ def _restarted_coefficient(a, n):
     return F(num, den)
 
 
-@pytest.mark.parametrize("alpha", [F(1, 10**160), F(1, 3), F(1000, 4099), F(5)])
+@pytest.mark.parametrize("alpha", [F(1, 10**160), F(1, 3), F(1000, 4099), F(5), F(7, 3)])
 def test_walks_equal_the_restarted_products(alpha):
     moments = list(moment_routes(alpha, 60))
     reciprocity = list(reciprocity_routes(alpha, 60))
-    assert [n for n, _, _ in moments] == list(range(61))
-    assert [n for n, _, _ in reciprocity] == list(range(1, 61))
+    assert [n for n, _, _, _ in moments] == list(range(61))
+    assert [n for n, _, _, _ in reciprocity] == list(range(1, 61))
     telescoped = 1 / (alpha * alpha)
-    for n, product, value in moments:
+    for n, product, value, den in moments:
         if n:
             telescoped -= _restarted_beta(alpha, n + 1) / n
-        assert product == _restarted_beta(alpha, n + 1) / alpha
-        assert value == telescoped
-    for n, target, value in reciprocity:
-        assert target == 1
-        assert value == _restarted_beta(alpha, n) * _restarted_coefficient(alpha, n)
+        assert F(product, den) == _restarted_beta(alpha, n + 1) / alpha
+        assert F(value, den) == telescoped
+    for n, target, value, den in reciprocity:
+        assert target == den
+        assert F(value, den) == _restarted_beta(alpha, n) * _restarted_coefficient(alpha, n)
     for n in range(1, 61):
         assert beta_int(alpha, n) == _restarted_beta(alpha, n)
         assert rhs_constant(alpha, n) == _restarted_coefficient(alpha, n)
@@ -218,7 +225,7 @@ def test_walks_read_no_one_point_product(monkeypatch):
 
 def test_reciprocity_routes_at_n_max_zero_is_empty():
     assert list(reciprocity_routes(F(1, 2), 0)) == []
-    assert list(reciprocity_routes(F(1, 2), 1)) == [(1, 1, 1)]
+    assert list(reciprocity_routes(F(1, 2), 1)) == [(1, 1, 1, 1)]
 
 
 def test_identity_checks_refuse_an_empty_index_range():

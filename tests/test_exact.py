@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from khabcheck.exact import (
     ZPolynomial,
+    _reduced,
     lowest_terms,
     positive_rational,
     rational,
@@ -64,8 +65,8 @@ def test_positive_rational_admits_only_positive_exact_values():
         positive_rational(np.float64(0.5))
     with pytest.raises(ValueError, match="^alpha must be positive$"):
         positive_rational(0)
-    with pytest.raises(ValueError, match="^omega must be positive$"):
-        positive_rational(F(-1, 2), "omega")
+    with pytest.raises(ValueError, match="^alpha must be positive$"):
+        positive_rational(F(-1, 2))
 
 
 def test_evaluation_rejects_float_points():
@@ -126,6 +127,20 @@ def test_integer_row_types_share_one_canonical_form(row, den, with_float):
     assert P.rows == ((tuple(num),) if num else ())
     assert S.rows == (((key, tuple(num)),) if num else ())
     assert d == P.den == S.den
+
+
+@given(st.lists(st.lists(st.integers(-10**30, 10**30), max_size=5), max_size=5),
+       st.integers(1, 10**30), st.integers(1, 10**6))
+@example([[0, 0], [], [6, -4, 0]], 10, 1)
+@example([[0]], 7, 1)
+def test_reduction_equals_lowest_terms_on_int_rows(rows, den, f):
+    # the private reduction, which computed rows take without admission,
+    # leaves int rows exactly as the admitting lowest_terms does; f plants a
+    # common factor so that the gcd step is taken too
+    rows = [[x * f for x in row] for row in rows]
+    want = lowest_terms(rows, den * f)
+    assert _reduced([list(row) for row in rows], den * f) == want
+    assert ZPolynomial._of_ints([list(row) for row in rows], den * f) == ZPolynomial(rows, den * f)
 
 
 @given(z_polys())

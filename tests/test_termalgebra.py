@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from khabcheck.termalgebra import MixedSum, mixed_eval, mixed_evaluator
+from khabcheck.termalgebra import MixedSum, _shifted_sum, mixed_eval, mixed_evaluator
 
 
 def small_sums():
@@ -34,6 +34,11 @@ def plus(*sums):
 
 def minus(s, u):
     return plus(s, u.scale(-1))
+
+
+def shifted(s, m):
+    """t**m * s, rebuilt through the constructor."""
+    return MixedSum([((k, p + m, q), row) for (k, p, q), row in s.rows], s.den)
 
 
 def test_single_term_structure():
@@ -115,9 +120,19 @@ def test_derivative_is_linear(s, u):
 @settings(max_examples=60)
 def test_derivative_commutes_with_power_shift(s, m):
     # d/dt [ t^m s(t) ] = m t^(m-1) s(t) + t^m s'(t)
-    left = s.shift_power(m).derivative()
-    right = plus(s.derivative().shift_power(m), s.scale(F(m)).shift_power(m - 1))
+    left = shifted(s, m).derivative()
+    right = plus(shifted(s.derivative(), m), shifted(s.scale(F(m)), m - 1))
     assert left == right
+
+
+@given(small_sums(), small_sums(), st.integers(-9, 9), st.integers(-9, 9),
+       st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 30))
+@settings(max_examples=150)
+def test_shifted_sum_equals_the_constructors_sum(s, u, c, d, m, n, den):
+    # (c t^m s + d t^n u) / den, against the sum the generic constructor builds
+    want = plus(shifted(s, m).scale(F(c, den)), shifted(u, n).scale(F(d, den)))
+    got = _shifted_sum(((c, m, s), (d, n, u)), den)
+    assert (got.rows, got.den) == (want.rows, want.den)
 
 
 def test_scale_by_a_fraction():
@@ -178,13 +193,9 @@ def _same(s):
        st.integers(-5, 5))
 @settings(max_examples=150)
 def test_operations_return_what_the_constructor_rebuilds(s, factor, m):
-    for out in (s.scale(factor), s.scale(0), s.scale(-1), s.shift_power(m), s.derivative()):
+    for out in (s.scale(factor), s.scale(0), s.scale(-1), s.derivative(),
+                _shifted_sum(((1, m, s), (-2, 0, s)), 3)):
         assert _same(out)
-
-
-def test_shift_power_refuses_a_float():
-    with pytest.raises(TypeError):
-        term(1, 0, 0, 1).shift_power(1.5)
 
 
 # -- float view: built once per (sum, alpha) ----------------------------------

@@ -309,7 +309,8 @@ def test_oracle_base_case_structure():
 
 def _generic_oracle(n_max):
     """Phi_0..Phi_n_max by -d/dt[(-1)^(n+1)/n! t^(n+1) w^(n+1)], every step
-    rebuilt through the generic MixedSum constructor, as a reference."""
+    rebuilt through the generic MixedSum constructor, as a reference; with
+    the chain w', w'', ..., w^(n_max+2) it built on the way."""
 
     def derivative(s):
         out = []
@@ -319,7 +320,7 @@ def _generic_oracle(n_max):
         return MixedSum(out, s.den)
 
     deriv = MixedSum((((1, -1, 0), (0, -2)),))  # w'
-    oracles = []
+    oracles, chain = [], [deriv]
     for n in range(n_max + 1):
         f = -F((-1) ** (n + 1), math.factorial(n))
         scaled = MixedSum(((key, [x * f.numerator for x in row]) for key, row in deriv.rows),
@@ -328,14 +329,19 @@ def _generic_oracle(n_max):
                            scaled.den)
         oracles.append(derivative(shifted))
         deriv = derivative(deriv)
-    return oracles
+        chain.append(deriv)
+    return oracles, chain
 
 
 def test_oracle_equals_the_generic_constructor_chain():
     transition_oracle.cache_clear()
     log_weight_derivatives.cache_clear()
-    for n, want in enumerate(_generic_oracle(30)):
+    oracles, chain = _generic_oracle(40)
+    for n, want in enumerate(oracles):
         got = transition_oracle(n)
+        assert (got.rows, got.den) == (want.rows, want.den)
+    assert len(chain) == 42
+    for got, want in zip(log_weight_derivatives(42), chain):
         assert (got.rows, got.den) == (want.rows, want.den)
 
 
