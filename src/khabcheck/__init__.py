@@ -25,7 +25,6 @@ from .transition import (
     log_weight,
     log_weight_derivatives,
     oracle_equiv_check,
-    transition_eval,
     transition_evaluator,
     transition_oracle,
     transition_poly,
@@ -47,8 +46,8 @@ from .quadrature import (
     extremal_density_fn,
     integrate_log_moment,
     integrate_weight_prime_moment,
+    reconstruction_sweep,
     verify_conjecture_chain,
-    verify_reconstruction,
     verify_weighted_moment,
 )
 
@@ -60,11 +59,11 @@ __all__ = [
     "beta_int", "rhs_constant", "verify_moment_identity", "verify_reciprocity",
     "OracleAgreement", "PhiFamily", "log_weight", "log_weight_derivatives",
     "oracle_equiv_check",
-    "transition_eval", "transition_evaluator", "transition_oracle",
+    "transition_evaluator", "transition_oracle",
     "transition_poly", "transition_via_base_derivatives",
     "PositivityVerdict", "ScanReport", "Status",
     "alpha_threshold", "poly_nonneg_on_pos", "region_scan",
     "ChainReport", "DensityFunction", "QuadConfig", "QuadResult",
     "extremal_density_fn", "integrate_log_moment", "integrate_weight_prime_moment",
-    "verify_conjecture_chain", "verify_reconstruction", "verify_weighted_moment",
+    "reconstruction_sweep", "verify_conjecture_chain", "verify_weighted_moment",
 ]

@@ -102,13 +102,18 @@ def _parse_rational_list(text: str) -> list[Fraction]:
     return [positive_rational(_parse_rational(part)) for part in _parts(text)]
 
 
+def _real(text: str) -> float:
+    """A finite real, written as a rational or a decimal."""
+    try:
+        return float(Fraction(text))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"not a finite real: {text!r}") from None
+
+
 @_argument_type
 def _parse_real(text: str) -> float:
     """A positive finite real, written as a rational or a decimal."""
-    try:
-        value = float(Fraction(text))
-    except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"not a finite real: {text!r}") from None
+    value = _real(text)
     if not 0 < value < math.inf:
         raise ValueError(f"must be positive and finite: {text!r}")
     return value
@@ -122,7 +127,7 @@ def _parse_real_list(text: str) -> list[float]:
 @_argument_type
 def _parse_check_tol(text: str) -> float:
     """A pass tolerance: finite and >= 0, where 0 demands exact agreement."""
-    value = float(text)
+    value = _real(text)
     if not 0 <= value < math.inf:
         raise ValueError(f"must be nonnegative and finite: {text!r}")
     return value
@@ -178,8 +183,17 @@ PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 def _record(check: str, params: dict, status: str,
             target: Optional[float] = None, value: Optional[float] = None,
             residual: Optional[float] = None) -> dict:
-    return {"check": check, "params": params, "target": target,
-            "value": value, "residual": residual, "status": status}
+    # a non-finite target, value or residual shows nothing and has no JSON
+    # form: it becomes null, and the record a fail that names it in params.error
+    record = {"check": check, "params": params, "target": target,
+              "value": value, "residual": residual, "status": status}
+    bad = [k for k in ("target", "value", "residual")
+           if record[k] is not None and not math.isfinite(record[k])]
+    if bad:
+        error = ", ".join(f"{k} is {record[k]}" for k in bad)
+        record.update(dict.fromkeys(bad), status=FAIL,
+                      params={**params, "error": f"NonFiniteResult: {error}"})
+    return record
 
 
 def _failed(check: str, params: dict, exc: Exception) -> dict:

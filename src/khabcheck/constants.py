@@ -144,4 +144,4 @@ def verify_moment_identity(alpha: RationalLike, n_max: int) -> list[bool]:
 def verify_reciprocity(alpha: RationalLike, n_max: int) -> list[bool]:
     """Check beta_int * rhs_constant == 1 exactly, n = 1..n_max."""
     a = _admitted(alpha, n_max, 1, "n_max")
-    return [target == value for _, target, value, _ in reciprocity_routes(a, n_max)]
+    return [target == value for _, target, value, _ in _reciprocity_walk(a, n_max)]

@@ -351,8 +351,14 @@ def integrate_weight_prime_moment(alpha: RationalLike,
 
 def reconstruction_sweep(n: int, alpha: RationalLike,
                          cfg: QuadConfig = DEFAULT_CONFIG) -> Callable[[float], ResidualCheck]:
-    """y -> ``verify_reconstruction(n, alpha, y, cfg)``, every y sharing one node table.
+    """y -> the check that Phi_n integrated against the kernel rebuilds the
+    log weight, every y sharing one node table:
 
+        int_y^oo Phi_n(t) K_n(y/t) dt  =  ln(1 + y^(-2 alpha)).
+
+    The substitution t = y/u maps the domain onto u in (0, 1] with the
+    kernel evaluated at u directly; Phi's decay turns into a u^(2a-1)
+    endpoint power (times an integrable log), which is flattened away.
     Phi_n and the kernel's node values are built once for the sweep; each
     call is one y and raises only for that y.
     """
@@ -387,20 +393,6 @@ def reconstruction_sweep(n: int, alpha: RationalLike,
         return ResidualCheck(value=result.value, target=log_weight(y, af), quad=result)
 
     return check
-
-
-def verify_reconstruction(n: int, alpha: RationalLike, y: float,
-                          cfg: QuadConfig = DEFAULT_CONFIG) -> ResidualCheck:
-    """Check that Phi_n integrated against the kernel rebuilds the log weight:
-
-        int_y^oo Phi_n(t) K_n(y/t) dt  =  ln(1 + y^(-2 alpha)).
-
-    The substitution t = y/u maps the domain onto u in (0, 1] with the
-    kernel evaluated at u directly; Phi's decay turns into a u^(2a-1)
-    endpoint power (times an integrable log), which is flattened away.
-    The one-point case of ``reconstruction_sweep``.
-    """
-    return reconstruction_sweep(n, alpha, cfg)(y)
 
 
 def verify_weighted_moment(n: int, alpha: RationalLike,
@@ -521,6 +513,10 @@ def verify_conjecture_chain(n: int, alpha: RationalLike, q: DensityFunction,
     against its exact pi-multiple target.
     ``premise_tol`` bounds each premise violation absolutely for targets up
     to 1 and relative to the target t^alpha above 1.
+
+    Float range: past alpha = log(DBL_MAX) / log(10^3) ~ 102.7 the premise
+    target t^alpha at t = 10^3 overflows, so an applicable n raises
+    ``OverflowError``; at alpha <= 1/60 the flattened quadrature underflows.
     """
     a = positive_rational(alpha)
     if n < 1:
@@ -549,14 +545,11 @@ def verify_conjecture_chain(n: int, alpha: RationalLike, q: DensityFunction,
     def conclusion_integrand(t: float) -> float:
         return density(t) * log_weight(t, af)
 
-    power_at_zero = q.power_at_zero
-    decay_power = None
-    if q.power_at_infinity is not None:
-        decay_power = 2.0 * af - 1.0 - q.power_at_infinity
-        if decay_power <= 0.0:
-            raise ValueError("q decays too slowly for the conclusion integral")
+    # integrate_half_line refuses a q that decays too slowly (decay <= 0)
+    decay_power = (None if q.power_at_infinity is None
+                   else 2.0 * af - 1.0 - q.power_at_infinity)
     conclusion = integrate_half_line(conclusion_integrand, cfg,
-                                     power_at_zero=power_at_zero,
+                                     power_at_zero=q.power_at_zero,
                                      decay_power=decay_power)
     coeff = rhs_constant(a, n)
     return ChainReport(

@@ -28,10 +28,9 @@ given their rows over a common denominator.  Only the constructor admits
 its entries (through ``exact``'s admission step); the operations start
 from admitted ints, so their rows go straight to ``exact``'s reduction,
 once per result.  ``derivative`` builds each output key's row in one
-pass from the (at most two) keys that feed it, and ``scale`` only
-multiplies and reduces, so neither rebuilds.  ``_shifted_sum`` is the one
-merge the derivative oracle needs: a combination of terms c * t**m * s
-of sums s, over one common denominator.
+pass from the (at most two) keys that feed it.  ``_shifted_sum`` is the
+one merge, of ``scale`` and of the derivative oracle: a combination of
+terms c * t**m * s of sums s, over one common denominator.
 
 ``mixed_evaluator(s, alpha)`` is the float view: each term's coefficient
 and exponents are reduced to floats once per (sum, alpha), and the closure
@@ -89,14 +88,8 @@ class MixedSum(Value):
         return s
 
     def scale(self, factor: Fraction | int) -> MixedSum:
-        # the keys stay as they are; a nonzero factor ends no row in a zero,
-        # and a zero one empties every row
         f = rational(factor)
-        num = f.numerator
-        rows, den = _reduced([[x * num for x in row] for _, row in self.rows],
-                             self.den * f.denominator)
-        return MixedSum._canonical(tuple(
-            (key, tuple(row)) for (key, _), row in zip(self.rows, rows) if row), den)
+        return _shifted_sum(((f.numerator, 0, self),), f.denominator)
 
     def derivative(self) -> MixedSum:
         """d/dt by the closed-form rule above, one output key at a time.

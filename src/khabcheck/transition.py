@@ -92,11 +92,6 @@ def transition_poly(n: int) -> ZPolynomial:
     return ZPolynomial._of_ints(rows, m * prev.den)
 
 
-def transition_eval(n: int, alpha: RationalLike, t: float) -> float:
-    """Float value of Phi_n(alpha, t) for t > 0, stable over wide t ranges."""
-    return transition_evaluator(n, alpha)(t)
-
-
 def transition_evaluator(n: int, alpha: RationalLike) -> Callable[[float], float]:
     """A fast closure t -> Phi_n(alpha, t), for use inside quadrature loops.
 
@@ -121,8 +116,10 @@ def transition_evaluator(n: int, alpha: RationalLike) -> Callable[[float], float
             z = t ** two_a
         except OverflowError:
             z = math.inf
-        if math.isinf(z):
-            # deep asymptotic regime: Phi ~ 4 a^2 lead(a) * t^(-1-2a)
+        head = scale * t ** (two_a - 1.0) if z < math.inf else math.inf
+        if head == math.inf and z > 1.0:
+            # deep asymptotic regime, where z or (from z ~ 1e300, alpha >~ 256) the
+            # head overflows and the sum underflows: Phi ~ 4 a^2 lead(a) * t^(-1-2a)
             return scale * lead * math.exp((-1.0 - two_a) * math.log(t))
         p = z / (1.0 + z)
         w = 1.0 / (1.0 + z)
@@ -131,7 +128,7 @@ def transition_evaluator(n: int, alpha: RationalLike) -> Callable[[float], float
         for c, e in terms:
             total += c * pj * w ** e
             pj *= p
-        return scale * t ** (two_a - 1.0) * total
+        return head * total
 
     return phi
 

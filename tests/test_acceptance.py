@@ -21,14 +21,14 @@ from khabcheck.quadrature import (
     integrate_weight_prime_moment,
     extremal_density_fn,
     log_spaced,
+    reconstruction_sweep,
     verify_conjecture_chain,
-    verify_reconstruction,
     verify_weighted_moment,
 )
 from khabcheck.termalgebra import mixed_eval
 from khabcheck.transition import (
     oracle_equiv_check,
-    transition_eval,
+    transition_evaluator,
     transition_poly,
     transition_via_base_derivatives,
 )
@@ -102,9 +102,9 @@ def test_criterion_5_reconstruction_identity():
     worst = 0.0
     for n in range(5):
         for alpha in (F(1, 4), F(1, 2)):
+            sweep = reconstruction_sweep(n, alpha)  # one per (n, alpha), as the CLI builds
             for y in (0.5, 1.0, 2.0):
-                check = verify_reconstruction(n, alpha, y)
-                worst = max(worst, abs(check.residual))
+                worst = max(worst, abs(sweep(y).residual))
     _verdict(5, worst <= 1e-6, time.perf_counter() - start, 60.0,
              f"reconstruction residual over 30 (n, alpha, y) cells: "
              f"worst {worst:.2e} <= 1e-6")
@@ -176,7 +176,7 @@ def test_criterion_8_positivity_region():
 def test_criterion_9_documented_route_mismatch():
     start = time.perf_counter()
     shortcut = mixed_eval(transition_via_base_derivatives(1), 0.5, 2.0)
-    true_value = transition_eval(1, F(1, 2), 2.0)
+    true_value = transition_evaluator(1, F(1, 2))(2.0)
     gap = abs(shortcut - true_value)
     ok = gap > 1e-2
     _verdict(9, ok, time.perf_counter() - start, 1.0,

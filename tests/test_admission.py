@@ -28,8 +28,8 @@ from khabcheck.quadrature import (
     extremal_density_fn,
     integrate_log_moment,
     integrate_weight_prime_moment,
+    reconstruction_sweep,
     verify_conjecture_chain,
-    verify_reconstruction,
     verify_weighted_moment,
 )
 from khabcheck.termalgebra import MixedSum
@@ -64,7 +64,8 @@ ENTRIES = {
     "extremal_density_fn": _density,
     "integrate_log_moment": integrate_log_moment,
     "integrate_weight_prime_moment": integrate_weight_prime_moment,
-    "verify_reconstruction": lambda a: verify_reconstruction(1, a, 0.5),
+    # the reconstruction check at one y, keyed by the check rather than its builder
+    "verify_reconstruction": lambda a: reconstruction_sweep(1, a)(0.5),
     "verify_weighted_moment": lambda a: verify_weighted_moment(1, a),
     "verify_conjecture_chain": lambda a: verify_conjecture_chain(1, a, DENSITY),
 }

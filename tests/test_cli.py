@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from khabcheck.cli import _SUITES, _scored_record, main
+from khabcheck.cli import _SUITES, _record, _scored_record, main
 from khabcheck.quadrature import DEFAULT_CONFIG, QuadResult, ResidualCheck
 
 
@@ -79,6 +79,51 @@ def test_chain_suite_inconclusive_when_gate_fails(capsys):
     assert rec["check"] == "conjecture-chain"
     assert rec["status"] == "inconclusive"
     assert rec["params"]["positivity"] == "Negative"
+
+
+@pytest.mark.parametrize("alpha, code, statuses", [
+    ("102", 0, ["pass", "pass", "inconclusive", "inconclusive"]),
+    # the premise target t^alpha at t = 10^3 exceeds DBL_MAX once
+    # alpha > log(DBL_MAX) / log(10^3) ~ 102.7
+    ("103", 1, ["fail", "inconclusive", "inconclusive"]),
+])
+def test_chain_suite_float_range_ends_between_102_and_103(capsys, alpha, code, statuses):
+    got, out, _ = run(capsys, "integrals", "--suite", "chain", "--alpha", alpha,
+                      "--no-timestamp")
+    assert got == code
+    records = json.loads(out)["records"]
+    assert [r["status"] for r in records] == statuses
+    if code:
+        assert records[0]["params"]["n"] == 1
+        assert records[0]["params"]["error"].startswith("OverflowError")
+
+
+def test_reconstruction_passes_where_the_evaluator_head_overflows(capsys):
+    # at alpha = 256, n = 2, y = 1 the integrand reaches z = t^(2a) ~ 1e300,
+    # where 4 a^2 t^(2a-1) overflows while the polynomial sum underflows
+    code, out, _ = run(capsys, "integrals", "--suite", "reconstruction", "--alpha", "256",
+                       "--n", "2", "--y", "1", "--no-timestamp")
+    assert code == 0
+    (r,) = json.loads(out)["records"]
+    assert r["status"] == "pass"
+
+
+def test_check_tol_reads_a_rational(capsys):
+    code, out, _ = run(capsys, "integrals", "--suite", "logmoment", "--alpha", "1",
+                       "--check-tol", "1/2", "--no-timestamp")
+    assert code == 0
+    assert json.loads(out)["config"]["checkTol"] == 0.5
+
+
+@pytest.mark.parametrize("field", ["target", "value", "residual"])
+@pytest.mark.parametrize("number", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_number_fails_its_record_and_is_named(field, number):
+    numbers = {"target": 1.0, "value": 1.0, "residual": 0.0, field: number}
+    r = _record("c", {"n": 1}, "pass", **numbers)
+    assert r["status"] == "fail"
+    assert r[field] is None
+    assert r["params"] == {"n": 1, "error": f"NonFiniteResult: {field} is {number}"}
+    assert all(r[k] == numbers[k] for k in numbers if k != field)
 
 
 def test_suite_all_runs_every_family(capsys):
@@ -242,10 +287,13 @@ def test_zero_alpha_is_rejected(capsys):
      "argument --y: not a finite real: '1/0'"),
     ("integrals --suite logmoment --alpha 1 --check-tol -1",
      "argument --check-tol: must be nonnegative and finite: '-1'"),
+    ("integrals --suite logmoment --alpha 1 --check-tol 1/0",
+     "argument --check-tol: not a finite real: '1/0'"),
     ("scan --n 1 --alpha-grid 0:1:1/2", "argument --alpha-grid: alpha must be positive"),
     ("scan --n 1 --alpha-grid=-1/2:1:1/2", "argument --alpha-grid: alpha must be positive"),
 ], ids=["empty-list", "negative-index", "empty-range", "grid-shape", "zero-tol",
-        "infinite-y", "negative-check-tol", "zero-grid-start", "negative-grid-start"])
+        "infinite-y", "negative-check-tol", "infinite-check-tol", "zero-grid-start",
+        "negative-grid-start"])
 def test_usage_errors_print_the_parsers_message(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv.split())
@@ -280,6 +328,12 @@ def _allowed_residual(r):
         return max(tol, DEFAULT_CONFIG.rel_tol * abs(r["target"]))
     return tol
 
+
+def _refuse_non_finite(constant):
+    # RFC 8259 has no NaN or Infinity; Python's json would read them
+    raise ValueError(f"non-finite number in a JSON report: {constant}")
+
+
 EXTREME_ALPHAS = [F(2) ** k for k in range(-8, 15)] + [F(1, 10**150), F(10**150)]
 
 
@@ -297,7 +351,7 @@ def test_every_command_completes_and_explains_its_failures(capsys, alpha):
         assert code in (0, 1), argv
         if argv.startswith("plot-data"):
             continue
-        for r in json.loads(out)["records"]:
+        for r in json.loads(out, parse_constant=_refuse_non_finite)["records"]:
             if r["status"] == "fail":
                 assert ("error" in r["params"]
                         or not abs(r["residual"]) <= _allowed_residual(r)), (argv, r)

@@ -25,12 +25,11 @@ from khabcheck.quadrature import (
     log_spaced,
     reconstruction_sweep,
     verify_conjecture_chain,
-    verify_reconstruction,
     verify_weighted_moment,
 )
 from khabcheck.positivity import PositivityVerdict, Status
 from khabcheck.kernel import kernel_eval
-from khabcheck.transition import transition_eval, transition_evaluator
+from khabcheck.transition import transition_evaluator
 
 
 # -- configuration and result plumbing ----------------------------------------
@@ -146,6 +145,13 @@ def test_half_line_rejects_nonconvergent_decay():
         integrate_half_line(lambda t: 1.0 / (1.0 + t), decay_power=0.0)
 
 
+def test_chain_conclusion_rejects_a_density_that_decays_too_slowly():
+    # the conclusion integrand decays like t^(-1-d), d = 2a - 1 - 0 = 0 at a = 1/2
+    q = DensityFunction(lambda t: 1.0, power_at_zero=0.0, power_at_infinity=0.0)
+    with pytest.raises(ValueError, match=r"^tail decay power 0\.0 does not converge$"):
+        verify_conjecture_chain(1, F(1, 2), q)
+
+
 def test_unit_interval_rejects_nonintegrable_endpoint_power():
     with pytest.raises(ValueError, match=r"^endpoint power -1\.0 is not integrable$"):
         integrate_unit_interval(lambda t: 1.0 / t, power_at_zero=-1.0)
@@ -201,7 +207,7 @@ def test_kernel_weighted_density_integral():
 @pytest.mark.parametrize("alpha", [F(1, 4), F(1, 2)])
 @pytest.mark.parametrize("y", [0.5, 2.0])
 def test_reconstruction_identity(n, alpha, y):
-    check = verify_reconstruction(n, alpha, y)
+    check = reconstruction_sweep(n, alpha)(y)
     assert check.quad.converged
     assert abs(check.residual) < 1e-8
 
@@ -211,7 +217,7 @@ def test_reconstruction_identity(n, alpha, y):
 @pytest.mark.parametrize("n, alpha, y", [(1, F(2), 1e-4), (1, F(4), 1e-2),
                                          (6, F(1, 2), 1e-8)])
 def test_converged_reconstruction_is_within_tolerance(n, alpha, y):
-    check = verify_reconstruction(n, alpha, y)
+    check = reconstruction_sweep(n, alpha)(y)
     assert not check.quad.converged or abs(check.residual) <= 1e-6
 
 
@@ -229,7 +235,8 @@ def test_weighted_moment_identity(n, alpha):
 
 def test_transform_of_plain_power_has_closed_form():
     # n=1, a=1/2, psi = sqrt: integral of t^(1/2) / (1+t)^2 over (0, oo) equals pi/2
-    r = integrate_half_line(lambda t: transition_eval(0, F(1, 2), t) * math.sqrt(t),
+    phi = transition_evaluator(0, F(1, 2))
+    r = integrate_half_line(lambda t: phi(t) * math.sqrt(t),
                             power_at_zero=0.5, decay_power=0.5)
     assert r.converged
     assert r.value == pytest.approx(math.pi / 2.0, rel=1e-12)
@@ -411,14 +418,14 @@ def test_chain_premise_holds_at_large_targets(alpha):
 def test_reconstruction_falls_back_to_graded_pass(n, alpha):
     # flattening u^(2a-1) with m = 1/(2a) ~ 0.18 stalls QUADPACK's
     # extrapolation; the graded pass of the same integrand converges
-    check = verify_reconstruction(n, alpha, 0.5)
+    check = reconstruction_sweep(n, alpha)(0.5)
     assert check.quad.converged
     assert abs(check.residual) <= 1e-6
 
 
 def test_fallback_counts_the_subdivisions_of_both_passes():
     # 14 in the flattened pass that stalls, 5 in the graded pass that converges
-    check = verify_reconstruction(4, F(11163, 4099), 0.5)
+    check = reconstruction_sweep(4, F(11163, 4099))(0.5)
     assert check.quad.converged
     assert check.quad.subdivisions_used == 14 + 5
 
@@ -529,7 +536,7 @@ def test_reconstruction_sweep_equals_one_shot_integrals_bit_for_bit(monkeypatch,
     sweep = reconstruction_sweep(n, alpha)
     for y in (1e-3, 0.5, 1.0, 2.0, 1e3):
         swept = sweep(y)
-        one_shot = verify_reconstruction(n, alpha, y)
+        one_shot = reconstruction_sweep(n, alpha)(y)  # a fresh table per y
         assert _bits(swept.quad) == _bits(one_shot.quad) \
             == _bits(_tableless_reconstruction(n, alpha, y))
         assert (swept.value, swept.target) == (one_shot.value, one_shot.target)

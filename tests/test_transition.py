@@ -18,7 +18,6 @@ from khabcheck.transition import (
     log_weight,
     log_weight_derivatives,
     oracle_equiv_check,
-    transition_eval,
     transition_evaluator,
     transition_oracle,
     transition_poly,
@@ -187,55 +186,56 @@ def test_negative_index_rejected():
     with pytest.raises(ValueError):
         transition_poly(-1)
     with pytest.raises(ValueError):
-        transition_eval(-1, F(1, 2), 1.0)
+        transition_evaluator(-1, F(1, 2))
 
 
 # -- float evaluation ---------------------------------------------------------
 
 def test_frozen_point_values():
-    assert transition_eval(0, F(1, 2), 1.0) == pytest.approx(0.25, abs=1e-15)
-    assert transition_eval(1, F(1, 2), 1.0) == pytest.approx(0.25, abs=1e-15)
-    assert transition_eval(3, F(1, 2), 2.0) == pytest.approx(32.0 / 243.0,
-                                                             rel=1e-14)
+    assert transition_evaluator(0, F(1, 2))(1.0) == pytest.approx(0.25, abs=1e-15)
+    assert transition_evaluator(1, F(1, 2))(1.0) == pytest.approx(0.25, abs=1e-15)
+    assert transition_evaluator(3, F(1, 2))(2.0) == pytest.approx(32.0 / 243.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_half_alpha_has_elementary_closed_form(n):
     # (n+1) t^n / (1+t)^(n+2)
+    phi = transition_evaluator(n, F(1, 2))
     for t in (0.05, 0.5, 1.0, 3.0, 40.0):
         expected = (n + 1) * t ** n / (1.0 + t) ** (n + 2)
-        assert transition_eval(n, F(1, 2), t) == pytest.approx(expected,
-                                                               rel=1e-12)
+        assert phi(t) == pytest.approx(expected, rel=1e-12)
 
 
 def test_evaluator_matches_pointwise_calls():
+    # one evaluator reused over a grid equals a fresh one at each point
     phi = transition_evaluator(4, F(1, 3))
     for t in (0.01, 0.7, 13.0):
-        assert phi(t) == transition_eval(4, F(1, 3), t)
+        assert phi(t) == transition_evaluator(4, F(1, 3))(t)
 
 
 def test_extreme_arguments_stay_finite_and_positive():
     for n in (0, 3, 8):
+        phi = transition_evaluator(n, F(1, 4))
         for t in (1e-280, 1e-12, 1e12, 1e280):
-            v = transition_eval(n, F(1, 4), t)
+            v = phi(t)
             assert math.isfinite(v)
             assert v >= 0.0
 
 
 def test_overflowing_power_takes_the_asymptotic_branch():
     # t^(2a) overflows a float here; Phi ~ 4 a^2 lead(P_n)(a) t^(-1-2a)
-    assert transition_eval(2, F(3), 1e120) == 0.0
+    assert transition_evaluator(2, F(3))(1e120) == 0.0
     t = 10.0 ** 3.1
     P = transition_poly(1)
     lead = float(row_value(P.rows[-1], P.den, F(50)))
     expected = math.exp(math.log(4 * 50.0 ** 2 * lead) - 101.0 * math.log(t))
-    assert transition_eval(1, F(50), t) == pytest.approx(expected, rel=1e-6)
+    assert transition_evaluator(1, F(50))(t) == pytest.approx(expected, rel=1e-6)
 
 
 @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, -math.inf, math.nan])
 def test_non_positive_or_non_finite_t_is_rejected(t):
     with pytest.raises(ValueError):
-        transition_eval(3, F(1, 4), t)
+        transition_evaluator(3, F(1, 4))(t)
 
 
 @settings(max_examples=300, deadline=None)
@@ -243,7 +243,20 @@ def test_non_positive_or_non_finite_t_is_rejected(t):
        alpha=st.fractions(min_value=F(1, 256), max_value=8, max_denominator=4099),
        t=st.floats(min_value=1e-300, max_value=1e300))
 def test_evaluation_is_finite_over_the_supported_range(n, alpha, t):
-    assert math.isfinite(transition_eval(n, alpha, t))
+    assert math.isfinite(transition_evaluator(n, alpha)(t))
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("alpha", [256, 512])
+def test_evaluation_is_finite_where_z_nears_the_float_limit(n, alpha):
+    # with z = t^(2a) in [1e300, DBL_MAX] the head 4 a^2 t^(2a-1) can overflow
+    # while the polynomial sum underflows: inf * 0 would be NaN
+    phi = transition_evaluator(n, alpha)
+    lo, hi = 1e300 ** (1 / (2 * alpha)), sys.float_info.max ** (1 / (2 * alpha))
+    for i in range(401):
+        t = lo + (hi - lo) * i / 400
+        v = phi(t)
+        assert math.isfinite(v) and v >= 0.0, t
 
 
 # -- log-weight and the derivative oracle ------------------------------------
@@ -364,12 +377,12 @@ def test_step_recurrence_via_finite_differences():
             for t in (0.3, 1.0, 3.0):
                 h = t * 1e-6
 
-                def scaled(u, _n=n, _a=alpha):
-                    return transition_eval(_n - 1, _a, u) * u ** (1 - _n)
+                def scaled(u, _n=n, _prev=transition_evaluator(n - 1, alpha)):
+                    return _prev(u) * u ** (1 - _n)
 
                 slope = (scaled(t + h) - scaled(t - h)) / (2 * h)
                 expected = -(t ** n / n) * slope
-                got = transition_eval(n, alpha, t)
+                got = transition_evaluator(n, alpha)(t)
                 assert got == pytest.approx(expected, rel=1e-5)
 
 
@@ -380,10 +393,10 @@ def test_alternative_shortcut_disagrees_beyond_base_case():
     # base case: exact agreement
     for t in (0.5, 1.0, 2.0):
         assert mixed_eval(transition_via_base_derivatives(0), 0.5, t) == (
-            pytest.approx(transition_eval(0, F(1, 2), t), rel=1e-14))
+            pytest.approx(transition_evaluator(0, F(1, 2))(t), rel=1e-14))
     # first step: off by a factor 2 at this point (2/27 versus 4/27)
     shortcut = mixed_eval(transition_via_base_derivatives(1), 0.5, 2.0)
-    true_value = transition_eval(1, F(1, 2), 2.0)
+    true_value = transition_evaluator(1, F(1, 2))(2.0)
     assert true_value == pytest.approx(4.0 / 27.0, rel=1e-14)
     assert shortcut == pytest.approx(2.0 / 27.0, rel=1e-12)
     assert abs(shortcut - true_value) > 1e-2
@@ -440,7 +453,7 @@ def test_family_builder_and_validation():
     assert len(fam.polys) == 5
     assert fam.validate()
     phi2 = transition_evaluator(2, fam.alpha)
-    assert phi2(1.0) == pytest.approx(transition_eval(2, F(1, 2), 1.0))
+    assert phi2(1.0) == pytest.approx(3.0 / 16.0, rel=1e-14)  # 3 t^2 / (1+t)^4
 
 
 def test_oracle_comparison_fails_points_whose_deviation_is_not_finite():
@@ -479,7 +492,7 @@ def test_float_values_match_golden_reprs():
     for row in rows:
         n, a, t = row["n"], F(row["alpha"]), float(row["t"])
         got = (repr(mixed_eval(transition_oracle(n), float(a), t)),
-               repr(transition_eval(n, a, t)))
+               repr(transition_evaluator(n, a)(t)))
         if got != (row["oracle"], row["recurrence"]):
             mismatches.append((row, got))
     assert mismatches == []
