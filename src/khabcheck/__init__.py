@@ -28,7 +28,6 @@ from .transition import (
     transition_evaluator,
     transition_oracle,
     transition_poly,
-    transition_via_base_derivatives,
 )
 from .positivity import (
     PositivityVerdict,
@@ -60,7 +59,7 @@ __all__ = [
     "OracleAgreement", "PhiFamily", "log_weight", "log_weight_derivatives",
     "oracle_equiv_check",
     "transition_evaluator", "transition_oracle",
-    "transition_poly", "transition_via_base_derivatives",
+    "transition_poly",
     "PositivityVerdict", "ScanReport", "Status",
     "alpha_threshold", "poly_nonneg_on_pos", "region_scan",
     "ChainReport", "DensityFunction", "QuadConfig", "QuadResult",

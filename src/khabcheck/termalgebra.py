@@ -20,17 +20,15 @@ exactly, in canonical form, without a general CAS.
 ``exact.ZPolynomial``: each sorted key ``(k, p, q)`` maps to the integer
 alpha-coefficients of its term, equal keys merge, zero terms are dropped and
 the whole is in lowest terms, so two sums representing the same function as
-a formal linear combination compare equal.  Its operations (``scale``,
-``derivative``) are integer row operations, and a single term is built
-from its row, e.g. ``MixedSum((((1, -1, 0), (0, -2)),))`` for
+a formal linear combination compare equal.  A single term is built from its
+row, e.g. ``MixedSum((((1, -1, 0), (0, -2)),))`` for
 -2*alpha * t**(-1) * (1 + t**beta)**(-1); a sum of sums is the constructor
 given their rows over a common denominator.  Only the constructor admits
-its entries (through ``exact``'s admission step); the operations start
-from admitted ints, so their rows go straight to ``exact``'s reduction,
-once per result.  ``derivative`` builds each output key's row in one
-pass from the (at most two) keys that feed it.  ``_shifted_sum`` is the
-one merge, of ``scale`` and of the derivative oracle: a combination of
-terms c * t**m * s of sums s, over one common denominator.
+its entries (through ``exact``'s admission step).  The one operation,
+``derivative``, starts from admitted ints: it builds each output key's row
+in one pass from the (at most two) keys that feed it, and reduces once.
+The derivative oracle (``transition.transition_oracle``) applies the same
+rule as one row formula and builds its sum through ``MixedSum._of_ints``.
 
 ``mixed_evaluator(s, alpha)`` is the float view: each term's coefficient
 and exponents are reduced to floats once per (sum, alpha), and the closure
@@ -41,11 +39,10 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from itertools import zip_longest
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from .exact import Value, _admitted, _reduced, rational
+from .exact import Value, _admitted, _reduced
 
 
 class MixedSum(Value):
@@ -77,19 +74,17 @@ class MixedSum(Value):
             acc = merged.get(key)
             merged[key] = row if acc is None else [
                 x + y for x, y in zip_longest(acc, row, fillvalue=0)]
-        self._set(*_canonical_rows(merged, den))
+        keys = sorted(merged)
+        self._set(*_sum_fields(keys, [merged[key] for key in keys], den))
 
     @classmethod
-    def _canonical(cls, rows: tuple, den: int) -> MixedSum:
-        """A sum from rows that are already sorted, unique, nonempty and in
-        lowest terms over ``den``: nothing is admitted or merged again."""
+    def _of_ints(cls, keys: list, rows: list[list[int]], den: int) -> MixedSum:
+        """The sum of integer ``rows`` at sorted, unique ``keys`` over ``den`` > 0
+        that the package computed itself from admitted ints: reduced, not
+        admitted or merged again."""
         s = object.__new__(cls)
-        s._set(rows, den)
+        s._set(*_sum_fields(keys, rows, den))
         return s
-
-    def scale(self, factor: Fraction | int) -> MixedSum:
-        f = rational(factor)
-        return _shifted_sum(((f.numerator, 0, self),), f.denominator)
 
     def derivative(self) -> MixedSum:
         """d/dt by the closed-form rule above, one output key at a time.
@@ -108,32 +103,13 @@ class MixedSum(Value):
             two_q, k2 = 2 * q, 2 - 2 * k
             rows.append([p * x + two_q * y + k2 * z for x, y, z in zip_longest(
                 r, (0, *r), (0, *src.get((k - 1, p, q - 1), ())), fillvalue=0)])
-        rows, den = _reduced(rows, self.den)
-        return MixedSum._canonical(
-            tuple((key, tuple(row)) for key, row in zip(keys, rows) if row), den)
+        return MixedSum._of_ints(keys, rows, self.den)
 
 
-def _shifted_sum(parts: Sequence[tuple[int, int, MixedSum]], den: int) -> MixedSum:
-    """(the sum of c * t**m * s over the (c, m, s) of ``parts``) / den, for
-    int c and m and den > 0: the rows of every part over one common
-    denominator, merged once and reduced without being admitted again."""
-    common = math.lcm(*(s.den for _, _, s in parts))
-    merged: dict[tuple[int, int, int], list[int]] = {}
-    for c, m, s in parts:
-        f = c * (common // s.den)
-        for (k, p, q), row in s.rows:
-            key = (k, p + m, q)
-            acc = merged.get(key)
-            merged[key] = [f * x for x in row] if acc is None else [
-                x + f * y for x, y in zip_longest(acc, row, fillvalue=0)]
-    return MixedSum._canonical(*_canonical_rows(merged, common * den))
-
-
-def _canonical_rows(merged: dict, den: int) -> tuple[tuple, int]:
-    """``merged``'s rows in key order, put in lowest terms over one
-    denominator by ``_reduced``, with the empty ones dropped."""
-    keys = sorted(merged)
-    rows, den = _reduced([merged[key] for key in keys], den)
+def _sum_fields(keys: list, rows: list[list[int]], den: int) -> tuple[tuple, int]:
+    """A ``MixedSum``'s fields from the rows at sorted, unique keys: reduced
+    once by ``_reduced``, with the empty rows dropped."""
+    rows, den = _reduced(rows, den)
     return tuple((key, tuple(row)) for key, row in zip(keys, rows) if row), den
 
 

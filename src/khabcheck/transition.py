@@ -17,14 +17,14 @@ Two fully independent constructions are maintained side by side:
 
         Phi_n = -d/dt [ (-t)^(n+1)/n! * w^(n+1)(t) ],
 
-    built entirely inside the closed term algebra of ``termalgebra``, by
-    the product rule from the cached chain of derivatives of w.
+    built entirely inside the closed term algebra of ``termalgebra``: the
+    cached chain of derivatives of w up to w^(n+1), and one integer row
+    formula that folds the product rule's two sums into one.
 
 Agreement of the two paths on sample grids is the core cross-validation of
 this package.  A third construction that *looks* equivalent at first
-glance -- taking plain t-derivatives of Phi_0 -- is provided as
-``transition_via_base_derivatives`` purely so the test suite can document
-that it does NOT agree with the other two (see that function's docstring).
+glance -- taking plain t-derivatives of Phi_0 -- does NOT agree with the
+other two from n = 1 on; the test suite builds it to pin the mismatch down.
 """
 
 from __future__ import annotations
@@ -32,10 +32,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Callable, NamedTuple, Sequence
 
 from .exact import RationalLike, ZPolynomial, positive_rational
-from .termalgebra import MixedSum, _shifted_sum, mixed_evaluator
+from .termalgebra import MixedSum, mixed_evaluator
 
 # ---------------------------------------------------------------------------
 # recurrence path
@@ -92,6 +93,10 @@ def transition_poly(n: int) -> ZPolynomial:
     return ZPolynomial._of_ints(rows, m * prev.den)
 
 
+#: the z = t^(2a) past which ``transition_evaluator`` takes the asymptotic form
+_Z_ASYMPTOTIC = 2.0 ** 511
+
+
 def transition_evaluator(n: int, alpha: RationalLike) -> Callable[[float], float]:
     """A fast closure t -> Phi_n(alpha, t), for use inside quadrature loops.
 
@@ -116,10 +121,11 @@ def transition_evaluator(n: int, alpha: RationalLike) -> Callable[[float], float
             z = t ** two_a
         except OverflowError:
             z = math.inf
-        head = scale * t ** (two_a - 1.0) if z < math.inf else math.inf
+        head = scale * t ** (two_a - 1.0) if z <= _Z_ASYMPTOTIC else math.inf
         if head == math.inf and z > 1.0:
-            # deep asymptotic regime, where z or (from z ~ 1e300, alpha >~ 256) the
-            # head overflows and the sum underflows: Phi ~ 4 a^2 lead(a) * t^(-1-2a)
+            # deep asymptotic regime: past z = 2^511, w^2 is no longer a normal
+            # float and the sum underflows; at a huge alpha the head overflows
+            # first.  There Phi = 4 a^2 lead(a) * t^(-1-2a) * (1 + O(1/z))
             return scale * lead * math.exp((-1.0 - two_a) * math.log(t))
         p = z / (1.0 + z)
         w = 1.0 / (1.0 + z)
@@ -184,34 +190,30 @@ def transition_oracle(n: int) -> MixedSum:
 
         Phi_n(t) = (-1)^n/n! * [ (n+1) t^n w^(n+1)(t) + t^(n+1) w^(n+2)(t) ],
 
-    so it is one merge of two sums of the cached chain
-    ``log_weight_derivatives(n + 2)``.  It makes no reference to the
-    polynomial recurrence, so the two paths are genuinely independent
-    cross-checks of each other.
+    and then by the derivative rule once more, so only w^(n+1) is read.
+    Every key of w^(n+1) is (q+1, -n-1, q), q = 0..n; call its alpha-row r_q,
+    with r_(-1) = r_(n+1) = 0.  By ``MixedSum.derivative``'s rule the row of
+    w^(n+2) at key (q+1, -n-2, q) is (2q*alpha - n - 1) r_q - 2q*alpha r_(q-1).
+    Adding (n+1) r_q leaves 2q*alpha (r_q - r_(q-1)), and the q = 0 key
+    cancels.  So Phi_n's row at key (q+1, -1, q) is
+
+        (-1)^n/n! * 2q*alpha * (r_q - r_(q-1)),      q = 1..n+1,
+
+    one integer row each over n! times the denominator of w^(n+1), reduced
+    once.  It reads the cached chain ``log_weight_derivatives(n + 1)`` and
+    makes no reference to the polynomial recurrence, so the two paths are
+    genuinely independent cross-checks of each other.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
-    derivs = log_weight_derivatives(n + 2)  # derivs[n] is w^(n+1)
+    w = log_weight_derivatives(n + 1)[n]  # w^(n+1)
+    src = dict(w.rows)
+    r = [src.get((q + 1, -n - 1, q), ()) for q in range(n + 2)]  # r_(n+1) is absent: ()
     sign = (-1) ** n
-    return _shifted_sum(((sign * (n + 1), n, derivs[n]), (sign, n + 1, derivs[n + 1])),
-                        math.factorial(n))
-
-
-def transition_via_base_derivatives(n: int) -> MixedSum:
-    """The *suspect* shortcut  (-1)^n/n! * d^n/dt^n Phi_0  as a mixed sum.
-
-    This expression is tempting because it looks like an iterated version of
-    the n = 0 case, but it is NOT equal to Phi_n for n >= 1: already at
-    alpha = 1/2, n = 1 it produces 2/(1+t)^3 where the true transition
-    function is 2t/(1+t)^3.  It exists solely so the test suite can pin the
-    mismatch down quantitatively; nothing else in the package calls it.
-    """
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    s = transition_oracle(0)
-    for _ in range(n):
-        s = s.derivative()
-    return s.scale(Fraction((-1) ** n, math.factorial(n)))
+    rows = [[0, *(2 * q * sign * (x - y) for x, y in zip_longest(r[q], r[q - 1], fillvalue=0))]
+            for q in range(1, n + 2)]
+    keys = [(q + 1, -1, q) for q in range(1, n + 2)]
+    return MixedSum._of_ints(keys, rows, math.factorial(n) * w.den)
 
 
 # ---------------------------------------------------------------------------

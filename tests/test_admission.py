@@ -97,8 +97,6 @@ def test_exact_evaluators_refuse_floats():
         row_value([1, 2], 1, 0.5)
     with pytest.raises(TypeError):
         MixedSum([((1, 0, 0), [0.5])])
-    with pytest.raises(TypeError):
-        MixedSum([((1, 0, 0), [1])]).scale(0.5)
 
 
 @pytest.mark.parametrize("den", [0, -1])

@@ -43,6 +43,13 @@ def plus(*sums):
                      for s in sums for key, row in s.rows], den)
 
 
+def scaled(s, f):
+    """f * s for a rational f, rebuilt through the constructor."""
+    f = F(f)
+    return MixedSum([(key, [f.numerator * x for x in row]) for key, row in s.rows],
+                    s.den * f.denominator)
+
+
 # -- rational parsing ------------------------------------------------------
 
 def test_rational_parses_strings_and_ints():
@@ -154,7 +161,7 @@ def test_alpha_poly_round_trips_through_num_and_den(P):
 
 @given(mixed_sums())
 def test_zero_difference_has_unit_denominator(S):
-    zero = plus(S, S.scale(-1))
+    zero = plus(S, scaled(S, -1))
     assert zero.rows == ()
     assert zero.den == 1
 
@@ -211,8 +218,9 @@ def test_specialize_matches_fraction_horner(P, a):
 # -- the alpha-coefficient rows under the term algebra's operations ---------
 #
 # A MixedSum keeps one alpha-row per key: the constructor adds the rows of
-# equal keys, ``scale`` multiplies them by a rational, and ``derivative``
-# multiplies them by the alpha-polynomials p + 2q*alpha and -2k*alpha.
+# equal keys (and, given them over a larger denominator, scales them by a
+# rational), and ``derivative`` multiplies them by the alpha-polynomials
+# p + 2q*alpha and -2k*alpha.
 
 @given(mixed_sums(), mixed_sums())
 def test_alpha_addition_commutes(S, U):
@@ -222,7 +230,7 @@ def test_alpha_addition_commutes(S, U):
 @given(mixed_sums(), mixed_sums(), small_fractions)
 @settings(max_examples=50)
 def test_alpha_multiplication_distributes(S, U, f):
-    assert plus(S, U).scale(f) == plus(S.scale(f), U.scale(f))
+    assert scaled(plus(S, U), f) == plus(scaled(S, f), scaled(U, f))
 
 
 @given(mixed_sums(), mixed_sums(), small_fractions)
@@ -265,16 +273,6 @@ def test_alpha_degree_of_product_adds(k, p, q, row):
         assert len(weight) - 1 == d + 1
     else:
         assert weight is None
-
-
-# -- mixed scalar arithmetic ------------------------------------------------
-
-def test_int_and_fraction_coercion():
-    # a scale factor is admitted through ``rational``: an int, the equal
-    # Fraction and its string are one factor
-    S = MixedSum([((0, 0, 0), [1, 2])])  # 2a + 1
-    assert S.scale(2) == S.scale(F(2)) == S.scale("2") == MixedSum([((0, 0, 0), [2, 4])])
-    assert S.scale(F(1, 2)) == MixedSum([((0, 0, 0), [1, 2])], 2)
 
 
 def test_specialize_strips_trailing_zeros():

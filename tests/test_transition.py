@@ -21,7 +21,6 @@ from khabcheck.transition import (
     transition_evaluator,
     transition_oracle,
     transition_poly,
-    transition_via_base_derivatives,
 )
 
 
@@ -259,6 +258,36 @@ def test_evaluation_is_finite_where_z_nears_the_float_limit(n, alpha):
         assert math.isfinite(v) and v >= 0.0, t
 
 
+def _exact_phi(n, a, t):
+    """Phi_n(a, t) = 4a^2 z P_n(a, z) / (t (1+z)^(n+2)) with z = t^(2a), for an
+    integer alpha and a float t, in integers (t = u/v, z = U/V) up to one
+    correctly rounded division."""
+    u, v = t.as_integer_ratio()
+    U, V = u ** (2 * a), v ** (2 * a)
+    row, den = transition_poly(n).specialize(a)
+    s = sum(c * U ** j * V ** (n - j) for j, c in enumerate(row))  # den V^n P_n(a, z)
+    return 4 * a * a * U * s * v * V / (den * u * (U + V) ** (n + 2))
+
+
+@pytest.mark.parametrize("n", [0, 3])
+@pytest.mark.parametrize("alpha", [270, 300, 500])
+def test_evaluation_is_accurate_where_the_weight_squared_is_subnormal(n, alpha):
+    # at t = 2, z = 2^(2a) > 2^511: w^2 = (1+z)^(-2) is no longer a normal
+    # float, and the p/w sum underflowed to a silent 0.0
+    want = _exact_phi(n, alpha, 2.0)
+    assert abs(transition_evaluator(n, alpha)(2.0) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("n", [0, 2, 4])
+def test_evaluation_is_accurate_up_to_the_float_limit_of_z(n):
+    # z = t^512 sampled from below 2^511 up to 2^1023, at alpha = 256
+    phi = transition_evaluator(n, 256)
+    for i in range(41):
+        t = 2.0 ** ((505 + 518 * i / 40) / 512)
+        want = _exact_phi(n, 256, t)
+        assert abs(phi(t) - want) <= 1e-12 * want, t
+
+
 # -- log-weight and the derivative oracle ------------------------------------
 
 def test_log_weight_values_and_symmetry():
@@ -358,6 +387,42 @@ def test_oracle_equals_the_generic_constructor_chain():
         assert (got.rows, got.den) == (want.rows, want.den)
 
 
+@pytest.mark.parametrize("n", [0, 20])
+def test_cold_oracle_reads_the_chain_only_up_to_w_of_order_n_plus_1(n):
+    transition_oracle.cache_clear()
+    log_weight_derivatives.cache_clear()
+    transition_oracle(n)
+    assert log_weight_derivatives.cache_info().currsize == n + 1
+
+
+def _stripped(row):
+    row = list(row)
+    while row and not row[-1]:
+        row.pop()
+    return tuple(row)
+
+
+def test_recurrence_equals_the_oracle_exactly():
+    # every oracle key has p = -1, so t * Phi_n is sum c_(q,k)(a) z^q (1+z)^(-k)
+    # in z = t^(2a), and Phi_n = 4a^2 t^(-1) z P_n / (1+z)^(n+2): the two
+    # constructions agree exactly when sum c_(q,k) z^q (1+z)^(n+2-k) = 4a^2 z P_n
+    # in Q[a][z]; here in integer rows, cross-multiplied by both denominators
+    for n in range(31):
+        oracle, P = transition_oracle(n), transition_poly(n)
+        left = {}  # power of z -> integer alpha-row
+        for (k, p, q), row in oracle.rows:
+            assert p == -1 and k <= n + 2, (n, k, p, q)
+            m = n + 2 - k
+            for i in range(m + 1):  # z^q (1+z)^m = sum_i C(m, i) z^(q+i)
+                c = math.comb(m, i) * P.den
+                left[q + i] = [x + c * y for x, y in
+                               zip_longest(left.get(q + i, ()), row, fillvalue=0)]
+        right = {j + 1: [0, 0, *(4 * oracle.den * x for x in row)]
+                 for j, row in enumerate(P.rows)}
+        assert ({j: _stripped(r) for j, r in left.items() if any(r)}
+                == {j: _stripped(r) for j, r in right.items() if any(r)}), n
+
+
 def test_oracle_agrees_with_polynomial_route():
     report = oracle_equiv_check(
         n_max=5,
@@ -386,16 +451,31 @@ def test_step_recurrence_via_finite_differences():
                 assert got == pytest.approx(expected, rel=1e-5)
 
 
+def _base_derivative_shortcut(n):
+    """The *suspect* shortcut (-1)^n/n! * d^n/dt^n Phi_0 as a mixed sum.
+
+    It looks like an iterated version of the n = 0 case, but it is NOT Phi_n
+    for n >= 1: already at alpha = 1/2, n = 1 it gives 2/(1+t)^3 where the
+    true transition function is 2t/(1+t)^3.
+    """
+    s = transition_oracle(0)
+    for _ in range(n):
+        s = s.derivative()
+    f = F((-1) ** n, math.factorial(n))
+    return MixedSum([(key, [f.numerator * x for x in row]) for key, row in s.rows],
+                    s.den * f.denominator)
+
+
 def test_alternative_shortcut_disagrees_beyond_base_case():
     """The tempting shortcut (scaled n-th derivatives of the base member)
     matches at n = 0 but is NOT the same family from n = 1 on; the gap is
     macroscopic and documented in the design notes."""
     # base case: exact agreement
     for t in (0.5, 1.0, 2.0):
-        assert mixed_eval(transition_via_base_derivatives(0), 0.5, t) == (
+        assert mixed_eval(_base_derivative_shortcut(0), 0.5, t) == (
             pytest.approx(transition_evaluator(0, F(1, 2))(t), rel=1e-14))
     # first step: off by a factor 2 at this point (2/27 versus 4/27)
-    shortcut = mixed_eval(transition_via_base_derivatives(1), 0.5, 2.0)
+    shortcut = mixed_eval(_base_derivative_shortcut(1), 0.5, 2.0)
     true_value = transition_evaluator(1, F(1, 2))(2.0)
     assert true_value == pytest.approx(4.0 / 27.0, rel=1e-14)
     assert shortcut == pytest.approx(2.0 / 27.0, rel=1e-12)
