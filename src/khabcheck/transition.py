@@ -11,20 +11,24 @@ Two fully independent constructions are maintained side by side:
     z = t^(2a).  Each P_n is integer rows over one denominator, one
     integer step of the recurrence from the cached P_{n-1}.
 
-2.  **Derivative oracle** (slow, independent): Phi_n is, by its defining
+2.  **Derivative oracle** (independent): Phi_n is, by its defining
     formula, a derivative of the weighted n+1-st derivative of the log
     weight  w(t) = ln(1 + t^(-2a)):
 
         Phi_n = -d/dt [ (-t)^(n+1)/n! * w^(n+1)(t) ],
 
-    built entirely inside the closed term algebra of ``termalgebra``: the
-    cached chain of derivatives of w up to w^(n+1), and one integer row
-    formula that folds the product rule's two sums into one.
+    one integer row formula over the chain of derivatives of w up to
+    w^(n+1) that folds the product rule's two sums into one.
+    ``transition_oracle`` builds it in Q[alpha] inside the closed term
+    algebra of ``termalgebra``, as the reference; ``oracle_equiv_check``
+    walks the same chain at one rational alpha in plain integers.
 
-Agreement of the two paths on sample grids is the core cross-validation of
-this package.  A third construction that *looks* equivalent at first
-glance -- taking plain t-derivatives of Phi_0 -- does NOT agree with the
-other two from n = 1 on; the test suite builds it to pin the mismatch down.
+Agreement of the two paths is the core cross-validation of this package:
+at each alpha, their exact identity in Q[z] decides, and their float
+views meet on a t grid, each within a running error bound.  A third
+construction that *looks* equivalent at first glance -- taking plain
+t-derivatives of Phi_0 -- does NOT agree with the other two from n = 1 on;
+the test suite builds it to pin the mismatch down.
 """
 
 from __future__ import annotations
@@ -33,10 +37,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .exact import RationalLike, ZPolynomial, positive_rational
-from .termalgebra import MixedSum, mixed_evaluator
+from .termalgebra import MixedSum
 
 # ---------------------------------------------------------------------------
 # recurrence path
@@ -106,7 +110,15 @@ def transition_evaluator(n: int, alpha: RationalLike) -> Callable[[float], float
         Phi_n = 4 a^2 t^(2a-1) * sum_j c_j p^j w^(n+2-j).
     """
     a = positive_rational(alpha)
-    row, den = transition_poly(n).specialize(a)
+    return _row_evaluator(*transition_poly(n).specialize(a), n, a)
+
+
+def _row_evaluator(row: Sequence[int], den: int, n: int, a: Fraction) -> Callable[[float], float]:
+    """``transition_evaluator``'s closure for the z-row ``row / den`` of P_n at alpha = a.
+
+    On the row of |c_j| it evaluates 4 a^2 t^(2a-1) * sum_j |c_j| p^j w^(n+2-j),
+    which scales the error bound of ``oracle_equiv_check``.
+    """
     # int / int rounds correctly, as float(Fraction) does; c_j goes with w^(n+2-j)
     terms = [(x / den, n + 2 - j) for j, x in enumerate(row)]
     af = float(a)
@@ -121,7 +133,10 @@ def transition_evaluator(n: int, alpha: RationalLike) -> Callable[[float], float
             z = t ** two_a
         except OverflowError:
             z = math.inf
-        head = scale * t ** (two_a - 1.0) if z <= _Z_ASYMPTOTIC else math.inf
+        try:
+            head = scale * t ** (two_a - 1.0) if z <= _Z_ASYMPTOTIC else math.inf
+        except OverflowError:  # a subnormal t at a small alpha
+            head = _head_from_logs(af, two_a, t)
         if head == math.inf and z > 1.0:
             # deep asymptotic regime: past z = 2^511, w^2 is no longer a normal
             # float and the sum underflows; at a huge alpha the head overflows
@@ -137,6 +152,17 @@ def transition_evaluator(n: int, alpha: RationalLike) -> Callable[[float], float
         return head * total
 
     return phi
+
+
+def _head_from_logs(af: float, two_a: float, t: float) -> float:
+    """4 a^2 t^(2a-1) where t^(2a-1) alone is past DBL_MAX: inf where the
+    product is too, and 0.0 where alpha underflowed to 0.0 as a float."""
+    if af == 0.0:
+        return 0.0
+    try:
+        return math.exp(math.log(4.0 * af) + math.log(af) + (two_a - 1.0) * math.log(t))
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +247,164 @@ def transition_oracle(n: int) -> MixedSum:
 # ---------------------------------------------------------------------------
 
 
+def _oracle_walk(a: Fraction, n_max: int) -> Iterator[tuple[list[int], int]]:
+    """``transition_oracle(n)`` at alpha = a, for n = 0..n_max, as integers over one denominator.
+
+    With a = num/b the rows of w^(m) are integers R_q over b^m, one per key
+    (q+1, -m, q), q = 0..m-1, starting from w' = [-2 num] over b.  Put
+    x_q = 2q num (R_q - R_(q-1)), reading R_(-1) = R_m = 0.  At m = n+1,
+    ``transition_oracle``'s row formula makes (-1)^n x_q, q = 1..n+1, the
+    coefficient of t^(-1) z^q (1+z)^(-q-1) in Phi_n over n! b^(n+2), and
+    ``MixedSum.derivative``'s rule makes x_q - m b R_q, q = 0..m, the rows
+    of w^(m+1) over b^(m+1).  So one walk of the derivative chain of w
+    yields every index, and it never reads the recurrence.
+    """
+    num, b = a.numerator, a.denominator
+    r, den = [-2 * num], b * b
+    for n in range(n_max + 1):
+        x = [2 * q * num * (hi - lo) for q, (lo, hi) in enumerate(zip([0, *r], [*r, 0]))]
+        yield (x[1:] if n % 2 == 0 else [-v for v in x[1:]]), den
+        mb = (n + 1) * b
+        r = [v - mb * y for v, y in zip(x, [*r, 0])]
+        den *= mb
+
+
+def _identity_holds(c: Sequence[int], den: int, row: Sequence[int], pden: int,
+                    a: Fraction) -> bool:
+    """Whether sum_q c_q z^q (1+z)^(n+1-q) = 4 a^2 z P_n(a, z) holds exactly.
+
+    ``c`` over ``den`` = n! b^(n+2) is the oracle at a = num/b (``_oracle_walk``)
+    and ``row`` over ``pden`` is P_n at a.  The left side is built as
+    T <- T (1+z) + c_q z^q, additions only; times b^2 pden, both sides are
+    integer rows in z.  Multiplied out by (1+z)^(-n-2) / t, the two sides are
+    the oracle and the recurrence's Phi_n.
+    """
+    left = [0]
+    for q, x in enumerate(c, 1):
+        left = [u + v for u, v in zip([*left, 0], [0, *left])]
+        left[q] += x
+    k = 4 * a.numerator ** 2 * (den // a.denominator ** 2)
+    right = [0, *(k * x for x in row)]
+    right += [0] * (len(left) - len(right))
+    return [pden * x for x in left] == right
+
+
+#: the unit roundoff of a double, and the most that one underflowing product
+#: or quotient adds to its error: the model of Higham (2002) sections 2.2 and 5.1
+_U = 2.0 ** -53
+_ETA = 2.0 ** -1074
+
+
+def _float_of(x: int, den: int) -> float:
+    """x / den, correctly rounded; a signed infinity past DBL_MAX."""
+    try:
+        return x / den
+    except OverflowError:  # "integer division result too large for a float"
+        return math.inf if x > 0 else -math.inf
+
+
+def _power(t: float, e: float) -> float:
+    """t ** e, infinite where it overflows."""
+    try:
+        return t ** e
+    except OverflowError:
+        return math.inf
+
+
+def _oracle_view(c: Sequence[int], den: int, n: int,
+                 two_a: float) -> Callable[[float], tuple[float, float]]:
+    """A closure t -> (Phi_n, its error bound) from the oracle's integers ``c`` over ``den``.
+
+    Every oracle key is (q+1, -1, q), so t Phi_n = w sum_q c_q p^q in
+    p = z/(1+z) and w = 1/(1+z), z = t^(2a) as a float: Horner in p on the
+    correctly rounded c_q.  The bound is Higham's running error bound
+    (2002, section 5.1) widened for the rounding of each c_q and of p, and
+    for underflow; it bounds the distance to t Phi_n at the float z, so
+    pow's own rounding of z is the one error it leaves out.
+    """
+    cs = [_float_of(x, den) for x in reversed(c)]  # c_(n+1) first
+    top, rest = cs[0], cs[1:]
+    k_final = 8.0 * _U
+    k_under = 2.0 * n + 4.0
+    u3 = 3.0 * _U
+
+    def at(t: float) -> tuple[float, float]:
+        z = _power(t, two_a)
+        if z == math.inf:  # then the true w is below 2^-1024
+            p, w, w_err = 1.0, 0.0, 2.0 ** -1024
+        else:
+            p, w, w_err = z / (1.0 + z), 1.0 / (1.0 + z), 0.0
+        # s = sum_q c_q p^(q-1); e bounds its error, first order in u
+        s = top
+        e = _U * abs(s)
+        for cq in rest:
+            sp = s * p
+            s = sp + cq
+            e = e * p + u3 * abs(sp) + _U * (abs(cq) + abs(s))
+        wp = w * p
+        value = wp * s / t
+        s_abs = abs(s) + e
+        # w, p, w p, (w p) s and / t round 8 u in all; 1 + 16 u covers second order
+        bound = (k_final * abs(value) + wp * e / t) * (1.0 + 2 * k_final) \
+            + _ETA * ((k_under + 3.0 * s_abs) / t + 1.0) + w_err * s_abs / t
+        return value, bound
+
+    return at
+
+
+def _recurrence_view(row: Sequence[int], den: int, n: int,
+                     a: Fraction) -> Callable[[float], tuple[float, float]]:
+    """A closure t -> (Phi_n, its error bound) by ``transition_evaluator``'s builder.
+
+    The value is the builder on ``row``, the bound the builder on |row|
+    (the value itself where no c_j is negative, as at every alpha <= 1/2)
+    times (4n + 24 + 3 (1 + 2a) |ln t|) u: each term of the p/w sum carries
+    at most (3n + 9) u, the sum n u, the head 4 a^2 t^(2a-1) 8 u and its
+    exponent's rounding |ln t| u, and the asymptotic form's exp(ln t ...)
+    3 (1 + 2a) |ln t| u.  Its underflow allowance is _ETA times
+    1 + (t^(2a-1) + 4 a^2 + 1) sum|c_j| + head ((n + 2) sum|c_j| + 3n + 3).
+    """
+    signed = min(row) < 0
+    try:
+        phi = _row_evaluator(row, den, n, a)
+        phi_abs = _row_evaluator([abs(x) for x in row], den, n, a) if signed else None
+    except OverflowError:  # a coefficient of P_n past DBL_MAX: every point fails
+        return lambda t: (math.nan, math.inf)
+    af = float(a)
+    two_a, scale = 2.0 * af, 4.0 * af * af
+    csum = _float_of(sum(map(abs, row)), den)
+    k0, k_log = 4.0 * n + 24.0, 3.0 * (1.0 + two_a)
+    k_head = (n + 2) * csum + 3.0 * n + 3.0
+
+    def at(t: float) -> tuple[float, float]:
+        value = phi(t)
+        power = _power(t, two_a - 1.0)
+        bound = (k0 + k_log * abs(math.log(t))) * _U * (phi_abs(t) if signed else value) \
+            + _ETA * (1.0 + (power + scale + 1.0) * csum + scale * power * k_head)
+        return value, bound
+
+    return at
+
+
 class OracleAgreement(NamedTuple):
-    """Grid comparison of the recurrence path against the derivative oracle."""
+    """Grid comparison of the recurrence path against the derivative oracle.
+
+    ``failures`` and ``inconclusive`` list grid points as (n, alpha, t,
+    recurrence value, oracle value); ``identity_failures`` lists each
+    (n, alpha) at which the exact identity failed.  ``max_deviation`` is the
+    largest |a - b| over its allowance bound_a + bound_b + rel_tol |a|: at
+    most 1 unless a point fails, and inf where a value is not finite.
+    """
 
     max_deviation: float
     checked: int
     failures: tuple[tuple[int, Fraction, float, float, float], ...]
+    inconclusive: tuple[tuple[int, Fraction, float, float, float], ...]
+    identity_failures: tuple[tuple[int, Fraction], ...]
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return not self.failures and not self.identity_failures
 
 
 def oracle_equiv_check(
@@ -238,12 +412,17 @@ def oracle_equiv_check(
     alpha_samples: Sequence[RationalLike],
     t_samples: Sequence[float],
     rel_tol: float = 1e-9,
+    polys: Optional[Sequence[ZPolynomial]] = None,
 ) -> OracleAgreement:
-    """Compare both Phi constructions over a full (n, alpha, t) grid.
+    """Compare both Phi constructions at every alpha, exactly and over a (n, t) grid.
 
-    The comparison metric is |fast - oracle| <= rel_tol * (1 + |fast|); every
-    offending grid point is returned as data rather than raised.  A point
-    whose deviation is NaN or infinite fails, with ``max_deviation`` inf.
+    At each alpha the oracle is one integer walk (``_oracle_walk``) and each
+    P_n, ``polys[n]`` (by default ``transition_poly(n)``), is specialized
+    once.  The exact identity of the two (``_identity_holds``) decides each
+    index.  The float views then meet at each t, each with its error bound
+    (``_recurrence_view``, ``_oracle_view``): a point fails when a value is
+    NaN or infinite or |a - b| > bound_a + bound_b + rel_tol |a|; it is
+    inconclusive, never a pass, when bound_a + bound_b > rel_tol |a|.
     Every t must be positive and finite, checked before any oracle is built.
     """
     if n_max < 0:
@@ -257,24 +436,34 @@ def oracle_equiv_check(
     if not all(0.0 < t < math.inf for t in ts):
         raise ValueError("t samples must be positive and finite")
     worst = 0.0
-    failures = []
-    checked = 0
-    for n in range(n_max + 1):
-        oracle = transition_oracle(n)
-        for alpha in alphas:
-            fast = transition_evaluator(n, alpha)
-            slow = mixed_evaluator(oracle, float(alpha))
+    failures, inconclusive, identity_failures = [], [], []
+    for alpha in alphas:
+        two_a = 2.0 * float(alpha)
+        for n, (c, den) in enumerate(_oracle_walk(alpha, n_max)):
+            row, pden = (transition_poly(n) if polys is None else polys[n]).specialize(alpha)
+            if not _identity_holds(c, den, row, pden, alpha):
+                identity_failures.append((n, alpha))
+            fast = _recurrence_view(row, pden, n, alpha)
+            slow = _oracle_view(c, den, n, two_a)
             for t in ts:
-                a_val = fast(t)
-                b_val = slow(t)
-                dev = abs(a_val - b_val) / (1.0 + abs(a_val))
-                if not math.isfinite(dev):
-                    dev = math.inf
-                worst = max(worst, dev)
-                checked += 1
-                if dev > rel_tol:
-                    failures.append((n, alpha, t, a_val, b_val))
-    return OracleAgreement(max_deviation=worst, checked=checked, failures=tuple(failures))
+                a_val, a_bound = fast(t)
+                b_val, b_bound = slow(t)
+                dev = abs(a_val - b_val)
+                spread = a_bound + b_bound
+                allowed = spread + rel_tol * abs(a_val)
+                point = (n, alpha, t, a_val, b_val)
+                if dev <= allowed and math.isfinite(dev):  # a NaN fails
+                    if dev:
+                        worst = max(worst, dev / allowed)
+                    if not spread <= rel_tol * abs(a_val):
+                        inconclusive.append(point)
+                else:
+                    worst = max(worst, dev / allowed if math.isfinite(dev) and allowed > 0
+                                else math.inf)
+                    failures.append(point)
+    return OracleAgreement(max_deviation=worst, checked=len(alphas) * (n_max + 1) * len(ts),
+                           failures=tuple(failures), inconclusive=tuple(inconclusive),
+                           identity_failures=tuple(identity_failures))
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +504,14 @@ class PhiFamily(NamedTuple):
 
     def validate(self) -> bool:
         """Re-assert the family's structural invariants at runtime: P_0 = 1,
-        deg P_n = n, and agreement with the derivative oracle at
-        ``_VALIDATE_TS`` within ``_VALIDATE_REL_TOL``."""
-        if self.polys[0] != ZPolynomial(((1,),)):
+        deg P_n = n, and agreement of its own polynomials with the
+        derivative oracle at ``alpha``: the exact identity at every index,
+        which decides, and no failing float point at ``_VALIDATE_TS``
+        within ``_VALIDATE_REL_TOL`` (an inconclusive point is no failure)."""
+        if len(self.polys) != self.max_n + 1 or self.polys[0] != ZPolynomial(((1,),)):
             return False
         if any(p.degree != n for n, p in enumerate(self.polys)):
             return False
-        report = oracle_equiv_check(self.max_n, [self.alpha], _VALIDATE_TS, _VALIDATE_REL_TOL)
+        report = oracle_equiv_check(self.max_n, [self.alpha], _VALIDATE_TS, _VALIDATE_REL_TOL,
+                                    self.polys)
         return report.passed

@@ -15,6 +15,10 @@ from khabcheck.exact import ZPolynomial, row_value
 from khabcheck.termalgebra import MixedSum, mixed_eval
 from khabcheck.transition import (
     PhiFamily,
+    _identity_holds,
+    _oracle_view,
+    _oracle_walk,
+    _recurrence_view,
     log_weight,
     log_weight_derivatives,
     oracle_equiv_check,
@@ -288,6 +292,35 @@ def test_evaluation_is_accurate_up_to_the_float_limit_of_z(n):
         assert abs(phi(t) - want) <= 1e-12 * want, t
 
 
+@pytest.mark.parametrize("n", [0, 3])
+@pytest.mark.parametrize("alpha", [F(1, 100), F(1, 50), F(1, 4)])
+def test_subnormal_t_is_inf_only_where_phi_exceeds_the_float_range(n, alpha):
+    # at alpha < 1/2 the part t^(2a-1) of the head grows as t -> 0, and at a
+    # subnormal t and alpha = 1/100 or 1/50 it overflows.  Phi_n is then inf
+    # where it is past DBL_MAX (1/100) and finite where 4 a^2 brings it back
+    # (1/50 at 5e-324), never an escaped OverflowError.  The reference is
+    # Phi_n's log by the same p/w sum, with the head taken in log space
+    phi = transition_evaluator(n, alpha)
+    row, den = transition_poly(n).specialize(alpha)
+    a = float(alpha)
+    for t in (5e-324, 1e-320, 1e-310):
+        z = t ** (2 * a)
+        p, w = z / (1 + z), 1 / (1 + z)
+        total = sum(c / den * p ** j * w ** (n + 2 - j) for j, c in enumerate(row))
+        log_phi = math.log(4 * a * a) + (2 * a - 1) * math.log(t) + math.log(total)
+        if log_phi > math.log(sys.float_info.max):
+            assert phi(t) == math.inf, t
+        else:
+            assert phi(t) == pytest.approx(math.exp(log_phi), rel=1e-9), t
+
+
+def test_subnormal_t_at_an_alpha_below_the_float_range_is_zero():
+    # float(1/10^400) is 0.0, so the head cannot be taken from logs; there
+    # Phi_0 = 4 a^2 t^(2a-1) / (1+z)^2 is ~1e-477, below every float
+    for t in (5e-324, 1e-310):
+        assert transition_evaluator(0, F(1, 10**400))(t) == 0.0
+
+
 # -- log-weight and the derivative oracle ------------------------------------
 
 def test_log_weight_values_and_symmetry():
@@ -435,6 +468,76 @@ def test_oracle_agrees_with_polynomial_route():
     assert report.checked == 6 * 3 * 5
 
 
+# -- the oracle at one alpha: integer walk, exact identity, float bounds ----
+
+@pytest.mark.parametrize("alpha", [F(1, 4), F(90, 97), F(2), F(7, 3), F(1, 10**160), F(10**7)])
+def test_oracle_walk_equals_the_q_alpha_oracle_specialized(alpha):
+    # the walk at alpha = a/b against transition_oracle(n) in Q[alpha], valued
+    # at alpha; and, at the same alpha, its identity with 4 a^2 z P_n
+    for n, (c, den) in enumerate(_oracle_walk(alpha, 25)):
+        oracle = transition_oracle(n)
+        rows = dict(oracle.rows)
+        keys = [(q + 1, -1, q) for q in range(1, n + 2)]
+        assert set(rows) <= set(keys), n
+        want = [row_value(rows.get(key, ()), oracle.den, alpha) for key in keys]
+        assert [F(x, den) for x in c] == want, n
+        assert _identity_holds(c, den, *transition_poly(n).specialize(alpha), alpha), n
+
+
+@pytest.mark.parametrize("alpha, grid_sees_it", [(F(1, 4), True), (F(1, 1000), False)])
+def test_one_unit_off_in_one_coefficient_fails_the_identity(alpha, grid_sees_it):
+    # P_5's last coefficient (of alpha^5 z^5) raised by one unit over its
+    # denominator: at 1/1000 that moves P_5 by ~1e-16 of itself, which no float
+    # comparison sees, yet the exact identity fails at n = 5 and so does validate()
+    good = PhiFamily.build(alpha, 20)
+    rows = [list(row) for row in good.polys[5].rows]
+    rows[-1][-1] += 1
+    polys = (*good.polys[:5], ZPolynomial(rows, good.polys[5].den), *good.polys[6:])
+    assert good.validate() is True
+    assert PhiFamily(alpha, 20, polys).validate() is False
+    report = oracle_equiv_check(20, [alpha], (0.1, 0.5, 1.0, 2.0, 10.0), 1e-10, polys)
+    assert report.identity_failures == ((5, alpha),)
+    assert bool(report.failures) is grid_sees_it
+
+
+def test_validate_refuses_a_family_whose_polys_do_not_match_max_n():
+    # validate() reads the family's own polynomials, one per index 0..max_n
+    polys = PhiFamily.build(F(1, 3), 4).polys
+    assert PhiFamily(F(1, 3), 4, polys).validate() is True
+    assert PhiFamily(F(1, 3), 5, polys).validate() is False
+    assert PhiFamily(F(1, 3), 3, polys).validate() is False
+
+
+def test_validate_holds_at_every_k_over_97_up_to_4():
+    # while the Q[alpha] oracle was collapsed to floats by Horner in float alpha,
+    # validate() was False at 321 of these alphas, at every k >= 66 but a few
+    assert [k for k in range(1, 389) if not PhiFamily.build(F(k, 97), 20).validate()] == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 20),
+       alpha=st.fractions(min_value=F(1, 256), max_value=8, max_denominator=4099),
+       t=st.floats(min_value=1e-3, max_value=1e3))
+def test_each_float_view_stays_within_its_running_bound(n, alpha, t):
+    # the reference is t Phi_n = 4 a^2 z P_n(a, z) / (1+z)^(n+2), rational in
+    # z, valued exactly at the float z = t^(2a) that both views use.  What this
+    # cannot pin: pow's rounding of z itself, which both views share; the
+    # recurrence's head t^(2a-1), a second pow that its bound charges one ulp
+    # but no rational reference reproduces; and the terms of second order in
+    # u that the bounds leave out.  Over t in [1e-3, 1e3] no z is subnormal
+    # and no view takes the asymptotic form
+    z = t ** (2.0 * float(alpha))
+    row, pden = transition_poly(n).specialize(alpha)
+    zf = F(z)
+    want = 4 * alpha ** 2 * zf * row_value(row, pden, zf) / ((1 + zf) ** (n + 2) * F(t))
+    c, den = list(_oracle_walk(alpha, n))[-1]
+    views = {"recurrence": _recurrence_view(row, pden, n, alpha),
+             "oracle": _oracle_view(c, den, n, 2.0 * float(alpha))}
+    for name, view in views.items():
+        value, bound = view(t)
+        assert abs(F(value) - want) <= F(bound), name
+
+
 def test_step_recurrence_via_finite_differences():
     # each family member is -(t^n / n) d/dt [ previous * t^(1-n) ]
     for n in (1, 2, 4):
@@ -519,12 +622,14 @@ def test_empty_sample_grids_are_refused(check, message):
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_oracle_comparison_admits_every_t_before_building_an_oracle(bad):
     # one message for every t that is not positive and finite, raised before
-    # the first oracle is built, wherever the bad t sits in the grid
+    # the first oracle is built or P_n fetched, wherever the bad t sits
     transition_oracle.cache_clear()
+    transition_poly.cache_clear()
     for ts in ([bad, 1.0], [0.5, 2.0, bad]):
         with pytest.raises(ValueError, match="^t samples must be positive and finite$"):
             oracle_equiv_check(3, [F(1, 4)], ts)
     assert transition_oracle.cache_info().currsize == 0
+    assert transition_poly.cache_info().currsize == 0
 
 
 def test_family_builder_and_validation():
@@ -546,13 +651,16 @@ def test_oracle_comparison_fails_points_whose_deviation_is_not_finite():
     assert PhiFamily.build(10**110, 2).validate() is False
 
 
-def test_oracle_comparison_keeps_its_finite_failures():
-    # the float oracle's known error at 90/97; a finite deviation is reported as is
+def test_oracle_comparison_passes_at_90_over_97_within_its_bounds():
+    # the Q[alpha] oracle's float collapse failed 13 of these points (max 1.23e-8
+    # on |a - b| / (1 + |a|)); Horner in p on the walk's coefficients keeps every
+    # deviation within bound_a + bound_b + rel_tol |a|, and the identity holds
     report = oracle_equiv_check(20, [F(90, 97)], (0.1, 0.5, 1, 2, 10), 1e-10)
-    assert len(report.failures) == 13
-    assert report.max_deviation == pytest.approx(1.23e-8, rel=1e-2)
-    # validate() compares at these five t within 1e-10, and so fails here too
-    assert PhiFamily.build(F(90, 97), 20).validate() is False
+    assert report.failures == () and report.identity_failures == ()
+    assert report.checked == 21 * 5
+    assert 0.0 < report.max_deviation <= 1.0
+    # validate() compares at these five t within 1e-10, and so passes here too
+    assert PhiFamily.build(F(90, 97), 20).validate() is True
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])

@@ -66,7 +66,8 @@ SIGNATURES = {
                   ("positivity", EMPTY), ("applicable", EMPTY), ("premise", ()),
                   ("conclusion", None), ("rhs_pi_coefficient", None),
                   ("rhs_value", None), ("premise_tol", 1e-6)],
-    OracleAgreement: [("max_deviation", EMPTY), ("checked", EMPTY), ("failures", EMPTY)],
+    OracleAgreement: [("max_deviation", EMPTY), ("checked", EMPTY), ("failures", EMPTY),
+                      ("inconclusive", EMPTY), ("identity_failures", EMPTY)],
     PhiFamily: [("alpha", EMPTY), ("max_n", EMPTY), ("polys", EMPTY)],
 }
 
