@@ -19,7 +19,7 @@ endpoint behavior.  The strategy, in order of preference:
   differ only in one parameter and share an endpoint power, and so share
   QUADPACK's nodes: the chain premise's t grid at one (n, alpha), and the
   reconstruction's y grid at one (n, alpha).  Keyed by the node v, the
-  table holds x = v^m, v^(m-1) and the kernel value K(x), none of which
+  table holds x = v^m, v^(m-1) and the kernel value K_k(x), none of which
   depends on the swept parameter, so each integrand evaluation reads its
   node and calls only the density or Phi_n; the graded pass has its own
   table keyed by x.  A table lives for one call (one (n, alpha) of a
@@ -29,7 +29,9 @@ endpoint behavior.  The strategy, in order of preference:
   of 945.
 
 The underlying panel integrator is QUADPACK's adaptive Gauss-Kronrod
-scheme (scipy.integrate.quad); this module owns the substitutions, the
+scheme (scipy.integrate.quad).  Its rules evaluate interior nodes only,
+so no integrand handed to it tests for v <= 0; only the tail's s = v^m,
+which can underflow to 0, does.  This module owns the substitutions, the
 convergence bookkeeping, and the identity-specific drivers.  SciPy is
 imported on the first adaptive pass, not with this module, so importing
 ``khabcheck`` (and every CLI command but ``integrals``) never loads it.
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .constants import beta_int, rhs_constant
@@ -174,10 +175,8 @@ def _flattened(f: Callable[[float], float], power_at_zero: float) -> Callable[[f
     m = _flattening_exponent(power_at_zero)
 
     def g(v: float) -> float:
-        if v <= 0.0:
-            return 0.0
-        t = v ** m
-        return f(t) * m * v ** (m - 1.0)
+        w = v ** (m - 1.0)
+        return f(v ** m) * m * w
 
     return g
 
@@ -185,27 +184,24 @@ def _flattened(f: Callable[[float], float], power_at_zero: float) -> Callable[[f
 class _NodeTable(dict):
     """One sweep's values at the nodes v of the substitution x = v^m.
 
-    A sweep integrates factor(x) * h(s, x) over (0, 1) for a run of
-    parameters s with one endpoint power, and QUADPACK meets the same nodes
-    for every s.  The entry of node v is (x, factor(x), v^(m-1)), filled on
-    first use: everything the node's integrand needs that does not depend
-    on s.  Its factor is None where x lies outside (0, 1], where the
-    integrand is 0.  With no power, m = 1: the graded pass's table, keyed
-    by x itself (x * 1.0 * 1.0 == x in floats, so one integrand serves both).
-    An entry's v^(m-1) is taken before h(s, x), so where both would raise,
-    its OverflowError comes first; that needs v < 1e-308 and a power > 20.
+    A sweep integrates K_k(x) * h(s, x) over (0, 1) for a run of parameters
+    s with one endpoint power, and QUADPACK meets the same nodes for every
+    s.  The entry of node v is (x, K_k(x), v^(m-1)), filled on first use:
+    everything the node's integrand needs that does not depend on s.  Its
+    kernel value is None where x underflows to 0, where the integrand is 0.
+    With no power, m = 1: the graded pass's table, keyed by x itself
+    (x * 1.0 * 1.0 == x in floats, so one integrand serves both).
     """
 
-    def __init__(self, power_at_zero: Optional[float],
-                 factor: Callable[[float], float]) -> None:
+    def __init__(self, power_at_zero: Optional[float], k_index: int) -> None:
         super().__init__()
         self.m = _flattening_exponent(power_at_zero) if power_at_zero else 1.0
-        self.factor = factor
+        self.k_index = k_index
 
     def __missing__(self, v: float) -> tuple[float, Optional[float], float]:
         m = self.m
         x = v ** m
-        entry = self[v] = (x, self.factor(x) if 0.0 < x <= 1.0 else None, v ** (m - 1.0))
+        entry = self[v] = (x, kernel_eval(self.k_index, x) if x > 0.0 else None, v ** (m - 1.0))
         return entry
 
 
@@ -284,16 +280,13 @@ def _premise_sweep(k_index: int, q: DensityFunction,
     """
     density = q.evaluator
     power = q.power_at_zero
-    kernel = partial(kernel_eval, k_index)
-    graded = _NodeTable(None, kernel)
-    flat = _NodeTable(power, kernel) if power else graded
+    graded = _NodeTable(None, k_index)
+    flat = _NodeTable(power, k_index) if power else graded
 
     def integrand(nodes: _NodeTable, t: float) -> Callable[[float], float]:
         m = nodes.m
 
         def g(v: float) -> float:
-            if v <= 0.0:
-                return 0.0
             x, k, w = nodes[v]
             if k is None:
                 return 0.0
@@ -363,21 +356,16 @@ def reconstruction_sweep(n: int, alpha: RationalLike,
     call is one y and raises only for that y.
     """
     a = positive_rational(alpha)
-    if n < 0:
-        raise ValueError("index must be >= 0")
+    phi = transition_evaluator(n, a)
     af = float(a)
     power = 2.0 * af - 1.0
-    phi = transition_evaluator(n, a)
-    kernel = partial(kernel_eval, n)
-    graded = _NodeTable(None, kernel)
-    flat = _NodeTable(power, kernel) if power else graded
+    graded = _NodeTable(None, n)
+    flat = _NodeTable(power, n) if power else graded
 
     def integrand(nodes: _NodeTable, y: float) -> Callable[[float], float]:
         m = nodes.m
 
         def g(v: float) -> float:
-            if v <= 0.0:
-                return 0.0
             u, k, w = nodes[v]
             if k is None:
                 return 0.0
@@ -402,10 +390,8 @@ def verify_weighted_moment(n: int, alpha: RationalLike,
         int_0^oo Phi_n(t) t^alpha dt  =  pi * alpha * prod_{k=1..n}(1 + alpha/k).
     """
     a = positive_rational(alpha)
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    af = float(a)
     phi = transition_evaluator(n, a)
+    af = float(a)
 
     def f(t: float) -> float:
         return phi(t) * t ** af

@@ -100,6 +100,9 @@ def transition_poly(n: int) -> ZPolynomial:
 #: the z = t^(2a) past which ``transition_evaluator`` takes the asymptotic form
 _Z_ASYMPTOTIC = 2.0 ** 511
 
+#: the least normal double
+_DBL_MIN = 2.0 ** -1022
+
 
 def transition_evaluator(n: int, alpha: RationalLike) -> Callable[[float], float]:
     """A fast closure t -> Phi_n(alpha, t), for use inside quadrature loops.
@@ -124,6 +127,9 @@ def _row_evaluator(row: Sequence[int], den: int, n: int, a: Fraction) -> Callabl
     af = float(a)
     two_a = 2.0 * af
     scale = 4.0 * af * af
+    if not _DBL_MIN <= scale < math.inf:
+        # 4 a^2 is no normal float: a NaN scale sends every product with it to logs
+        scale = math.nan
     lead = terms[-1][0]
 
     def phi(t: float) -> float:
@@ -136,12 +142,16 @@ def _row_evaluator(row: Sequence[int], den: int, n: int, a: Fraction) -> Callabl
         try:
             head = scale * t ** (two_a - 1.0) if z <= _Z_ASYMPTOTIC else math.inf
         except OverflowError:  # a subnormal t at a small alpha
-            head = _head_from_logs(af, two_a, t)
-        if head == math.inf and z > 1.0:
-            # deep asymptotic regime: past z = 2^511, w^2 is no longer a normal
-            # float and the sum underflows; at a huge alpha the head overflows
-            # first.  There Phi = 4 a^2 lead(a) * t^(-1-2a) * (1 + O(1/z))
-            return scale * lead * math.exp((-1.0 - two_a) * math.log(t))
+            head = math.nan
+        if not head < math.inf:
+            if z <= _Z_ASYMPTOTIC:  # the product is not finite: take it from logs
+                head = _scaled_power(a, 1.0, two_a - 1.0, t)
+            if head == math.inf and z > 1.0:
+                # deep asymptotic regime: past z = 2^511, w^2 is no longer a normal
+                # float and the sum underflows; at a huge alpha the head overflows
+                # first.  There Phi = 4 a^2 lead(a) * t^(-1-2a) * (1 + O(1/z))
+                tail = scale * lead * math.exp((-1.0 - two_a) * math.log(t))
+                return tail if tail < math.inf else _scaled_power(a, lead, -1.0 - two_a, t)
         p = z / (1.0 + z)
         w = 1.0 / (1.0 + z)
         total = 0.0
@@ -154,13 +164,20 @@ def _row_evaluator(row: Sequence[int], den: int, n: int, a: Fraction) -> Callabl
     return phi
 
 
-def _head_from_logs(af: float, two_a: float, t: float) -> float:
-    """4 a^2 t^(2a-1) where t^(2a-1) alone is past DBL_MAX: inf where the
-    product is too, and 0.0 where alpha underflowed to 0.0 as a float."""
-    if af == 0.0:
-        return 0.0
+#: ln 4, the log of 4 a^2 without its alpha
+_LN4 = math.log(4.0)
+
+
+def _scaled_power(a: Fraction, c: float, e: float, t: float) -> float:
+    """4 a^2 c t^e for c > 0, as one exp of a sum of logs, alpha's taken exact.
+
+    For where the product of floats fails: 4 a^2 is no normal float, or the
+    product overflows, or it is inf * 0.  inf past DBL_MAX, 0.0 below the
+    least subnormal.
+    """
     try:
-        return math.exp(math.log(4.0 * af) + math.log(af) + (two_a - 1.0) * math.log(t))
+        return math.exp(_LN4 + 2.0 * (math.log(a.numerator) - math.log(a.denominator))
+                        + math.log(c) + e * math.log(t))
     except OverflowError:
         return math.inf
 
@@ -361,7 +378,11 @@ def _recurrence_view(row: Sequence[int], den: int, n: int,
     times (4n + 24 + 3 (1 + 2a) |ln t|) u: each term of the p/w sum carries
     at most (3n + 9) u, the sum n u, the head 4 a^2 t^(2a-1) 8 u and its
     exponent's rounding |ln t| u, and the asymptotic form's exp(ln t ...)
-    3 (1 + 2a) |ln t| u.  Its underflow allowance is _ETA times
+    3 (1 + 2a) |ln t| u.  Where the head or the asymptotic form may come
+    from logs (``_scaled_power``: 4 a^2 no normal float, or 4 a^2 lead or
+    4 a^2 t^(2a-1) past DBL_MAX), the factor gains the rounding of the sum
+    of logs, 7 (ln 4 + 2 ln num + 2 ln den + |ln lead|) + 5 (1 + 2a) |ln t|
+    + 1.  Its underflow allowance is _ETA times
     1 + (t^(2a-1) + 4 a^2 + 1) sum|c_j| + head ((n + 2) sum|c_j| + 3n + 3).
     """
     signed = min(row) < 0
@@ -375,11 +396,17 @@ def _recurrence_view(row: Sequence[int], den: int, n: int,
     csum = _float_of(sum(map(abs, row)), den)
     k0, k_log = 4.0 * n + 24.0, 3.0 * (1.0 + two_a)
     k_head = (n + 2) * csum + 3.0 * n + 3.0
+    lead = row[-1] / den
+    direct = _DBL_MIN <= scale and scale * lead < math.inf
 
     def at(t: float) -> tuple[float, float]:
         value = phi(t)
         power = _power(t, two_a - 1.0)
-        bound = (k0 + k_log * abs(math.log(t))) * _U * (phi_abs(t) if signed else value) \
+        k = k0 + k_log * abs(math.log(t))
+        if not (direct and scale * power < math.inf):  # a factor may come from logs
+            k += 7.0 * (_LN4 + 2.0 * math.log(a.numerator) + 2.0 * math.log(a.denominator)
+                        + abs(math.log(lead))) + 5.0 * (1.0 + two_a) * abs(math.log(t)) + 1.0
+        bound = k * _U * (phi_abs(t) if signed else value) \
             + _ETA * (1.0 + (power + scale + 1.0) * csum + scale * power * k_head)
         return value, bound
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from khabcheck import constants, quadrature
+from khabcheck.cli import main
 from khabcheck.constants import rhs_constant
 from khabcheck.quadrature import (
     DEFAULT_CONFIG,
@@ -155,6 +156,36 @@ def test_chain_conclusion_rejects_a_density_that_decays_too_slowly():
 def test_unit_interval_rejects_nonintegrable_endpoint_power():
     with pytest.raises(ValueError, match=r"^endpoint power -1\.0 is not integrable$"):
         integrate_unit_interval(lambda t: 1.0 / t, power_at_zero=-1.0)
+
+
+@pytest.mark.parametrize("alpha", ["1/64", "3/232", "256"])
+def test_quadpack_evaluates_interior_nodes_only(monkeypatch, capsys, alpha):
+    # no integrand handed to QUADPACK tests for v <= 0: its Gauss-Kronrod rules
+    # evaluate interior nodes only, here over every suite of a report
+    panel = quadrature._panel
+    nodes = []
+
+    def recording(f, cfg, points=None):
+        def g(v):
+            nodes.append(v)
+            return f(v)
+
+        return panel(g, cfg, points)
+
+    monkeypatch.setattr(quadrature, "_panel", recording)
+    code = main(["integrals", "--suite", "all", "--alpha", alpha,
+                 "--y", "1e-12,1e-4,1/2,1e12", "--no-timestamp"])
+    capsys.readouterr()
+    assert code in (0, 1) and nodes
+    assert 0.0 < min(nodes) and max(nodes) < 1.0
+
+
+@pytest.mark.parametrize("driver", [lambda: reconstruction_sweep(-1, F(1, 2)),
+                                    lambda: verify_weighted_moment(-1, F(1, 2))],
+                         ids=["reconstruction", "weighted-moment"])
+def test_a_negative_index_is_refused_by_the_polynomial_it_needs(driver):
+    with pytest.raises(ValueError, match="^polynomial index must be >= 0$"):
+        driver()
 
 
 def test_tolerance_monotonicity():

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from itertools import zip_longest
 from pathlib import Path
@@ -315,10 +316,68 @@ def test_subnormal_t_is_inf_only_where_phi_exceeds_the_float_range(n, alpha):
 
 
 def test_subnormal_t_at_an_alpha_below_the_float_range_is_zero():
-    # float(1/10^400) is 0.0, so the head cannot be taken from logs; there
-    # Phi_0 = 4 a^2 t^(2a-1) / (1+z)^2 is ~1e-477, below every float
+    # float(1/10^400) is 0.0, so the head comes from the logs of the exact
+    # alpha; there Phi_0 = 4 a^2 t^(2a-1) / (1+z)^2 is ~1e-477, below every float
     for t in (5e-324, 1e-310):
         assert transition_evaluator(0, F(1, 10**400))(t) == 0.0
+
+
+def _softplus(x):
+    """ln(1 + e^x) for a Decimal x, never forming e^x of a large x."""
+    if x > 0:
+        return x + (1 + (-x).exp()).ln()
+    return (1 + x.exp()).ln()
+
+
+def _log_space_phi(n, a, t):
+    """Phi_n(a, t) = 4 a^2 t^(2a-1) sum_j c_j p^j w^(n+2-j) from its log in
+    60-digit decimal arithmetic, at the exact a and t, rounded once to a float.
+    With l = ln z = 2a ln t, ln p = -softplus(-l) and ln w = -softplus(l)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        A = Decimal(a.numerator) / Decimal(a.denominator)
+        ln_t = Decimal(t).ln()
+        ln_p, ln_w = -_softplus(-2 * A * ln_t), -_softplus(2 * A * ln_t)
+        row, den = transition_poly(n).specialize(a)
+        terms = [(Decimal(abs(c)).ln() - Decimal(den).ln() + j * ln_p + (n + 2 - j) * ln_w,
+                  1 if c > 0 else -1) for j, c in enumerate(row) if c]
+        top = max(log for log, _ in terms)
+        total = sum(sign * (log - top).exp() for log, sign in terms)
+        if total == 0:
+            return 0.0
+        log_phi = Decimal(4).ln() + 2 * A.ln() + (2 * A - 1) * ln_t + top + abs(total).ln()
+        if log_phi > 710:
+            return math.copysign(math.inf, total)
+        if log_phi < -760:
+            return math.copysign(0.0, total)
+        return math.copysign(float(log_phi.exp()), total)
+
+
+@pytest.mark.parametrize("alpha", [F(10**150), F(10**160), F(10**200),
+                                   F(1, 10**160), F(1, 10**163)],
+                         ids=["10^150", "10^160", "10^200", "10^-160", "10^-163"])
+def test_evaluation_at_extreme_alphas_is_never_nan_and_matches_its_log(alpha):
+    # at 10^150 the asymptotic form was inf * 0 at every t > 1; past 10^153.8
+    # the float 4 a^2 overflows, and below 10^-154.1 it is subnormal (10^-160)
+    # or 0.0 (10^-163).  There 4 a^2 t^(2a-1) and 4 a^2 lead t^(-1-2a) come
+    # from the logs of the exact alpha.  The tolerance adds one subnormal step,
+    # the most a value below DBL_MIN can hold of a relative accuracy
+    for n in range(3):
+        try:
+            phi = transition_evaluator(n, alpha)
+        except OverflowError:  # a coefficient of P_n, ~alpha^n, past DBL_MAX
+            assert n == 2 and alpha >= 10**160
+            continue
+        for t in (1e-300, 1e-3, 0.5, 1.0, 1.0000001, 2.0, 10.0, 1e3, 1e300):
+            if (n, t) == (1, 1.0) and alpha >= 10**160:
+                # open: the float sum (1 - 2a) / 8 + (1 + 2a) / 8 cancels to 0
+                # and the head 4 a^2 is inf; its finite twin at 10^150 gives 0.0
+                continue
+            value = phi(t)
+            assert not math.isnan(value), (n, t)
+            if math.isfinite(value) and value:
+                want = _log_space_phi(n, alpha, t)
+                assert abs(value - want) <= 1e-12 * abs(want) + 2.0 ** -1074, (n, t)
 
 
 # -- log-weight and the derivative oracle ------------------------------------
@@ -649,6 +708,18 @@ def test_oracle_comparison_fails_points_whose_deviation_is_not_finite():
     assert len(report.failures) == 4
     assert report.max_deviation == math.inf
     assert PhiFamily.build(10**110, 2).validate() is False
+
+
+def test_oracle_comparison_fails_every_point_of_an_index_without_a_float_row():
+    # at alpha = 10^110 the coefficients of P_3 (~alpha^3) are past DBL_MAX, so
+    # the recurrence has no float view there: its points fail with NaN, the
+    # exact identity still decides the index, and nothing escapes
+    report = oracle_equiv_check(3, [10**110], [1.0, 2.0], 1e-10)
+    last = [point for point in report.failures if point[0] == 3]
+    assert len(last) == 2 and all(math.isnan(point[3]) for point in last)
+    assert report.identity_failures == ()
+    assert report.max_deviation == math.inf
+    assert PhiFamily.build(10**110, 3).validate() is False
 
 
 def test_oracle_comparison_passes_at_90_over_97_within_its_bounds():
