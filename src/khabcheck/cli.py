@@ -456,22 +456,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="omit the timestamp for byte-identical reports")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="khabcheck",
-        description="verification suites for the integral-inequality reduction",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_id = sub.add_parser("identities", help="exact rational identity suite")
+def _identities_arguments(p_id: argparse.ArgumentParser) -> None:
     p_id.add_argument("--alpha", type=_parse_rational_list, required=True,
                       metavar="P/Q[,P/Q...]")
     p_id.add_argument("--n-max", type=_parse_index, default=10)
     _add_common(p_id)
     p_id.set_defaults(func=_cmd_identities)
 
-    p_int = sub.add_parser("integrals", help="quadrature verification suites")
+
+def _integrals_arguments(p_int: argparse.ArgumentParser) -> None:
     p_int.add_argument("--suite", required=True, choices=(*_SUITES, "all"))
     p_int.add_argument("--alpha", type=_parse_rational_list, required=True,
                        metavar="P/Q[,P/Q...]")
@@ -491,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_int)
     p_int.set_defaults(func=_cmd_integrals)
 
-    p_scan = sub.add_parser("scan", help="positivity region scan / threshold search")
+
+def _scan_arguments(p_scan: argparse.ArgumentParser) -> None:
     p_scan.add_argument("--n", type=_parse_int_set, required=True,
                         metavar="LO..HI|N[,N...]",
                         help="polynomial indices to scan")
@@ -504,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_scan)
     p_scan.set_defaults(func=_cmd_scan)
 
-    p_plot = sub.add_parser("plot-data", help="CSV curve samples")
+
+def _plotdata_arguments(p_plot: argparse.ArgumentParser) -> None:
     which = p_plot.add_mutually_exclusive_group(required=True)
     which.add_argument("--kernel", action="store_true")
     which.add_argument("--transition", action="store_true")
@@ -516,11 +511,44 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--out")
     p_plot.set_defaults(func=_cmd_plotdata)
 
+
+#: each command's help line and the function that adds its options
+_COMMANDS = {
+    "identities": ("exact rational identity suite", _identities_arguments),
+    "integrals": ("quadrature verification suites", _integrals_arguments),
+    "scan": ("positivity region scan / threshold search", _scan_arguments),
+    "plot-data": ("CSV curve samples", _plotdata_arguments),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone when it names one.
+
+    A parser of one command parses that command's argv as the full parser
+    does: its usage line names every command, and its messages are the same.
+    An argv whose first word is no command (none, an unknown word, an option)
+    needs the full parser, for its help, its choices and its messages.
+    """
+    parser = argparse.ArgumentParser(
+        prog="khabcheck",
+        description="verification suites for the integral-inequality reduction",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    if command in _COMMANDS:
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_COMMANDS) + "}")
+        commands = {command: _COMMANDS[command]}
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        commands = _COMMANDS
+    for name, (help_text, add_arguments) in commands.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         result = args.func(args)
     except ValueError as exc:

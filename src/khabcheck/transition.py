@@ -383,7 +383,10 @@ def _recurrence_view(row: Sequence[int], den: int, n: int,
     4 a^2 t^(2a-1) past DBL_MAX), the factor gains the rounding of the sum
     of logs, 7 (ln 4 + 2 ln num + 2 ln den + |ln lead|) + 5 (1 + 2a) |ln t|
     + 1.  Its underflow allowance is _ETA times
-    1 + (t^(2a-1) + 4 a^2 + 1) sum|c_j| + head ((n + 2) sum|c_j| + 3n + 3).
+    1 + (t^(2a-1) + 4 a^2 + 1) sum|c_j| + head ((n + 2) sum|c_j| + 3n + 3),
+    and inf where that reads inf * 0 (4 a^2 past DBL_MAX and t^(2a-1)
+    underflowed to 0.0, or 4 a^2 underflowed and t^(2a-1) past DBL_MAX):
+    such a point is inconclusive, never a NaN bound that fails it.
     """
     signed = min(row) < 0
     try:
@@ -403,11 +406,13 @@ def _recurrence_view(row: Sequence[int], den: int, n: int,
         value = phi(t)
         power = _power(t, two_a - 1.0)
         k = k0 + k_log * abs(math.log(t))
+        under = 1.0 + (power + scale + 1.0) * csum + scale * power * k_head
         if not (direct and scale * power < math.inf):  # a factor may come from logs
             k += 7.0 * (_LN4 + 2.0 * math.log(a.numerator) + 2.0 * math.log(a.denominator)
                         + abs(math.log(lead))) + 5.0 * (1.0 + two_a) * abs(math.log(t)) + 1.0
-        bound = k * _U * (phi_abs(t) if signed else value) \
-            + _ETA * (1.0 + (power + scale + 1.0) * csum + scale * power * k_head)
+            if math.isnan(under):  # 4 a^2 or t^(2a-1) past DBL_MAX times the other's 0.0
+                under = math.inf
+        bound = k * _U * (phi_abs(t) if signed else value) + _ETA * under
         return value, bound
 
     return at

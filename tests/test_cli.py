@@ -2,7 +2,9 @@
 
 import json
 import math
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -309,6 +311,41 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     from khabcheck import __version__
     assert capsys.readouterr().out.strip() == __version__
+
+
+def _outcome(capsys, *argv):
+    """(exit code, stdout, stderr) of ``main(*argv)``, a usage exit included."""
+    try:
+        code = main(*argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+#: stdout, stderr and exit code of each usage invocation at COLUMNS=80, keyed
+#: by its argv joined with spaces
+USAGE = json.loads((Path(__file__).parent / "data" / "cli_usage.json").read_text())
+
+
+@pytest.mark.parametrize("invocation", list(USAGE), ids=lambda s: s or "<no args>")
+def test_usage_output_matches_its_golden(capsys, monkeypatch, invocation):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _outcome(capsys, invocation.split())
+    assert {"stdout": out, "stderr": err, "exit": code} == USAGE[invocation]
+
+
+# the console script calls main() with no argv, which reads sys.argv[1:]
+@pytest.mark.parametrize("argv, code", [
+    (["scan", "--n", "0..2", "--alpha-grid", "1/2,1", "--no-timestamp"], 0),
+    (["bogus"], 2),
+], ids=["scan", "bogus"])
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _outcome(capsys, argv)
+    assert expected[0] == code
+    monkeypatch.setattr(sys, "argv", ["khabcheck", *argv])
+    assert _outcome(capsys) == expected
 
 
 # -- parameter extremes ---------------------------------------------------------

@@ -597,6 +597,38 @@ def test_each_float_view_stays_within_its_running_bound(n, alpha, t):
         assert abs(F(value) - want) <= F(bound), name
 
 
+@pytest.mark.parametrize("alpha, n, t", [
+    (F(10 ** 155), 0, 0.5), (F(10 ** 155), 1, 0.5), (F(10 ** 155), 1, 0.1),
+    (F(10 ** 160), 0, 0.5), (F(10 ** 160), 1, 0.5),
+    (F(1, 10 ** 170), 0, 5e-324), (F(1, 10 ** 170), 1, 1e-310),
+])
+def test_recurrence_bound_is_infinite_where_its_allowance_reads_inf_times_zero(alpha, n, t):
+    # the float 4 a^2 is inf and t^(2a-1) underflows to 0.0 (or 4 a^2 is 0.0
+    # and t^(2a-1) is inf): the underflow allowance has no finite statement,
+    # so the point is inconclusive rather than failed by a NaN bound
+    row, pden = transition_poly(n).specialize(alpha)
+    _, bound = _recurrence_view(row, pden, n, alpha)(t)
+    assert bound == math.inf
+
+
+def test_recurrence_bounds_match_golden_reprs():
+    # repr of the recurrence view's value and bound for n <= 6 at 1/4, 90/97
+    # and 2 over nine t from 1e-300 to 1e300, recorded before the allowance
+    # gained its inf * 0 case: no bound outside that case moves by a bit
+    rows = json.loads((Path(__file__).parent / "data" / "recurrence_bounds.json").read_text())
+    assert len(rows) == 3 * 7 * 9
+    views = {}
+    mismatches = []
+    for row in rows:
+        key = (row["n"], F(row["alpha"]))
+        if key not in views:
+            views[key] = _recurrence_view(*transition_poly(key[0]).specialize(key[1]), *key)
+        got = tuple(map(repr, views[key](float(row["t"]))))
+        if got != (row["value"], row["bound"]):
+            mismatches.append((row, got))
+    assert mismatches == []
+
+
 def test_step_recurrence_via_finite_differences():
     # each family member is -(t^n / n) d/dt [ previous * t^(1-n) ]
     for n in (1, 2, 4):
