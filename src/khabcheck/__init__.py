@@ -11,7 +11,6 @@ target.
 __version__ = "0.1.0"
 
 from .exact import ZPolynomial, positive_rational, rational
-from .termalgebra import MixedSum, mixed_eval
 from .kernel import kernel_eval
 from .constants import (
     beta_int,
@@ -53,7 +52,6 @@ from .quadrature import (
 __all__ = [
     "__version__",
     "ZPolynomial", "positive_rational", "rational",
-    "MixedSum", "mixed_eval",
     "kernel_eval",
     "beta_int", "rhs_constant", "verify_moment_identity", "verify_reciprocity",
     "OracleAgreement", "PhiFamily", "log_weight", "log_weight_derivatives",

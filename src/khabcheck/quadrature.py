@@ -437,6 +437,7 @@ class ChainReport(NamedTuple):
     The premise holds when every entry's violation is at most
     ``premise_tol * max(1, target)``: absolute for targets t^alpha <= 1,
     relative above, since targets reach ~1e24 where an ulp exceeds 1e-6.
+    Like a premise entry, the conclusion holds only where its integral converged.
     """
 
     conjecture_n: int
@@ -466,7 +467,7 @@ class ChainReport(NamedTuple):
     @property
     def conclusion_satisfied(self) -> bool:
         """Conclusion inequality LHS <= RHS, up to the equality tolerance."""
-        if not self.applicable or self.conclusion is None:
+        if not (self.applicable and self.conclusion is not None and self.conclusion.converged):
             return False
         slack = _EQUALITY_REL_TOL * abs(self.rhs_value)
         return self.conclusion.value <= self.rhs_value + slack
@@ -474,7 +475,7 @@ class ChainReport(NamedTuple):
     @property
     def equality_within_tol(self) -> bool:
         """Both sides agree to ``_EQUALITY_REL_TOL`` (expected for the extremal q)."""
-        if not self.applicable or self.conclusion is None:
+        if not (self.applicable and self.conclusion is not None and self.conclusion.converged):
             return False
         return abs(self.conclusion.value - self.rhs_value) <= \
             _EQUALITY_REL_TOL * abs(self.rhs_value)

@@ -384,9 +384,8 @@ def _recurrence_view(row: Sequence[int], den: int, n: int,
     of logs, 7 (ln 4 + 2 ln num + 2 ln den + |ln lead|) + 5 (1 + 2a) |ln t|
     + 1.  Its underflow allowance is _ETA times
     1 + (t^(2a-1) + 4 a^2 + 1) sum|c_j| + head ((n + 2) sum|c_j| + 3n + 3),
-    and inf where that reads inf * 0 (4 a^2 past DBL_MAX and t^(2a-1)
-    underflowed to 0.0, or 4 a^2 underflowed and t^(2a-1) past DBL_MAX):
-    such a point is inconclusive, never a NaN bound that fails it.
+    NaN where that is inf * 0 (one of 4 a^2 and t^(2a-1) past DBL_MAX, the
+    other 0.0): ``_judge`` holds such a point inconclusive.
     """
     signed = min(row) < 0
     try:
@@ -410,22 +409,42 @@ def _recurrence_view(row: Sequence[int], den: int, n: int,
         if not (direct and scale * power < math.inf):  # a factor may come from logs
             k += 7.0 * (_LN4 + 2.0 * math.log(a.numerator) + 2.0 * math.log(a.denominator)
                         + abs(math.log(lead))) + 5.0 * (1.0 + two_a) * abs(math.log(t)) + 1.0
-            if math.isnan(under):  # 4 a^2 or t^(2a-1) past DBL_MAX times the other's 0.0
-                under = math.inf
         bound = k * _U * (phi_abs(t) if signed else value) + _ETA * under
         return value, bound
 
     return at
 
 
+def _judge(a_val: float, a_bound: float, b_val: float, b_bound: float,
+           rel_tol: float) -> tuple[str, float]:
+    """One grid point's verdict, with a the recurrence's view and b the oracle's.
+
+    In order: a not finite fails (an evaluator defect); bound_a + bound_b
+    inf or NaN is inconclusive (a view cannot bound the point); |a - b| past
+    the allowance bound_a + bound_b + rel_tol |a| (each bound >= _ETA > 0),
+    or NaN, fails; bound_a + bound_b > rel_tol |a| is inconclusive; else it
+    passes.  With it, |a - b| / allowance: inf by the first rule, 0 by the second.
+    """
+    if not math.isfinite(a_val):
+        return "fail", math.inf
+    spread = a_bound + b_bound
+    if not spread < math.inf:
+        return "inconclusive", 0.0
+    allowed = spread + rel_tol * abs(a_val)
+    dev = abs(a_val - b_val)
+    if not dev <= allowed:
+        return "fail", dev / allowed if dev < math.inf else math.inf
+    return ("pass" if spread <= rel_tol * abs(a_val) else "inconclusive"), dev / allowed
+
+
 class OracleAgreement(NamedTuple):
     """Grid comparison of the recurrence path against the derivative oracle.
 
     ``failures`` and ``inconclusive`` list grid points as (n, alpha, t,
-    recurrence value, oracle value); ``identity_failures`` lists each
-    (n, alpha) at which the exact identity failed.  ``max_deviation`` is the
-    largest |a - b| over its allowance bound_a + bound_b + rel_tol |a|: at
-    most 1 unless a point fails, and inf where a value is not finite.
+    recurrence value, oracle value), as ``_judge`` rules them, and
+    ``identity_failures`` each (n, alpha) whose exact identity failed.
+    ``max_deviation`` is the largest deviation ``_judge`` returns: at most 1
+    unless a point fails, inf where one fails on a value that is not finite.
     """
 
     max_deviation: float
@@ -452,9 +471,7 @@ def oracle_equiv_check(
     P_n, ``polys[n]`` (by default ``transition_poly(n)``), is specialized
     once.  The exact identity of the two (``_identity_holds``) decides each
     index.  The float views then meet at each t, each with its error bound
-    (``_recurrence_view``, ``_oracle_view``): a point fails when a value is
-    NaN or infinite or |a - b| > bound_a + bound_b + rel_tol |a|; it is
-    inconclusive, never a pass, when bound_a + bound_b > rel_tol |a|.
+    (``_recurrence_view``, ``_oracle_view``), and ``_judge`` rules each point.
     Every t must be positive and finite, checked before any oracle is built.
     """
     if n_max < 0:
@@ -468,7 +485,7 @@ def oracle_equiv_check(
     if not all(0.0 < t < math.inf for t in ts):
         raise ValueError("t samples must be positive and finite")
     worst = 0.0
-    failures, inconclusive, identity_failures = [], [], []
+    identity_failures, points = [], {"fail": [], "inconclusive": [], "pass": []}
     for alpha in alphas:
         two_a = 2.0 * float(alpha)
         for n, (c, den) in enumerate(_oracle_walk(alpha, n_max)):
@@ -478,23 +495,13 @@ def oracle_equiv_check(
             fast = _recurrence_view(row, pden, n, alpha)
             slow = _oracle_view(c, den, n, two_a)
             for t in ts:
-                a_val, a_bound = fast(t)
-                b_val, b_bound = slow(t)
-                dev = abs(a_val - b_val)
-                spread = a_bound + b_bound
-                allowed = spread + rel_tol * abs(a_val)
-                point = (n, alpha, t, a_val, b_val)
-                if dev <= allowed and math.isfinite(dev):  # a NaN fails
-                    if dev:
-                        worst = max(worst, dev / allowed)
-                    if not spread <= rel_tol * abs(a_val):
-                        inconclusive.append(point)
-                else:
-                    worst = max(worst, dev / allowed if math.isfinite(dev) and allowed > 0
-                                else math.inf)
-                    failures.append(point)
+                (a_val, a_bound), (b_val, b_bound) = fast(t), slow(t)
+                verdict, deviation = _judge(a_val, a_bound, b_val, b_bound, rel_tol)
+                worst = max(worst, deviation)
+                points[verdict].append((n, alpha, t, a_val, b_val))
     return OracleAgreement(max_deviation=worst, checked=len(alphas) * (n_max + 1) * len(ts),
-                           failures=tuple(failures), inconclusive=tuple(inconclusive),
+                           failures=tuple(points["fail"]),
+                           inconclusive=tuple(points["inconclusive"]),
                            identity_failures=tuple(identity_failures))
 
 

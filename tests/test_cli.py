@@ -73,6 +73,19 @@ def test_chain_suite_emits_premise_and_conclusion(capsys):
     assert all(r["status"] == "pass" for r in doc["records"])
 
 
+def test_chain_suite_with_the_zero_density_passes_every_record(capsys):
+    # q = 0 meets the premise (0 <= t^alpha) and the conclusion inequality
+    # (0 <= its pi-multiple target), both with converged integrals
+    code, out, _ = run(capsys, "integrals", "--suite", "chain", "--alpha", "1/4,1/2",
+                       "--n", "1..2", "--q", "zero", "--no-timestamp")
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert [(r["check"], r["params"]["q"]) for r in records] == \
+        [("chain-premise", "zero"), ("chain-conclusion", "zero")] * 4
+    assert all(r["status"] == "pass" for r in records)
+    assert all(r["value"] == 0.0 for r in records)
+
+
 def test_chain_suite_inconclusive_when_gate_fails(capsys):
     code, out, _ = run(capsys, "integrals", "--suite", "chain",
                        "--alpha", "3/4", "--n", "2", "--no-timestamp")

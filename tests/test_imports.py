@@ -80,7 +80,6 @@ def test_integrals_load_scipy_and_report_the_golden_bytes():
 PUBLIC = [
     "__version__",
     "ZPolynomial", "positive_rational", "rational",
-    "MixedSum", "mixed_eval",
     "kernel_eval",
     "beta_int", "rhs_constant", "verify_moment_identity", "verify_reciprocity",
     "OracleAgreement", "PhiFamily", "log_weight", "log_weight_derivatives",
@@ -116,12 +115,22 @@ ABSENT = {
     "transition_via_base_derivatives": "transition",
 }
 
+#: names that left the package namespace but stay in the submodule that
+#: defines them, which the benchmark and the tests import directly
+SUBMODULE_ONLY = {
+    "MixedSum": "termalgebra",
+    "mixed_eval": "termalgebra",
+}
+
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC) == 35
+    assert len(PUBLIC) == 33
     assert khabcheck.__all__ == PUBLIC
     for name in PUBLIC:
         getattr(khabcheck, name)
     for name, module in ABSENT.items():
         assert not hasattr(khabcheck, name)
         assert not hasattr(importlib.import_module(f"khabcheck.{module}"), name)
+    for name, module in SUBMODULE_ONLY.items():
+        assert not hasattr(khabcheck, name)
+        getattr(importlib.import_module(f"khabcheck.{module}"), name)

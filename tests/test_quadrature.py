@@ -373,6 +373,19 @@ def test_chain_holds_for_extremal_density(n, alpha):
         math.pi * float(report.rhs_pi_coefficient), rel=1e-15)
 
 
+def test_a_non_converged_conclusion_satisfies_neither_conclusion_property(monkeypatch):
+    # with the flattened pass stalled, the conclusion's negative endpoint
+    # power keeps its non-converged result, whose value still meets the
+    # target: only the convergence test refuses it, as for a premise entry
+    _stall_flattening(monkeypatch)
+    alpha, n = F(1, 4), 1
+    report = verify_conjecture_chain(n, alpha, extremal_density_fn(alpha, n))
+    assert report.applicable and not report.conclusion.converged
+    assert report.conclusion.value == pytest.approx(report.rhs_value, rel=1e-5)
+    assert not report.conclusion_satisfied
+    assert not report.equality_within_tol
+
+
 def test_chain_premise_fails_for_doubled_density():
     alpha, n = F(1, 2), 1
     base = extremal_density_fn(alpha, n)

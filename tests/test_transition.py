@@ -15,8 +15,11 @@ from hypothesis import strategies as st
 from khabcheck.exact import ZPolynomial, row_value
 from khabcheck.termalgebra import MixedSum, mixed_eval
 from khabcheck.transition import (
+    _VALIDATE_REL_TOL,
+    _VALIDATE_TS,
     PhiFamily,
     _identity_holds,
+    _judge,
     _oracle_view,
     _oracle_walk,
     _recurrence_view,
@@ -607,8 +610,11 @@ def test_recurrence_bound_is_infinite_where_its_allowance_reads_inf_times_zero(a
     # and t^(2a-1) is inf): the underflow allowance has no finite statement,
     # so the point is inconclusive rather than failed by a NaN bound
     row, pden = transition_poly(n).specialize(alpha)
-    _, bound = _recurrence_view(row, pden, n, alpha)(t)
-    assert bound == math.inf
+    value, bound = _recurrence_view(row, pden, n, alpha)(t)
+    assert math.isfinite(value) and not bound < math.inf
+    report = oracle_equiv_check(n, [alpha], [t], 1e-10)
+    assert report.passed
+    assert (n, alpha, t) in [point[:3] for point in report.inconclusive]
 
 
 def test_recurrence_bounds_match_golden_reprs():
@@ -733,13 +739,85 @@ def test_family_builder_and_validation():
 
 
 def test_oracle_comparison_fails_points_whose_deviation_is_not_finite():
-    # at alpha = 10^110 both float routes overflow, and the oracle's terms
-    # overflow with both signs: a NaN deviation is a failure, not a pass
+    # at alpha = 10^110 both float routes overflow.  At n = 2, t = 1 the
+    # recurrence returns -inf: its evaluator's defect fails the point.  The
+    # oracle's terms overflow with both signs, so its other three points
+    # read NaN with a NaN bound: a view that cannot bound them leaves them
+    # inconclusive, never passed
     report = oracle_equiv_check(2, [10**110], [1.0, 2.0], 1e-10)
     assert not report.passed
-    assert len(report.failures) == 4
+    [(n, _, t, a_val, _)] = report.failures
+    assert (n, t, a_val) == (2, 1.0, -math.inf)
+    oracle_nan = [(n, t) for n, _, t, _, b_val in report.inconclusive if math.isnan(b_val)]
+    assert oracle_nan == [(1, 1.0), (1, 2.0), (2, 2.0)]
     assert report.max_deviation == math.inf
     assert PhiFamily.build(10**110, 2).validate() is False
+
+
+def test_an_oracle_view_without_a_finite_bound_fails_no_point():
+    # past alpha ~ 6.7e153 (and below its reciprocal) the oracle view's bound
+    # reads NaN at these t; its points are inconclusive, as the recurrence
+    # view's are where its own bound cannot be stated
+    report = oracle_equiv_check(1, [10**150, F(1, 10**150)], (0.5, 1.0, 2.0), 1e-10)
+    assert report.passed
+    assert report.failures == ()
+    assert {(n, t) for n, alpha, t, _, _ in report.inconclusive if alpha == 10**150} \
+        >= {(1, 0.5), (1, 1.0), (1, 2.0)}
+
+
+INF, NAN = math.inf, math.nan
+ETA = 2.0 ** -1074
+
+
+@pytest.mark.parametrize("a_val, a_bound, b_val, b_bound, rel_tol, verdict, deviation", [
+    # 1. the recurrence's value is not finite: fail, whatever the rest
+    (INF, 0.25, INF, 0.25, 0.0, "fail", INF),
+    (-INF, 0.25, -INF, 0.25, 0.0, "fail", INF),
+    (NAN, 0.25, 1.0, 0.25, 0.5, "fail", INF),
+    (NAN, INF, 1.0, NAN, 0.5, "fail", INF),
+    # 2. the bounds have no finite sum: inconclusive, never a pass
+    (1.0, INF, 1.0, 0.25, 0.5, "inconclusive", 0.0),
+    (1.0, 0.25, 1.0, INF, 0.5, "inconclusive", 0.0),
+    (1.0, NAN, 1.0, 0.25, 0.0, "inconclusive", 0.0),
+    (1.0, 0.25, NAN, NAN, 0.0, "inconclusive", 0.0),
+    (1.0, 0.25, -INF, INF, 0.0, "inconclusive", 0.0),
+    # 3. |a - b| past the allowance, or NaN: fail
+    (1.0, 0.25, 2.0, 0.25, 0.0, "fail", 2.0),
+    (1.0, 0.125, 2.0, 0.125, 0.5, "fail", 4 / 3),
+    (1.0, 0.25, NAN, 0.25, 0.5, "fail", INF),
+    (1.0, 0.25, INF, 0.25, 0.5, "fail", INF),
+    (1.0, 0.25, -INF, 0.25, 0.5, "fail", INF),
+    # 4. within the allowance but the bounds exceed rel_tol |a|: inconclusive;
+    #    at rel_tol 0 every positive bound makes it so
+    (1.0, 0.25, 1.5, 0.25, 0.0, "inconclusive", 1.0),
+    (1.0, ETA, 1.0, ETA, 0.0, "inconclusive", 0.0),
+    (0.0, ETA, 0.0, ETA, 0.5, "inconclusive", 0.0),
+    # 5. pass
+    (1.0, 0.125, 1.25, 0.125, 0.5, "pass", 1 / 3),
+    (-1.0, 0.125, -1.0, 0.125, 0.5, "pass", 0.0),
+])
+def test_judge_rules_each_point_in_order(a_val, a_bound, b_val, b_bound, rel_tol, verdict,
+                                         deviation):
+    got, ratio = _judge(a_val, a_bound, b_val, b_bound, rel_tol)
+    assert got == verdict
+    assert ratio == pytest.approx(deviation, rel=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(0, 170), sign=st.sampled_from([1, -1]), n=st.integers(0, 2))
+def test_no_point_fails_on_an_allowance_that_is_not_finite(k, sign, n):
+    # from alpha = 1 to 10^170 and 10^-170: the crosscheck raises nothing,
+    # the exact identity holds, and a failing point is the recurrence's
+    # non-finite value or a deviation past a finite allowance
+    alpha = F(10) ** (sign * k)
+    report = oracle_equiv_check(n, [alpha], _VALIDATE_TS, _VALIDATE_REL_TOL)
+    assert report.identity_failures == ()
+    walk = list(_oracle_walk(alpha, n))
+    for m, _, t, a_val, _ in report.failures:
+        row, pden = transition_poly(m).specialize(alpha)
+        spread = (_recurrence_view(row, pden, m, alpha)(t)[1]
+                  + _oracle_view(*walk[m], m, 2.0 * float(alpha))(t)[1])
+        assert not math.isfinite(a_val) or math.isfinite(spread), (m, t)
 
 
 def test_oracle_comparison_fails_every_point_of_an_index_without_a_float_row():

@@ -1,8 +1,9 @@
 """The exported value types: immutable, compared by value, and built only
 through constructors that keep their keywords, defaults and refusals.
 
-``ZPolynomial``, ``MixedSum``, ``PositivityVerdict`` and ``QuadConfig`` sit
-on ``exact.Value``; the plain result records are ``typing.NamedTuple``s.
+``ZPolynomial``, ``MixedSum`` (exported by ``khabcheck.termalgebra``),
+``PositivityVerdict`` and ``QuadConfig`` sit on ``exact.Value``; the plain
+result records are ``typing.NamedTuple``s.
 """
 
 import copy
@@ -13,9 +14,10 @@ from inspect import Parameter, signature
 
 import pytest
 
-from khabcheck import (ChainReport, DensityFunction, MixedSum, OracleAgreement,
+from khabcheck import (ChainReport, DensityFunction, OracleAgreement,
                        PhiFamily, PositivityVerdict, QuadConfig, QuadResult, ScanReport,
                        Status, ZPolynomial, oracle_equiv_check, region_scan)
+from khabcheck.termalgebra import MixedSum
 
 EMPTY = Parameter.empty
 NONNEG = PositivityVerdict(Status.NONNEGATIVE, "all-coefficients-nonnegative")
