@@ -24,19 +24,20 @@ Examples
 alpha values are exact rationals ("1/2", "7/3"); floats are rejected so
 that every certificate-bearing computation stays exact.  Reports are
 deterministic: identical invocations with --no-timestamp produce
-byte-identical output.  Exit codes: 0 all checks passed, 1 a mathematical
-check failed, an integral did not converge or a computation failed
-numerically, 2 usage error.  A numeric failure at one point of an
-integrals suite, or in one identities record, is that record's `fail`,
-with the exception in params.error, so the report completes; elsewhere
-(scan, plot-data) it ends the run.
+byte-identical output; the JSON timestamp is UTC, to the second.  Exit
+codes: 0 all checks passed, 1 a mathematical check failed, an integral did
+not converge or a computation failed numerically, 2 usage error.  A
+numeric exception (ArithmeticError or ValueError) raised while building
+one record -- an identities record, an integrals grid point, one y of the
+reconstruction suite -- makes that record a `fail` that names it in
+params.error, so the report completes; elsewhere (scan, plot-data) it
+ends the run.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import datetime as _dt
 import functools
 import io
 import itertools
@@ -44,8 +45,9 @@ import json
 import math
 import re
 import sys
+import time
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .constants import moment_routes, reciprocity_routes
@@ -196,13 +198,26 @@ def _record(check: str, params: dict, status: str,
     return record
 
 
-def _failed(check: str, params: dict, exc: Exception) -> dict:
-    """A record failed by a numeric exception, named in params.error."""
-    return _record(check, {**params, "error": f"{type(exc).__name__}: {exc}"}, FAIL)
+def _guarded(check: str, params: dict, build: Callable[[], list[dict]]) -> list[dict]:
+    """The records ``build()`` returns or, where it raises a numeric
+    exception, one fail record that names the exception in params.error."""
+    try:
+        return build()
+    except (ArithmeticError, ValueError) as exc:
+        return [_record(check, {**params, "error": f"{type(exc).__name__}: {exc}"}, FAIL)]
 
 
 def _render_params(params: dict) -> str:
     return ";".join(f"{k}={params[k]}" for k in sorted(params))
+
+
+def _csv(header, rows) -> str:
+    """A CSV table; a float is written as its repr, None as an empty field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _render_report(records: list[dict], config: dict, fmt: str,
@@ -217,17 +232,13 @@ def _render_report(records: list[dict], config: dict, fmt: str,
             "records": records,
             "summary": summary,
         }
-        if timestamp:
-            doc["timestamp"] = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
+        if timestamp:  # UTC, to the second
+            doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     # CSV: the records table only; configuration lives in the invocation
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["check", "params", "target", "value", "residual", "status"])
-    for r in records:
-        numbers = ("" if r[k] is None else repr(r[k]) for k in ("target", "value", "residual"))
-        writer.writerow([r["check"], _render_params(r["params"]), *numbers, r["status"]])
-    return buf.getvalue()
+    return _csv(("check", "params", "target", "value", "residual", "status"),
+                ((r["check"], _render_params(r["params"]), r["target"], r["value"],
+                  r["residual"], r["status"]) for r in records))
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -255,16 +266,11 @@ def _cmd_identities(args: argparse.Namespace) -> tuple[list[dict], dict]:
         for check, identity in _IDENTITIES:
             for n, target, value, den in identity(alpha, args.n_max):
                 params = {"alpha": str(alpha), "n": n}
-                try:
-                    # int / int rounds correctly, as float(Fraction) does, and
-                    # raises the same OverflowError beyond the float range
-                    record = _record(check, params, PASS if value == target else FAIL,
-                                     target=target / den, value=value / den,
-                                     residual=(value - target) / den)
-                except ArithmeticError as exc:
-                    # an exact value too large for a float fails that record only
-                    record = _failed(check, params, exc)
-                records.append(record)
+                # int / int rounds correctly, as float(Fraction) does, and
+                # raises the same OverflowError beyond the float range
+                records += _guarded(check, params, lambda: [_record(
+                    check, params, PASS if value == target else FAIL, target=target / den,
+                    value=value / den, residual=(value - target) / den)])
     config = {"command": "identities", "alpha": [str(a) for a in args.alpha],
               "nMax": args.n_max}
     return records, config
@@ -291,18 +297,13 @@ def _scored(measure):
 
 
 def _reconstruction_records(check, params, tol, cfg, args, n, alpha):
-    """One record per y of ``--y``, all from one sweep at (n, alpha); a
-    numeric failure at one y fails that record only."""
+    """One record per y of ``--y``, all from one sweep at (n, alpha) built on
+    first use; a sweep that cannot be built fails every y alike."""
+    sweep = functools.cache(lambda: reconstruction_sweep(n, alpha, cfg))
     records = []
-    sweep = None
     for y in args.y:
         at = {**params, "y": y}
-        try:
-            if sweep is None:  # a sweep that cannot be built fails every y alike
-                sweep = reconstruction_sweep(n, alpha, cfg)
-            records.append(_scored_record(check, at, tol, cfg, sweep(y)))
-        except (ArithmeticError, ValueError) as exc:
-            records.append(_failed(check, at, exc))
+        records += _guarded(check, at, lambda: [_scored_record(check, at, tol, cfg, sweep()(y))])
     return records
 
 
@@ -360,11 +361,8 @@ def _cmd_integrals(args: argparse.Namespace) -> tuple[list[dict], dict]:
         for values in itertools.product(*(grid[axis] for axis in axes)):
             point = dict(zip(axes, values))
             params = {**point, "alpha": str(point["alpha"])}
-            try:
-                records += driver(check, params, tol, cfg, args, **point)
-            except (ArithmeticError, ValueError) as exc:
-                # a numeric failure at one grid point fails that point only
-                records.append(_failed(check, params, exc))
+            records += _guarded(check, params,
+                                lambda: driver(check, params, tol, cfg, args, **point))
     config = {"command": "integrals", "suite": args.suite,
               "alpha": [str(a) for a in sorted(args.alpha)],
               "n": args.n, "y": args.y, "q": args.q,
@@ -415,26 +413,20 @@ def _cmd_plotdata(args: argparse.Namespace) -> str:
     """CSV curve samples: a bare table, not a report."""
     if args.points < 2:
         raise ValueError("--points must be at least 2")
-    buf = io.StringIO()
     if args.kernel:
-        indices = args.n
-        buf.write("x," + ",".join(f"kernel_n{n}" for n in indices) + "\n")
-        for i in range(1, args.points + 1):
-            x = i / args.points
-            row = [repr(x)] + [repr(kernel_eval(n, x)) for n in indices]
-            buf.write(",".join(row) + "\n")
+        axis = "x"
+        grid = [i / args.points for i in range(1, args.points + 1)]
+        columns = [(f"kernel_n{n}", functools.partial(kernel_eval, n)) for n in args.n]
     else:
         if args.alpha is None or len(args.alpha) != 1:
             raise ValueError("--transition needs exactly one --alpha")
-        alpha = args.alpha[0]
-        evaluators = [(n, transition_evaluator(n, alpha)) for n in args.n]
-        buf.write("t," + ",".join(f"transition_n{n}" for n, _ in evaluators) + "\n")
+        axis = "t"
         lo, hi = math.log10(1e-2), math.log10(1e2)
-        for i in range(args.points):
-            t = 10.0 ** (lo + i * (hi - lo) / (args.points - 1))
-            row = [repr(t)] + [repr(phi(t)) for _, phi in evaluators]
-            buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+        grid = [10.0 ** (lo + i * (hi - lo) / (args.points - 1)) for i in range(args.points)]
+        columns = [(f"transition_n{n}", transition_evaluator(n, args.alpha[0]))
+                   for n in args.n]
+    return _csv((axis, *(label for label, _ in columns)),
+                ((x, *(curve(x) for _, curve in columns)) for x in grid))
 
 
 # ---------------------------------------------------------------------------

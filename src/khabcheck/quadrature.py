@@ -163,10 +163,15 @@ def _panel(f: Callable[[float], float], cfg: QuadConfig,
                       subdivisions_used=int(info["last"]), evaluations=int(info["neval"]))
 
 
-def _flattening_exponent(power_at_zero: float) -> float:
-    """m = 1/(power+1): t = v^m absorbs a t^power factor at 0."""
+def _flattening_exponent(power_at_zero: Optional[float]) -> float:
+    """m = 1/(power+1), t = v^m absorbing a t^power factor at 0: the one admission of
+    an endpoint hint, where none or 0 is m = 1 and any other must be finite and > -1."""
+    if not power_at_zero:
+        return 1.0
     if power_at_zero <= -1.0:
         raise ValueError(f"endpoint power {power_at_zero} is not integrable")
+    if not math.isfinite(power_at_zero):
+        raise ValueError(f"endpoint power {power_at_zero} is not finite")
     return 1.0 / (power_at_zero + 1.0)
 
 
@@ -195,7 +200,7 @@ class _NodeTable(dict):
 
     def __init__(self, power_at_zero: Optional[float], k_index: int) -> None:
         super().__init__()
-        self.m = _flattening_exponent(power_at_zero) if power_at_zero else 1.0
+        self.m = _flattening_exponent(power_at_zero)
         self.k_index = k_index
 
     def __missing__(self, v: float) -> tuple[float, Optional[float], float]:
@@ -221,7 +226,7 @@ def integrate_unit_interval(f: Callable[[float], float], cfg: QuadConfig = DEFAU
     the substitution of f: a sweep's node-table integrand (see ``_NodeTable``).
     """
     spent = evaluated = 0
-    if power_at_zero is not None and power_at_zero != 0.0:
+    if power_at_zero:  # a hint of None or 0 asks for no substitution
         first = _panel(flat or _flattened(f, power_at_zero), cfg)
         if first.converged or power_at_zero < 0.0:
             return first
@@ -239,7 +244,7 @@ def integrate_half_line(f: Callable[[float], float], cfg: QuadConfig = DEFAULT_C
     ``decay_power`` is d in f(t) ~ c * t^(-1-d) as t -> oo (must be > 0 for
     convergence); it becomes the endpoint-power hint of the tail integral.
     """
-    if decay_power is not None and decay_power <= 0.0:
+    if decay_power is not None and not decay_power > 0.0:
         raise ValueError(f"tail decay power {decay_power} does not converge")
     head = integrate_unit_interval(f, cfg, power_at_zero)
 

@@ -2,7 +2,10 @@
 
 import json
 import math
+import re
 import sys
+import time
+from datetime import datetime
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -40,7 +43,10 @@ def test_identities_json_report(capsys):
 def test_timestamp_present_by_default(capsys):
     code, out, _ = run(capsys, "identities", "--alpha", "1/2", "--n-max", "2")
     assert code == 0
-    assert "timestamp" in json.loads(out)
+    stamp = json.loads(out)["timestamp"]
+    # UTC, to the second, and now
+    assert re.fullmatch(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}\+00:00", stamp)
+    assert abs(datetime.fromisoformat(stamp).timestamp() - time.time()) <= 60
 
 
 def test_reports_are_deterministic(capsys):

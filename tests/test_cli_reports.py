@@ -4,6 +4,7 @@ parse-time validation, and the documented example invocations."""
 import csv
 import json
 import re
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,30 @@ def test_reconstruction_failure_at_one_y_fails_that_record_only(capsys):
                                     "error": "ValueError: t must be positive and finite"}
     _, kept, _ = run(capsys, *argv, "0.5,2")
     assert [records[0], records[2]] == json.loads(kept)["records"]
+
+
+def test_a_sweep_that_cannot_be_built_fails_each_of_its_y(capsys):
+    # at alpha = 10^7 the sweep of index 59 or 60 cannot be built: its exact
+    # coefficients are too large for a float
+    code, out, err = run(capsys, "integrals", "--suite", "reconstruction", "--alpha",
+                         "10000000", "--n", "59..60", "--y", "1/2,1", "--format", "csv",
+                         "--no-timestamp")
+    assert code == 1 and err == ""
+    error = "OverflowError: integer division result too large for a float"
+    assert out.splitlines()[1:] == [
+        f"reconstruction,alpha=10000000;error={error};n={n};y={y},,,,fail"
+        for n in (59, 60) for y in (0.5, 1.0)]
+
+
+def test_a_sweep_is_built_once_per_index_and_alpha(monkeypatch, capsys):
+    built = []
+    sweep = cli.reconstruction_sweep
+    monkeypatch.setattr(cli, "reconstruction_sweep",
+                        lambda n, alpha, cfg: built.append((n, alpha)) or sweep(n, alpha, cfg))
+    code, _, _ = run(capsys, "integrals", "--suite", "reconstruction", "--alpha", "1/2,2",
+                     "--n", "0..1", "--y", "1/2,1,2", "--no-timestamp")
+    assert code == 0
+    assert sorted(built) == sorted((n, a) for n in (0, 1) for a in (F(1, 2), F(2)))
 
 
 def _kernel_calls(monkeypatch, capsys, argv):

@@ -1,6 +1,6 @@
 """Import boundary: the public surface, SciPy loads only when a quadrature
 panel runs, NumPy only when the positivity ladder reaches its float rung,
-and start-up loads neither ``dataclasses`` nor ``inspect``.
+and start-up loads none of ``dataclasses``, ``inspect`` and ``datetime``.
 
 Each import case runs in a fresh ``python -I`` interpreter with ``src`` first
 on ``sys.path``, so no module loaded by the test session leaks into it.
@@ -19,7 +19,7 @@ ROOT = Path(__file__).parents[1]
 DATA = Path(__file__).parent / "data"
 
 #: the modules an import case reports when its statement loads them
-WATCHED = ("scipy", "numpy", "dataclasses", "inspect")
+WATCHED = ("scipy", "numpy", "dataclasses", "inspect", "datetime")
 
 # runs ``statement``, whose report goes to stdout, then prints on the last
 # line of stderr which WATCHED modules the statement added to sys.modules

@@ -158,6 +158,37 @@ def test_unit_interval_rejects_nonintegrable_endpoint_power():
         integrate_unit_interval(lambda t: 1.0 / t, power_at_zero=-1.0)
 
 
+@pytest.mark.parametrize("hint, message", [
+    (math.inf, "endpoint power inf is not finite"),
+    (math.nan, "endpoint power nan is not finite"),
+    (-math.inf, "endpoint power -inf is not integrable"),
+])
+def test_unit_interval_refuses_an_endpoint_hint_that_is_not_finite(hint, message):
+    # an infinite hint made m = 0: the substituted integrand vanished, and
+    # the panel returned 0.0, converged, for a true value of 2
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        integrate_unit_interval(lambda t: t ** -0.5, power_at_zero=hint)
+
+
+def test_half_line_refuses_a_decay_power_that_is_nan():
+    with pytest.raises(ValueError, match=r"^tail decay power nan does not converge$"):
+        integrate_half_line(lambda t: 1.0 / (1.0 + t * t), decay_power=math.nan)
+
+
+def test_a_hint_of_zero_asks_for_no_substitution():
+    assert integrate_unit_interval(math.sqrt, power_at_zero=0.0) == integrate_unit_interval(math.sqrt)
+
+
+def test_chain_refuses_an_infinite_endpoint_hint():
+    # the infinite hint emptied every premise integral, and the premise held;
+    # with the density's honest power at 0 it is violated
+    q = DensityFunction(lambda t: 1e6 * t ** -0.75, power_at_zero=math.inf,
+                        power_at_infinity=-0.75)
+    with pytest.raises(ValueError, match=r"^endpoint power inf is not finite$"):
+        verify_conjecture_chain(1, F(1, 4), q)
+    assert not verify_conjecture_chain(1, F(1, 4), q._replace(power_at_zero=-0.75)).premise_satisfied
+
+
 @pytest.mark.parametrize("alpha", ["1/64", "3/232", "256"])
 def test_quadpack_evaluates_interior_nodes_only(monkeypatch, capsys, alpha):
     # no integrand handed to QUADPACK tests for v <= 0: its Gauss-Kronrod rules
