@@ -35,15 +35,12 @@ from itertools import count, islice
 from math import gcd
 from typing import Iterator
 
-from .exact import RationalLike, positive_rational
+from .exact import RationalLike, index_at_least, positive_rational
 
 
-def _admitted(alpha: RationalLike, n: int, least: int, name: str = "n") -> Fraction:
-    """alpha admitted by ``positive_rational``, then n refused below least."""
-    a = positive_rational(alpha)
-    if n < least:
-        raise ValueError(f"{name} must be >= {least}")
-    return a
+def _admitted(alpha: RationalLike, n: int, least: int, name: str = "n") -> tuple[Fraction, int]:
+    """(alpha, n): alpha by ``positive_rational``, then n by ``index_at_least``."""
+    return positive_rational(alpha), index_at_least(n, least, name)
 
 
 def _products(a: Fraction) -> Iterator[tuple[int, int, int, int]]:
@@ -67,7 +64,8 @@ def _products(a: Fraction) -> Iterator[tuple[int, int, int, int]]:
 
 def _step(alpha: RationalLike, n: int) -> tuple[int, int, int, int]:
     """``_products`` at n >= 1, after admitting alpha and n."""
-    return next(islice(_products(_admitted(alpha, n, 1)), n - 1, None))
+    a, n = _admitted(alpha, n, 1)
+    return next(islice(_products(a), n - 1, None))
 
 
 def beta_int(alpha: RationalLike, n: int) -> Fraction:
@@ -113,7 +111,7 @@ def moment_routes(alpha: RationalLike, n_max: int) -> Iterator[tuple[int, int, i
     takes no gcd.  Both read one walk of B, the sum updated as it goes;
     alpha and n_max are admitted before the walk starts.
     """
-    return _moment_walk(_admitted(alpha, n_max, 0, "n_max"), n_max)
+    return _moment_walk(*_admitted(alpha, n_max, 0, "n_max"))
 
 
 def reciprocity_routes(alpha: RationalLike, n_max: int) -> Iterator[tuple[int, int, int, int]]:
@@ -126,7 +124,7 @@ def reciprocity_routes(alpha: RationalLike, n_max: int) -> Iterator[tuple[int, i
     the walks meet (B's numerator is the coefficient's denominator, and
     the other way round) the two products are 1 and 1.
     """
-    return _reciprocity_walk(_admitted(alpha, n_max, 0, "n_max"), n_max)
+    return _reciprocity_walk(*_admitted(alpha, n_max, 0, "n_max"))
 
 
 def _reciprocity_walk(a: Fraction, n_max: int) -> Iterator[tuple[int, int, int, int]]:
@@ -143,5 +141,4 @@ def verify_moment_identity(alpha: RationalLike, n_max: int) -> list[bool]:
 
 def verify_reciprocity(alpha: RationalLike, n_max: int) -> list[bool]:
     """Check beta_int * rhs_constant == 1 exactly, n = 1..n_max."""
-    a = _admitted(alpha, n_max, 1, "n_max")
-    return [target == value for _, target, value, _ in _reciprocity_walk(a, n_max)]
+    return [t == v for _, t, v, _ in _reciprocity_walk(*_admitted(alpha, n_max, 1, "n_max"))]

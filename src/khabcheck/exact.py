@@ -5,9 +5,11 @@ denominator, a value at a point is a `fractions.Fraction`, and no float
 ever sneaks in until a caller explicitly evaluates.  This module is also
 the package's one admission rule for exact inputs: ``rational`` turns a
 string, int or Fraction into a Fraction and refuses every float (a
-``numpy.float64`` included), and ``positive_rational`` adds the check that
-the shape parameter alpha is > 0.  Every exact entry point of the package
-admits alpha through ``positive_rational``.
+``numpy.float64`` included), ``positive_rational`` adds the check that
+the shape parameter alpha is > 0, and ``index_at_least`` takes an index
+through ``operator.index`` (a float is a TypeError) and refuses it below
+a floor.  Every exact entry point of the package admits alpha through
+``positive_rational``, and every index through ``index_at_least``.
 
 Exact polynomials are held as integer rows over one positive denominator,
 and two functions own that form: ``lowest_terms`` makes rows canonical,
@@ -67,6 +69,14 @@ def positive_rational(value: Union[str, int, Fraction]) -> Fraction:
     if a <= 0:
         raise ValueError("alpha must be positive")
     return a
+
+
+def index_at_least(value: int, least: int, name: str) -> int:
+    """``operator.index(value)`` (a float is a TypeError), refused below ``least``."""
+    n = operator.index(value)
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return n
 
 
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:

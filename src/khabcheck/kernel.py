@@ -29,7 +29,8 @@ correct digit:
 from __future__ import annotations
 
 import math
-import operator
+
+from .exact import index_at_least
 
 #: bound on the truncation error of the tail series
 DEFAULT_TOL = 1e-14
@@ -41,12 +42,10 @@ _SERIES_SWITCH = 0.9
 def kernel_eval(n: int, x: float) -> float:
     """Evaluate the n-th kernel at x in (0, 1], to within ``DEFAULT_TOL`` of truth.
 
-    n is admitted through ``operator.index``: a float index is a TypeError
+    n is admitted by ``exact.index_at_least``: a float index is a TypeError
     on both sides of the series switch.
     """
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("kernel index n must be >= 0")
+    n = index_at_least(n, 0, "kernel index n")
     if not 0.0 < x <= 1.0:
         raise ValueError(f"kernel argument must lie in (0, 1], got {x!r}")
     if x == 1.0:

@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .exact import (RationalLike, Value, ZPolynomial, lowest_terms, positive_rational,
-                    row_value, scaled_value, simplest_between)
+from .exact import (RationalLike, Value, ZPolynomial, index_at_least, lowest_terms,
+                    positive_rational, row_value, scaled_value, simplest_between)
 from .transition import transition_poly
 
 #: an integer polynomial as coefficients in ascending powers of z
@@ -297,8 +296,7 @@ def alpha_threshold(n: int, tol: float = 1e-6) -> tuple[Fraction, Fraction]:
     dyadic).  Both ends are probed first: P_n(1/2, z) = (n+1) z^n must be
     nonnegative and P_n(4, .) must not be, or a ValueError is raised.
     """
-    if n < 1:
-        raise ValueError("threshold search needs polynomial index >= 1")
+    n = index_at_least(n, 1, "polynomial index")
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     poly = transition_poly(n)
@@ -349,15 +347,13 @@ def region_scan(n_values: Iterable[int], alpha_grid: Iterable[RationalLike]) -> 
 
     Cells are computed independently and assembled in sorted (n, alpha)
     order, so the report is deterministic regardless of evaluation order.
-    Indices are admitted through ``operator.index``, so a float is a
-    TypeError rather than truncated to a neighbouring index.
+    Each index is admitted by ``exact.index_at_least`` before any alpha: a
+    float is a TypeError rather than truncated to a neighbouring index.
     """
-    ns = sorted(set(map(operator.index, n_values)))
+    ns = sorted({index_at_least(n, 0, "polynomial index") for n in n_values})
     alphas = sorted(set(positive_rational(a) for a in alpha_grid))
     if not ns or not alphas:
         raise ValueError("scan grids must be non-empty")
-    if any(n < 0 for n in ns):
-        raise ValueError("polynomial indices must be >= 0")
     cells = []
     for n in ns:
         poly = transition_poly(n)

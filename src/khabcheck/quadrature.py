@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .constants import beta_int, rhs_constant
-from .exact import RationalLike, Value, positive_rational
+from .exact import RationalLike, Value, index_at_least, positive_rational
 from .kernel import kernel_eval
 from .positivity import PositivityVerdict, Status, poly_nonneg_on_pos
 from .transition import log_weight, transition_evaluator, transition_poly
@@ -241,9 +241,11 @@ def integrate_half_line(f: Callable[[float], float], cfg: QuadConfig = DEFAULT_C
                         decay_power: Optional[float] = None) -> QuadResult:
     """Integrate f over (0, oo): head on (0, 1], inverted tail from (1, oo).
 
-    ``decay_power`` is d in f(t) ~ c * t^(-1-d) as t -> oo (must be > 0 for
-    convergence); it becomes the endpoint-power hint of the tail integral.
+    ``decay_power`` is d in f(t) ~ c * t^(-1-d) as t -> oo, refused before f
+    runs unless finite and > 0; it is the tail integral's endpoint-power hint.
     """
+    if decay_power == math.inf:
+        raise ValueError(f"tail decay power {decay_power} is not finite")
     if decay_power is not None and not decay_power > 0.0:
         raise ValueError(f"tail decay power {decay_power} does not converge")
     head = integrate_unit_interval(f, cfg, power_at_zero)
@@ -358,7 +360,8 @@ def reconstruction_sweep(n: int, alpha: RationalLike,
     kernel evaluated at u directly; Phi's decay turns into a u^(2a-1)
     endpoint power (times an integrable log), which is flattened away.
     Phi_n and the kernel's node values are built once for the sweep; each
-    call is one y and raises only for that y.
+    call is one y, admitted as 0 < y < oo before any integral runs, and
+    raises only for that y.
     """
     a = positive_rational(alpha)
     phi = transition_evaluator(n, a)
@@ -379,8 +382,8 @@ def reconstruction_sweep(n: int, alpha: RationalLike,
         return g
 
     def check(y: float) -> ResidualCheck:
-        if y <= 0.0:
-            raise ValueError("y must be positive")
+        if not 0.0 < y < math.inf:
+            raise ValueError("y must be positive and finite")
         result = integrate_unit_interval(integrand(graded, y), cfg, power,
                                          flat=integrand(flat, y))
         return ResidualCheck(value=result.value, target=log_weight(y, af), quad=result)
@@ -511,8 +514,7 @@ def verify_conjecture_chain(n: int, alpha: RationalLike, q: DensityFunction,
     ``OverflowError``; at alpha <= 1/60 the flattened quadrature underflows.
     """
     a = positive_rational(alpha)
-    if n < 1:
-        raise ValueError("conjecture index n must be >= 1")
+    n = index_at_least(n, 1, "conjecture index n")
     if not 0 <= premise_tol < math.inf:
         raise ValueError("premise_tol must be nonnegative and finite")
     poly_index = n - 1

@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .exact import RationalLike, ZPolynomial, positive_rational
+from .exact import RationalLike, ZPolynomial, index_at_least, positive_rational
 from .termalgebra import MixedSum
 
 # ---------------------------------------------------------------------------
@@ -87,8 +87,7 @@ def transition_poly(n: int) -> ZPolynomial:
     ``_recurrence_step``) from the cached P_{n-1}, filling the cache upward
     so that no call recurses deeply.
     """
-    if n < 0:
-        raise ValueError("polynomial index must be >= 0")
+    n = index_at_least(n, 0, "polynomial index")
     if n == 0:
         return ZPolynomial(((1,),))
     for k in range(n):  # fill the cache upward
@@ -208,8 +207,7 @@ def log_weight_derivatives(count: int) -> tuple[MixedSum, ...]:
     Integers over one denominator, ``Fraction`` at the API boundary.  Each
     count extends the cached one below it, so no call recurses deeply.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = index_at_least(count, 1, "count")
     if count == 1:
         # differentiating ln(1 + t^(-2a)) and clearing negative powers of the
         # base gives exactly  -2a * t^(-1) * (1 + t^(2a))^(-1),  i.e. the term
@@ -247,8 +245,7 @@ def transition_oracle(n: int) -> MixedSum:
     makes no reference to the polynomial recurrence, so the two paths are
     genuinely independent cross-checks of each other.
     """
-    if n < 0:
-        raise ValueError("index must be >= 0")
+    n = index_at_least(n, 0, "index")
     w = log_weight_derivatives(n + 1)[n]  # w^(n+1)
     src = dict(w.rows)
     r = [src.get((q + 1, -n - 1, q), ()) for q in range(n + 2)]  # r_(n+1) is absent: ()
@@ -474,8 +471,7 @@ def oracle_equiv_check(
     (``_recurrence_view``, ``_oracle_view``), and ``_judge`` rules each point.
     Every t must be positive and finite, checked before any oracle is built.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    n_max = index_at_least(n_max, 0, "n_max")
     if not alpha_samples or not t_samples:
         raise ValueError("sample grids must be non-empty")
     if not 0 <= rel_tol < math.inf:
@@ -533,8 +529,7 @@ class PhiFamily(NamedTuple):
     @staticmethod
     def build(alpha: RationalLike, max_n: int) -> PhiFamily:
         a = positive_rational(alpha)
-        if max_n < 0:
-            raise ValueError("max_n must be >= 0")
+        max_n = index_at_least(max_n, 0, "max_n")
         return PhiFamily(
             alpha=a,
             max_n=max_n,

@@ -1,8 +1,11 @@
-"""Every exact entry point admits alpha the same way: an exact rational > 0.
+"""Every entry point admits alpha, and every index, the same way.
 
-``exact.positive_rational`` is the one admission rule.  A float alpha is a
-TypeError (it would otherwise become a long binary fraction), a value <= 0
-is a ValueError, and a string such as "1/2" is the same input as F(1, 2).
+``exact.positive_rational`` is the one admission rule for alpha.  A float
+alpha is a TypeError (it would otherwise become a long binary fraction), a
+value <= 0 is a ValueError, and a string such as "1/2" is the same input as
+F(1, 2).  ``exact.index_at_least`` is the one rule for an index: a float is
+a TypeError from the call itself, and an index below the door's floor is a
+ValueError ``<name> must be >= <floor>``.
 """
 
 from fractions import Fraction as F
@@ -19,7 +22,9 @@ from khabcheck.constants import (
     verify_reciprocity,
 )
 from khabcheck.exact import row_value
+from khabcheck.kernel import kernel_eval
 from khabcheck.positivity import (
+    alpha_threshold,
     coeffs_nonneg_on_pos,
     poly_nonneg_on_pos,
     region_scan,
@@ -35,8 +40,10 @@ from khabcheck.quadrature import (
 from khabcheck.termalgebra import MixedSum
 from khabcheck.transition import (
     PhiFamily,
+    log_weight_derivatives,
     oracle_equiv_check,
     transition_evaluator,
+    transition_oracle,
     transition_poly,
 )
 
@@ -103,3 +110,42 @@ def test_exact_evaluators_refuse_floats():
 def test_decider_refuses_a_nonpositive_den(den):
     with pytest.raises(ValueError, match="^den must be a positive integer$"):
         coeffs_nonneg_on_pos([1, 1], den)
+
+
+#: each index door called with the index in one position: (call, a float
+#: index, the largest index below the floor, that index's message)
+INDEX_DOORS = {
+    "kernel_eval": (lambda n: kernel_eval(n, 0.5), 2.5, -1, "kernel index n must be >= 0"),
+    "transition_poly": (transition_poly, 2.5, -1, "polynomial index must be >= 0"),
+    "log_weight_derivatives": (log_weight_derivatives, 2.5, 0, "count must be >= 1"),
+    "transition_oracle": (transition_oracle, 2.5, -1, "index must be >= 0"),
+    "oracle_equiv_check": (lambda n: oracle_equiv_check(n, [F(1, 2)], [0.7]), 2.5, -1,
+                           "n_max must be >= 0"),
+    "PhiFamily.build": (lambda n: PhiFamily.build(F(1, 2), n), 2.5, -1, "max_n must be >= 0"),
+    "alpha_threshold": (alpha_threshold, 2.5, 0, "polynomial index must be >= 1"),
+    "region_scan": (lambda n: region_scan([1, n], [F(1, 2)]), 2.5, -1,
+                    "polynomial index must be >= 0"),
+    "verify_conjecture_chain": (lambda n: verify_conjecture_chain(n, F(1, 2), DENSITY), 2.5, 0,
+                                "conjecture index n must be >= 1"),
+    "beta_int": (lambda n: beta_int(1, n), 1.5, 0, "n must be >= 1"),
+    "rhs_constant": (lambda n: rhs_constant(1, n), 2.0, 0, "n must be >= 1"),
+    "extremal_density_fn": (lambda n: extremal_density_fn(1, n), 2.0, 0, "n must be >= 1"),
+    # the walks are not iterated: both refusals come from the call itself
+    "moment_routes": (lambda n: moment_routes(1, n), 2.5, -1, "n_max must be >= 0"),
+    "reciprocity_routes": (lambda n: reciprocity_routes(1, n), 2.5, -1, "n_max must be >= 0"),
+    "verify_moment_identity": (lambda n: verify_moment_identity(1, n), 2.5, -1,
+                               "n_max must be >= 0"),
+    "verify_reciprocity": (lambda n: verify_reciprocity(1, n), 2.5, 0, "n_max must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("door, float_index, below, message", INDEX_DOORS.values(),
+                         ids=INDEX_DOORS.keys())
+def test_index_door_refuses_a_float_and_an_index_below_its_floor(door, float_index, below,
+                                                                  message):
+    with pytest.raises(TypeError):
+        door(float_index)
+    with pytest.raises(TypeError):
+        door(np.float64(float_index))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        door(below)

@@ -231,6 +231,12 @@ def test_scan_threshold_at_a_tiny_tolerance(capsys, deadline):
     assert json.loads(out)["records"][0]["status"] == "pass"
 
 
+def test_scan_threshold_refuses_index_zero_with_the_index_rule(capsys):
+    # alpha_threshold's refusal is exact.index_at_least's, word for word
+    assert run(capsys, "scan", "--threshold", "--n", "0..2") == (
+        2, "", "khabcheck: error: polynomial index must be >= 1\n")
+
+
 def test_scan_without_grid_or_threshold_is_usage_error(capsys):
     code, _, err = run(capsys, "scan", "--n", "1")
     assert code == 2

@@ -32,6 +32,9 @@ def run(capsys, *argv):
     ("report_integrals_all.csv",
      "integrals --suite all --alpha 1/4,3 --format csv --no-timestamp"),
     ("report_integrals_sweep.json", "integrals --suite all --alpha 1/30,5/8,7/4 --no-timestamp"),
+    # at alpha = 1/2 every chain index applies (P_(n-1)(1/2, z) = n z^(n-1)), and the
+    # reconstruction's endpoint power 2 alpha - 1 = 0 leaves it the graded pass only
+    ("report_integrals_half.json", "integrals --suite all --alpha 1/2 --no-timestamp"),
     ("report_identities.json", "identities --alpha 1/2,2/3 --n-max 6 --no-timestamp"),
     # both moment routes read in one walk per alpha, to n = 60
     ("report_identities_n60.csv",

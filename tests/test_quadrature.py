@@ -175,6 +175,30 @@ def test_half_line_refuses_a_decay_power_that_is_nan():
         integrate_half_line(lambda t: 1.0 / (1.0 + t * t), decay_power=math.nan)
 
 
+def test_half_line_refuses_an_infinite_decay_power_before_calling_f():
+    # refused before the head runs, naming the caller's argument rather than
+    # the tail's hint d - 1, which the hint admission would refuse only later
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 1.0 / (1.0 + t * t)
+
+    with pytest.raises(ValueError, match=r"^tail decay power inf is not finite$"):
+        integrate_half_line(f, decay_power=math.inf)
+    assert calls == []
+
+
+@pytest.mark.parametrize("y", [0.0, -1.0, math.nan, math.inf])
+def test_reconstruction_refuses_a_y_that_is_not_positive_and_finite(monkeypatch, y):
+    # refused before any integral runs: past the admission, a NaN or infinite
+    # y would fail inside Phi_n under a message naming t
+    check = reconstruction_sweep(1, F(1, 2))
+    monkeypatch.setattr(quadrature, "_panel", lambda *args, **kwargs: pytest.fail("integrated"))
+    with pytest.raises(ValueError, match="^y must be positive and finite$"):
+        check(y)
+
+
 def test_a_hint_of_zero_asks_for_no_substitution():
     assert integrate_unit_interval(math.sqrt, power_at_zero=0.0) == integrate_unit_interval(math.sqrt)
 
